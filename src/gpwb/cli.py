@@ -83,6 +83,24 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _check_values(cfg):
+    """Value ranges the key and type schema cannot express."""
+    for k, v in cfg.get("flow", {}).items():
+        if not v > 0:
+            raise ConfigError(f"flow.{k}: must be positive, got {v!r}")
+    if cfg.get("kempf_ness", {}).get("max_iter", 1) < 1:
+        raise ConfigError("kempf_ness.max_iter: must be at least 1")
+    if cfg.get("lattice_n", 4) < 4:
+        raise ConfigError(f"lattice_n: needs at least 4 sites per side, got {cfg['lattice_n']!r}")
+    th = cfg.get("threshold", {})
+    scan = th.get("scan", [0.0, 1.0])
+    if (len(scan) != 2 or any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in scan)
+            or not scan[0] < scan[1]):
+        raise ConfigError(f"threshold.scan: expected two numbers lo < hi, got {scan!r}")
+    if not th.get("target_width", 1.0) > 0:
+        raise ConfigError(f"threshold.target_width: must be positive, got {th['target_width']!r}")
+
+
 def flow_opts_from(cfg, tol=None):
     f = dict(cfg.get("flow", {}))
     if tol is not None:
@@ -176,18 +194,19 @@ def run_threshold(cfg, rng_seed, workers, tol):
 
 
 def _fixture_from_cfg(fx, kind):
-    if "path" in fx:
-        fixture = load_fixture(fx["path"])
-        if fixture.kind != kind:
-            raise ConfigError(f"fixture.path: kind {fixture.kind!r} does not match mode")
-        return fixture
     try:
-        degrees = tuple(tuple(int(d) for d in row) for row in fx["degrees"])
-        support = tuple(tuple(int(i) for i in s) for s in fx.get("support", []))
-        cs = tuple(Fraction(str(x)) for x in fx["c"])
+        if "path" in fx:
+            fixture = load_fixture(fx["path"])
+        else:
+            fixture = CurveFixture(kind, fx["degrees"], fx.get("support", ()),
+                                   tuple(Fraction(str(x)) for x in fx["c"]))
     except KeyError as err:
         raise ConfigError(f"fixture: missing field {err}") from err
-    return CurveFixture(kind, degrees, support, cs)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"fixture: {err}") from err
+    if fixture.kind != kind:
+        raise ConfigError(f"fixture.path: kind {fixture.kind!r} does not match mode")
+    return fixture
 
 
 def _assembly_params(fixture: CurveFixture, fx_cfg):
@@ -317,6 +336,7 @@ def run(config: dict, out_dir=None, workers=1, seed=None, tol=None) -> dict:
     mode = config.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode: unknown mode {mode!r}")
+    _check_values(config)
     rng_seed = int(seed if seed is not None else config.get("seed", 0))
     workers = int(workers or config.get("workers", 1))
     tol = tol if tol is not None else config.get("tol")

@@ -44,15 +44,16 @@ class CurveFixture:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown fixture kind {self.kind!r}")
+        arity = 3 if self.kind == "twisted_triple" else 2
+        if len(self.degrees) != arity or len(self.c) != arity:
+            raise ValueError(f"{self.kind} needs {arity} degree rows and {arity} central "
+                             f"scalars, got {len(self.degrees)} and {len(self.c)}")
         degs = tuple(tuple(int(d) for d in row) for row in self.degrees)
         sup = tuple(tuple(int(i) for i in s) for s in self.support)
         cs = tuple(_frac(x) for x in self.c)
         object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "c", cs)
-
-    def ranks(self):
-        return tuple(len(row) for row in self.degrees)
 
     def total_degree(self, factor):
         return sum(self.degrees[factor])
@@ -71,8 +72,8 @@ class FixtureVerdict:
     note: str = ""
 
     def __post_init__(self):
-        if self.slack is not None and not self.unsolvable:
-            assert self.stable == (self.slack > 0)
+        if self.slack is not None and not self.unsolvable and self.stable != (self.slack > 0):
+            raise ValueError(f"verdict stable={self.stable} contradicts slack {self.slack}")
 
 
 def _fin(best, slack, cand):
@@ -272,7 +273,7 @@ def higgs_stable(fixture: CurveFixture) -> FixtureVerdict:
     deg = fixture.degrees[0]
     m = len(deg)
     mu = Fraction(sum(deg), m)
-    cm = _frac(fixture.c[0]) if fixture.c else mu
+    cm = fixture.c[0]
     if cm != mu:
         return FixtureVerdict(stable=False, slack=None, unsolvable=True,
                               note=f"cm != slope: obstruction {mu - cm}")

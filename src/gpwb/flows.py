@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .fixtures import KINDS
 from .groups import CONSTANT, FROZEN, FULL, ProductGroupSpec, SubgroupSetting
 from .lattice import (
     DEFAULT_STENCIL,
@@ -30,9 +31,10 @@ from .lattice import (
     lattice_degree,
     mu_factor_field,
     pointwise_residual,
+    section_transport,
     trivial_bundle,
 )
-from .reps import ADJOINT, DUAL, STANDARD, RepSpec, Slot
+from .reps import ADJOINT, DUAL, STANDARD, RepSpec, Slot, summand_weights
 
 
 @dataclass
@@ -42,11 +44,6 @@ class FlowOpts:
     tol: float = 1e-8
     step_cap: float = 1.0
     metric_cutoff: float = 50.0
-    record_every: int = 1
-    # solve the stiff linear curvature response implicitly (exact FFT solve
-    # of the translation-invariant response operator) on abelian factors;
-    # fixed points and the step-control policy are unchanged
-    implicit_curvature: bool = True
 
 
 @dataclass
@@ -179,11 +176,10 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
         desc = _descent_blocks(blocks, work.factors)
         trial = {}
         for i, d in desc.items():
-            if (
-                opts.implicit_curvature
-                and work.factors[i].mode == FULL
-                and d.shape[-1] == 1
-            ):
+            # solve the stiff linear curvature response implicitly (exact FFT
+            # solve of the translation-invariant response operator) on abelian
+            # factors; fixed points and the step-control policy are unchanged
+            if work.factors[i].mode == FULL and d.shape[-1] == 1:
                 delta = _semi_implicit_scalar(d[:, :, 0, 0].real, step, work.lattice.n)
                 d = delta[:, :, None, None].astype(complex)
             trial[i] = work.u[i] - step * d
@@ -334,38 +330,6 @@ def _normalize_support(support, shape):
     return out
 
 
-def _summand_links(rep: RepSpec, bundles, multi_idx):
-    """Scalar link field of one V-summand of a decomposable assembly."""
-    n = bundles[0].lattice.n
-    links = np.ones((2, n, n), complex)
-    for axis, sl in enumerate(rep.slots):
-        j = multi_idx[axis]
-        if sl.action == STANDARD:
-            links *= bundles[sl.factor].links[:, :, :, j, j]
-        elif sl.action == DUAL:
-            links *= 1.0 / bundles[sl.factor].links[:, :, :, j, j]
-        elif sl.action == ADJOINT:
-            m = bundles[sl.factor].rank
-            a, b = divmod(j, m)
-            links *= bundles[sl.factor].links[:, :, :, a, a] / bundles[sl.factor].links[:, :, :, b, b]
-    return links
-
-
-def _summand_degree(rep: RepSpec, bundles, multi_idx):
-    d = 0
-    for axis, sl in enumerate(rep.slots):
-        j = multi_idx[axis]
-        if sl.action == STANDARD:
-            d += bundles[sl.factor].summand_degrees[j]
-        elif sl.action == DUAL:
-            d -= bundles[sl.factor].summand_degrees[j]
-        elif sl.action == ADJOINT:
-            m = bundles[sl.factor].rank
-            a, b = divmod(j, m)
-            d += bundles[sl.factor].summand_degrees[a] - bundles[sl.factor].summand_degrees[b]
-    return int(d)
-
-
 def build_section(rep: RepSpec, bundles, support, rng, order=DEFAULT_STENCIL,
                   section_index=None, scale=1.0):
     """Holomorphic section supported on the given V-summands.
@@ -381,11 +345,14 @@ def build_section(rep: RepSpec, bundles, support, rng, order=DEFAULT_STENCIL,
     shape = rep.shape
     support = _normalize_support(support, shape)
     total_res = 0.0
+    degrees = summand_weights([b.summand_degrees for b in bundles], rep)
+    vlinks = section_transport(rep, [b.links for b in bundles])
     for idx in support:
-        deg = _summand_degree(rep, bundles, idx)
+        deg = int(round(degrees[idx]))
         if deg < 0:
             raise ValueError(f"summand {idx} has negative degree {deg}: no sections")
-        links = _summand_links(rep, bundles, idx)[:, :, :, None, None]
+        flat = int(np.ravel_multi_index(idx, shape))
+        links = vlinks[..., flat:flat + 1, flat:flat + 1]
         count = max(deg, 1)
         secs, res, _ = holomorphic_sections(lat, links, count, order=order)
         total_res = max(total_res, float(res.max()))
@@ -395,13 +362,8 @@ def build_section(rep: RepSpec, bundles, support, rng, order=DEFAULT_STENCIL,
             w = rng.standard_normal(count) + 1j * rng.standard_normal(count)
             w /= np.linalg.norm(w)
             vec = np.tensordot(w, secs[:, :, :, 0], axes=(0, 0))
-        flat = int(np.ravel_multi_index(idx, shape))
         out[:, :, flat] = scale * vec
     return out, total_res
-
-
-EXAMPLE_KINDS = ("pair_tensor", "triple_fixed_E2", "coherent_system",
-                 "twisted_triple", "higgs")
 
 
 def assemble_example(kind: str, params: dict, lattice_n=16, seed=0) -> LatticePairState:
@@ -412,7 +374,7 @@ def assemble_example(kind: str, params: dict, lattice_n=16, seed=0) -> LatticePa
     parameters attach a warning entry in ``state.params`` instead of
     failing: the violating configuration is itself a useful fixture.
     """
-    if kind not in EXAMPLE_KINDS:
+    if kind not in KINDS:
         raise ValueError(f"unknown example kind {kind!r}")
     rng = np.random.default_rng(seed)
     lat = build_torus(lattice_n)

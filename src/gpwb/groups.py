@@ -141,9 +141,6 @@ class GroupElement:
             tuple(a @ b for a, b in zip(self.blocks, other.blocks)), flavor
         )
 
-    def inverse(self):
-        return GroupElement(tuple(np.linalg.inv(b) for b in self.blocks), self.flavor)
-
     @staticmethod
     def identity(spec: ProductGroupSpec, flavor="unitary"):
         return GroupElement(tuple(np.eye(n, dtype=complex) for n in spec.factor_dims), flavor)

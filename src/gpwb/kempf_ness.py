@@ -89,7 +89,8 @@ class StabilityVerdict:
     marginal: bool = False
 
     def __post_init__(self):
-        assert self.stable == (self.slack > 0.0)
+        if self.stable != (self.slack > 0.0):
+            raise ValueError(f"verdict stable={self.stable} contradicts slack {self.slack}")
 
 
 @dataclass

@@ -12,6 +12,9 @@ Conventions fixed here and relied on everywhere else:
   with d holomorphic sections has i*Lambda F = +2 pi d.
 * degrees are reported in units where a Chern-number-d line bundle has
   degree 2 pi d.
+
+Transports, gauge and metric actions on V and the sitewise moment maps
+all come from the slot kernel of ``gpwb.reps``, batched over the sites.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .groups import CONSTANT, FROZEN, FULL, ProductGroupSpec, SubgroupSetting
-from .reps import ADJOINT, DUAL, STANDARD, TRIVIAL, RepSpec
+from .reps import RepSpec, apply_slots, moment_block, slot_matrices, slot_operator
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,10 +76,6 @@ class LatticeBundle:
 
     def copy(self):
         return LatticeBundle(self.lattice, self.rank, self.links.copy(), self.summand_degrees)
-
-    def condition_report(self):
-        sv = np.linalg.svd(self.links.reshape(-1, self.rank, self.rank), compute_uv=False)
-        return float(np.max(sv[:, 0] / sv[:, -1]))
 
 
 def trivial_bundle(lat: TorusLattice, rank=1) -> LatticeBundle:
@@ -163,39 +162,12 @@ def lattice_degree(bundle_or_links) -> float:
 # induced transports on V
 
 
-def _slot_link(mat, action):
-    if action == STANDARD:
-        return mat
-    if action == DUAL:
-        return np.swapaxes(np.linalg.inv(mat), -1, -2)
-    if action == ADJOINT:
-        inv_t = np.swapaxes(np.linalg.inv(mat), -1, -2)
-        return _batched_kron(mat, inv_t)
-    raise ValueError(action)
-
-
-def _batched_kron(a, b):
-    """Kronecker product over the last two axes of stacked matrices."""
-    ra, ca = a.shape[-2:]
-    rb, cb = b.shape[-2:]
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(*a.shape[:-2], ra * rb, ca * cb)
-
-
 def section_transport(rep: RepSpec, factor_links) -> np.ndarray:
     """Per-site, per-direction transport matrices on V, shape (2,N,N,D,D).
 
     ``factor_links[i]`` is the (2,N,N,n_i,n_i) link field of factor i.
     """
-    mats = None
-    for sl in rep.slots:
-        if sl.action == TRIVIAL:
-            m = np.broadcast_to(np.eye(sl.dim, dtype=complex),
-                                factor_links[0].shape[:3] + (sl.dim, sl.dim))
-        else:
-            m = _slot_link(factor_links[sl.factor], sl.action)
-        mats = m if mats is None else _batched_kron(mats, m)
-    return mats
+    return slot_operator(slot_matrices(factor_links, rep), rep, lead=factor_links[0].shape[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +309,6 @@ class LatticePairState:
             return f.bundle.links
         return corrected_links(f.bundle.links, self.u[i])
 
-    def all_corrected_links(self):
-        return [self.corrected_links(i) for i in range(len(self.factors))]
-
     def metric_frame_section(self):
         """Section in the metric-orthonormal frame: act(e^{u(x)}, Phi(x))."""
         return apply_metric_exponents(self.section, self.rep, self.u, self.factors)
@@ -422,28 +391,10 @@ def curvature_response_matrix(lat: TorusLattice) -> sp.csr_matrix:
 
 
 def apply_metric_exponents(section, rep: RepSpec, u: dict, factors) -> np.ndarray:
-    """act(e^{u(x)}, Phi(x)) sitewise, for the tuple of metric exponents."""
-    n0, n1 = section.shape[:2]
-    t = section.reshape(n0, n1, *rep.shape)
-    for axis, sl in enumerate(rep.slots):
-        if sl.action == TRIVIAL or sl.factor not in u:
-            continue
-        f = sl.factor
-        uu = u[f]
-        if factors[f].mode == CONSTANT:
-            uu = np.broadcast_to(uu, (n0, n1) + uu.shape)
-        g = _expm_pos(uu)
-        if sl.action == STANDARD:
-            m = g
-        elif sl.action == DUAL:
-            m = np.swapaxes(np.linalg.inv(g), -1, -2)
-        else:  # adjoint
-            m = _batched_kron(g, np.swapaxes(np.linalg.inv(g), -1, -2))
-        t = np.moveaxis(t, 2 + axis, 2)
-        shp = t.shape
-        t = np.einsum("xyij,xyj...->xyi...", m, t.reshape(n0, n1, shp[2], -1)).reshape(shp)
-        t = np.moveaxis(t, 2, 2 + axis)
-    return t.reshape(n0, n1, -1)
+    """act(e^{u(x)}, Phi(x)) sitewise, for the tuple of metric exponents;
+    constant-mode exponents broadcast over the sites."""
+    blocks = [_expm_pos(u[i]) if i in u else None for i in range(len(factors))]
+    return apply_slots(slot_matrices(blocks, rep), section, rep)
 
 
 def _expm_pos(u):
@@ -497,48 +448,13 @@ def gauge_transform(state: LatticePairState, kfields) -> LatticePairState:
             f.bundle.links[mu] = kf @ f.bundle.links[mu] @ np.swapaxes(k, -1, -2).conj()
         if f.mode == FULL:
             new.u[i] = k @ new.u[i] @ np.swapaxes(k, -1, -2).conj()
-    # transform the section sitewise
-    n0, n1 = new.section.shape[:2]
-    t = new.section.reshape(n0, n1, *new.rep.shape)
-    for axis, sl in enumerate(new.rep.slots):
-        if sl.action == TRIVIAL:
-            continue
-        k = kfields[sl.factor]
-        if sl.action == STANDARD:
-            m = k
-        elif sl.action == DUAL:
-            m = np.swapaxes(np.linalg.inv(k), -1, -2)
-        else:
-            m = _batched_kron(k, np.swapaxes(np.linalg.inv(k), -1, -2))
-        t = np.moveaxis(t, 2 + axis, 2)
-        shp = t.shape
-        t = np.einsum("xyij,xyj...->xyi...", m, t.reshape(n0, n1, shp[2], -1)).reshape(shp)
-        t = np.moveaxis(t, 2, 2 + axis)
-    new.section = t.reshape(n0, n1, -1)
+    new.section = apply_slots(slot_matrices(kfields, new.rep), new.section, new.rep)
     return new
 
 
 def mu_factor_field(section_field, rep: RepSpec, factor_i: int) -> np.ndarray:
     """Sitewise moment-map block of one factor: (N, N, n_i, n_i)."""
-    n0, n1 = section_field.shape[:2]
-    t = section_field.reshape(n0, n1, *rep.shape)
-    ni = rep.spec.factor_dims[factor_i]
-    out = np.zeros((n0, n1, ni, ni), complex)
-    for axis in rep.factor_slots(factor_i):
-        sl = rep.slots[axis]
-        m = np.moveaxis(t, 2 + axis, 2).reshape(n0, n1, sl.dim, -1)
-        if sl.action == STANDARD:
-            out += -1j * np.einsum("xyar,xybr->xyab", m, m.conj())
-        elif sl.action == DUAL:
-            out += 1j * np.einsum("xyar,xybr->xyab", m, m.conj()).conj()
-        else:  # adjoint: -i [B, B^dagger] summed over the other indices
-            B = m.reshape(n0, n1, ni, ni, -1)
-            bh = np.swapaxes(B, 2, 3).conj()
-            comm = np.einsum("xyijr,xyjkr->xyik", B, bh) - np.einsum(
-                "xyijr,xyjkr->xyik", bh, B
-            )
-            out += -1j * comm
-    return out
+    return moment_block(section_field, rep, factor_i)
 
 
 def pointwise_residual(state: LatticePairState):
@@ -556,10 +472,7 @@ def pointwise_residual(state: LatticePairState):
             continue
         ni = state.spec.factor_dims[i]
         c_i = state.setting.central_scalars[i]
-        if state.rep.factor_slots(i):
-            mu = mu_factor_field(psi, state.rep, i)
-        else:
-            mu = np.zeros((n, n, ni, ni), complex)
+        mu = mu_factor_field(psi, state.rep, i)
         if f.mode == CONSTANT:
             r = np.mean(mu, axis=(0, 1)) + 1j * c_i * np.eye(ni)
             blocks[i] = np.broadcast_to(r, (n, n, ni, ni)).copy()

@@ -6,6 +6,10 @@ conjugation on endomorphisms, or nothing.  Moment maps come out of the
 rank-one formula mu(x) = -i x x^dagger summed over slices, with the sign
 and transpose flip on dual slots and the commutator form on adjoint slots.
 
+Every slot action is written once, in the slot kernel below, on stacked
+(..., D) arrays: a vector of V is the case with no leading axes and a
+lattice section field the (N, N) case.
+
 The Hermitian pairing on V carries a factor 2 relative to the plain
 coordinate inner product; with that normalisation the rank-one moment map
 above is exactly the Hamiltonian generator of the unitary flow for the
@@ -72,77 +76,149 @@ class RepSpec:
 
 
 # ---------------------------------------------------------------------------
-# representation helpers
+# slot kernel
 
 
-def _slot_matrix(g: GroupElement, sl: Slot):
-    if sl.action == TRIVIAL:
-        return None
-    A = g.blocks[sl.factor]
-    if sl.action == STANDARD:
-        return A
-    if sl.action == DUAL:
-        return np.linalg.inv(A).T
-    # adjoint: B -> A B A^-1, row-major vec(ABC) = (A kron C^T) vec(B)
-    Ainv = np.linalg.inv(A)
-    return np.kron(A, Ainv.T)
+def _batched_kron(a, b):
+    """Kronecker product over the last two axes of (broadcast) stacked matrices."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def _slot_generator(s: AlgebraElement, sl: Slot):
-    if sl.action == TRIVIAL:
-        return None
-    a = s.blocks[sl.factor]
-    if sl.action == STANDARD:
-        return a
-    if sl.action == DUAL:
-        return -a.T
-    n = a.shape[0]
-    eye = np.eye(n)
-    return np.kron(a, eye) - np.kron(eye, a.T)
+def _matmul(a, b):
+    """a @ b; on stacks of tiny matrices einsum beats matmul, on one pair not."""
+    return a @ b if a.ndim == b.ndim == 2 else np.einsum("...ij,...jk->...ik", a, b)
 
 
-def _apply_slotwise(mats, x, rep: RepSpec):
-    """Apply one matrix per slot to the flattened vector x."""
-    t = np.asarray(x, dtype=complex).reshape(rep.shape)
+def _gram(m):
+    return _matmul(m, np.swapaxes(m, -1, -2).conj())
+
+
+def slot_matrices(blocks, rep: RepSpec, generator=False):
+    """One (..., d, d) matrix per slot, None where nothing acts.
+
+    ``blocks[i]`` is a stack of factor-i group elements A (or Lie-algebra
+    elements a with ``generator``), or None for a factor that does not act.
+    Standard, dual and adjoint slots get A, (A^-1)^t and A (x) (A^-1)^t, or
+    a, -a^t and a (x) 1 - 1 (x) a^t; row-major vec(A B A^-1) = (A (x) A^-t) vec(B).
+    """
+    out = []
+    for sl in rep.slots:
+        a = None if sl.action == TRIVIAL else blocks[sl.factor]
+        if a is None or sl.action == STANDARD:
+            out.append(a)
+            continue
+        dual = -np.swapaxes(a, -1, -2) if generator else np.swapaxes(np.linalg.inv(a), -1, -2)
+        if sl.action == DUAL:
+            out.append(dual)
+        elif generator:
+            eye = np.eye(a.shape[-1])
+            out.append(_batched_kron(a, eye) + _batched_kron(eye, dual))
+        else:
+            out.append(_batched_kron(a, dual))
+    return out
+
+
+def apply_slots(mats, x, rep: RepSpec):
+    """Apply one matrix per slot (None: identity) to x of shape (..., D)."""
+    x = np.asarray(x, dtype=complex)
+    lead = x.shape[:-1]
+    k0 = len(lead)
+    t = x.reshape(lead + rep.shape)
     for axis, m in enumerate(mats):
         if m is None:
             continue
-        t = np.tensordot(m, t, axes=(1, axis))
-        t = np.moveaxis(t, 0, axis)
-    return t.reshape(-1)
+        t = np.moveaxis(t, k0 + axis, k0)
+        shp = t.shape
+        t = np.moveaxis(_matmul(m, t.reshape(lead + (shp[k0], -1))).reshape(shp), k0, k0 + axis)
+    return t.reshape(x.shape)
+
+
+def slot_operator(mats, rep: RepSpec, lead=()):
+    """Kronecker fold of the slot matrices into one (..., D, D) operator on V."""
+    out = np.ones((1, 1), dtype=complex)
+    for sl, m in zip(rep.slots, mats):
+        out = _batched_kron(out, np.eye(sl.dim) if m is None else m)
+    shape = np.broadcast_shapes(out.shape[:-2], tuple(lead)) + out.shape[-2:]
+    return out if out.shape == shape else np.broadcast_to(out, shape)
+
+
+def _one_slot(mats):
+    """Each acting slot matrix alone, the other slots set to None."""
+    for k, m in enumerate(mats):
+        if m is not None:
+            yield [m if j == k else None for j in range(len(mats))]
+
+
+def _generator_operator(blocks, rep: RepSpec):
+    """(D, D) matrix of the generator blocks: a sum of single-slot operators."""
+    mats = slot_matrices(blocks, rep, generator=True)
+    return sum((slot_operator(one, rep) for one in _one_slot(mats)),
+               np.zeros((rep.dim, rep.dim), dtype=complex))
+
+
+
+
+def moment_block(x, rep: RepSpec, i: int):
+    """Moment-map block of factor i on x of shape (..., D); zero when
+    factor i acts trivially.
+
+    A standard slot contributes -i x x^dagger summed over the other
+    indices, a dual slot the same with sign and conjugation flipped, and an
+    adjoint slot -i [B, B^dagger].
+    """
+    x = np.asarray(x, dtype=complex)
+    lead = x.shape[:-1]
+    k0 = len(lead)
+    t = x.reshape(lead + rep.shape)
+    n = rep.spec.factor_dims[i]
+    out = np.zeros(lead + (n, n), dtype=complex)
+    for axis in rep.factor_slots(i):
+        sl = rep.slots[axis]
+        m = np.moveaxis(t, k0 + axis, k0).reshape(lead + (sl.dim, -1))
+        if sl.action == STANDARD:
+            out += -1j * _gram(m)
+        elif sl.action == DUAL:
+            out += 1j * _gram(m).conj()
+        else:
+            b = m.reshape(lead + (n, n, -1))
+            bh = np.swapaxes(b, k0, k0 + 1).conj()
+            out += -1j * (np.einsum("...ijr,...jkr->...ik", b, bh)
+                          - np.einsum("...ijr,...jkr->...ik", bh, b))
+    return out
+
+
+def summand_weights(diags, rep: RepSpec):
+    """Weights of a diagonal generator on the coordinate summands of V:
+    ``diags[i]`` holds the diagonal of factor i; the result has shape
+    ``rep.shape``, one weight per slot multi-index."""
+    ops = _generator_operator([np.diag(d) for d in diags], rep)
+    return np.diagonal(ops).real.reshape(rep.shape)
+
+
+def _flat_v(x, rep: RepSpec):
+    x = np.asarray(x, dtype=complex)
+    if x.size != rep.dim:
+        raise DimensionMismatchError("V", rep.dim, x.size)
+    return x.reshape(-1)
 
 
 def act(g: GroupElement, x, rep: RepSpec):
     """Group action of g on a vector of V."""
-    x = np.asarray(x, dtype=complex)
-    if x.size != rep.dim:
-        raise DimensionMismatchError("V", rep.dim, x.size)
-    return _apply_slotwise([_slot_matrix(g, sl) for sl in rep.slots], x, rep)
+    return apply_slots(slot_matrices(g.blocks, rep), _flat_v(x, rep), rep)
 
 
 def infinitesimal_act(s: AlgebraElement, x, rep: RepSpec):
     """d/dt act(exp(ts), x) at t = 0; linear in s and x."""
-    x = np.asarray(x, dtype=complex)
-    if x.size != rep.dim:
-        raise DimensionMismatchError("V", rep.dim, x.size)
-    out = np.zeros(rep.dim, dtype=complex)
-    for axis, sl in enumerate(rep.slots):
-        m = _slot_generator(s, sl)
-        if m is None:
-            continue
-        mats = [m if k == axis else None for k in range(len(rep.slots))]
-        out += _apply_slotwise(mats, x, rep)
-    return out
+    x = _flat_v(x, rep)
+    mats = slot_matrices(s.blocks, rep, generator=True)
+    return sum((apply_slots(one, x, rep) for one in _one_slot(mats)),
+               np.zeros(rep.dim, dtype=complex))
 
 
 def action_matrix(s: AlgebraElement, rep: RepSpec):
     """Matrix of infinitesimal_act(s, .) on flattened V."""
-    n = rep.dim
-    out = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for k in range(n):
-        out[:, k] = infinitesimal_act(s, eye[:, k], rep)
-    return out
+    return _generator_operator(s.blocks, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -155,47 +231,19 @@ def mu_fundamental(x):
     return -1j * np.outer(x, x.conj())
 
 
-def _slice_gram(x, rep: RepSpec, axis):
-    """E_{jk} = sum over the other indices of X[..j..] conj(X[..k..])."""
-    t = np.asarray(x, dtype=complex).reshape(rep.shape)
-    t = np.moveaxis(t, axis, 0)
-    flat = t.reshape(t.shape[0], -1)
-    return flat @ flat.conj().T
-
-
 def mu_factor(x, rep: RepSpec, factor_i: int):
     """Moment-map block of one factor, summed over the slots it acts on."""
-    slots = rep.factor_slots(factor_i)
-    if not slots:
+    if not rep.factor_slots(factor_i):
         raise ValueError(f"factor {factor_i} acts trivially on V")
-    n = rep.spec.factor_dims[factor_i]
-    out = np.zeros((n, n), dtype=complex)
-    for axis in slots:
-        sl = rep.slots[axis]
-        if sl.action == STANDARD:
-            out += -1j * _slice_gram(x, rep, axis)
-        elif sl.action == DUAL:
-            out += 1j * _slice_gram(x, rep, axis).conj()
-        elif sl.action == ADJOINT:
-            t = np.asarray(x, dtype=complex).reshape(rep.shape)
-            t = np.moveaxis(t, axis, 0)
-            B = t.reshape(n, n, -1)
-            for k in range(B.shape[2]):
-                b = B[:, :, k]
-                out += -1j * (b @ b.conj().T - b.conj().T @ b)
-    return out
+    return moment_block(np.asarray(x, dtype=complex).reshape(-1), rep, factor_i)
 
 
 def mu_full(x, rep: RepSpec, spec: ProductGroupSpec = None) -> AlgebraElement:
     """Tuple of factor moment maps; zero blocks on factors acting trivially."""
     spec = spec or rep.spec
-    blocks = []
-    for i, n in enumerate(spec.factor_dims):
-        if rep.factor_slots(i):
-            blocks.append(mu_factor(x, rep, i))
-        else:
-            blocks.append(np.zeros((n, n), complex))
-    return AlgebraElement(tuple(blocks), "compact")
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    return AlgebraElement(tuple(moment_block(x, rep, i) for i in range(spec.num_factors)),
+                          "compact")
 
 
 def mu_shifted(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSetting) -> AlgebraElement:
@@ -207,12 +255,6 @@ def mu_shifted(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSetting
 # Kaehler structure on V
 
 
-def pairing_v(a, b):
-    """Hermitian pairing on V (conjugate-linear in the first argument),
-    normalised with the factor 2 that makes mu_fundamental Hamiltonian."""
-    return 2.0 * np.vdot(a, b)
-
-
 def symplectic_form(a, b) -> float:
-    """omega(a, b) = (<a,b> - <b,a>) / (2i) for the pairing above."""
+    """omega(a, b) = (<a,b> - <b,a>) / (2i) for the pairing <a,b> = 2 vdot(a, b)."""
     return float(2.0 * np.imag(np.vdot(a, b)))

@@ -6,6 +6,7 @@ import pytest
 
 from gpwb.fixtures import (
     CurveFixture,
+    FixtureVerdict,
     chain_generators,
     coherent_system_stable,
     deg_alpha,
@@ -19,6 +20,7 @@ from gpwb.fixtures import (
     triple_stable,
     twisted_triple_stable,
 )
+from gpwb.kempf_ness import StabilityVerdict
 
 
 def pair(degs, support_rows, c, deg2=(0,)):
@@ -395,3 +397,21 @@ def test_fixture_file_rejects_unknown_fields(tmp_path):
     p.write_text('{"kind": "higgs", "degrees": [[0]], "support": [], "c": ["0"], "x": 1}')
     with pytest.raises(ValueError):
         load_fixture(p)
+
+
+@pytest.mark.parametrize("kind,degrees,c", [
+    ("pair_tensor", ((1,),), (2, 0)),
+    ("twisted_triple", ((1,), (0,)), (1, 0)),
+    ("higgs", ((0, 0), (0,)), ()),
+])
+def test_fixture_arity_must_match_kind(kind, degrees, c):
+    with pytest.raises(ValueError):
+        CurveFixture(kind, degrees, (), c)
+
+
+def test_inconsistent_verdicts_raise():
+    with pytest.raises(ValueError):
+        FixtureVerdict(stable=True, slack=Fraction(-1))
+    with pytest.raises(ValueError):
+        StabilityVerdict(stable=False, slack=0.5)
+    assert FixtureVerdict(stable=False, slack=Fraction(1), unsolvable=True).unsolvable

@@ -135,6 +135,30 @@ def test_cli_exit_codes(tmp_path):
     assert main(["vortex_threshold", "--config", str(tmp_path / "missing.json")]) in (2, 3)
 
 
+@pytest.mark.parametrize("cfg", [
+    {"mode": "pair", "flow": {"step": -1}},
+    {"mode": "pair", "lattice_n": 2},
+    {"mode": "vortex_threshold", "threshold": {"scan": [0.1]}},
+    {"mode": "vortex_threshold", "threshold": {"scan": ["a", 1]}},
+    {"mode": "pair", "fixture": {"degrees": [[1]], "support": [[0, 0]], "c": ["2", "0"]}},
+    {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[0, 0]], "c": ["x"]}},
+], ids=["negative_step", "small_lattice", "short_scan", "text_scan", "degree_arity",
+        "bad_c"])
+def test_config_value_errors_exit_2(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([cfg["mode"], "--config", str(path)]) == 2
+
+
+def test_negative_degree_summand_is_an_outcome(tmp_path):
+    cfg = {"mode": "pair", "lattice_n": 8,
+           "fixture": {"degrees": [[-1], [0]], "support": [[0, 0]], "c": ["0", "0"]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["pair", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "negative degree" in (tmp_path / "out" / "report.txt").read_text()
+
+
 def test_cli_runs_kempf_ness_quick(tmp_path, capsys):
     cfg = tmp_path / "kn.json"
     cfg.write_text(json.dumps({"mode": "kempf_ness",

@@ -1,24 +1,45 @@
 import numpy as np
 import pytest
 
-from gpwb.groups import ProductGroupSpec
+from gpwb.groups import (
+    GroupElement,
+    ProductGroupSpec,
+    SubgroupSetting,
+    random_compact,
+)
 from gpwb.lattice import (
     TWO_PI,
+    FactorState,
     LatticeBundle,
+    LatticePairState,
     build_torus,
     corrected_links,
     curvature_field,
     curvature_response_matrix,
     dbar_matrix,
     direct_sum_bundle,
+    gauge_transform,
     holomorphic_sections,
     lattice_degree,
     make_constant_curvature_line_bundle,
+    mu_factor_field,
     plaquette_field,
+    random_unitary_gauge,
     section_transport,
     trivial_bundle,
 )
-from gpwb.reps import DUAL, STANDARD, RepSpec, Slot
+from gpwb.reps import (
+    ADJOINT,
+    DUAL,
+    STANDARD,
+    TRIVIAL,
+    RepSpec,
+    Slot,
+    act,
+    action_matrix,
+    infinitesimal_act,
+    mu_factor,
+)
 
 LAT = build_torus(16)
 U1 = ProductGroupSpec((1,))
@@ -225,3 +246,42 @@ def test_constant_exponent_leaves_links(rng):
     ud = np.broadcast_to(np.diag(np.diag(u0)), (LAT.n, LAT.n, 2, 2)).astype(complex)
     out = corrected_links(b.links, ud.copy())
     assert np.max(np.abs(out - b.links)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the lattice path is the point path applied site by site
+
+
+def test_lattice_actions_match_point_actions_sitewise(rng):
+    lat = build_torus(4)
+    spec = ProductGroupSpec((2, 3))
+    rep = RepSpec(spec, (Slot(2, STANDARD, 0), Slot(3, DUAL, 1), Slot(4, ADJOINT, 0),
+                         Slot(2, TRIVIAL)))
+    n = lat.n
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    links = [cplx(2, n, n, k, k) + 2 * np.eye(k) for k in spec.factor_dims]
+    field = cplx(n, n, rep.dim)
+    vlinks = section_transport(rep, links)
+    kfields = random_unitary_gauge(spec, lat, rng)
+    factors = [FactorState(LatticeBundle(lat, k, lk), "full")
+               for k, lk in zip(spec.factor_dims, links)]
+    state = LatticePairState(lat, spec, rep, SubgroupSetting(spec, ("full", "full"), (0.0, 0.0)),
+                             factors, field)
+    gauged = gauge_transform(state, kfields).section
+    mus = [mu_factor_field(field, rep, i) for i in range(2)]
+    for s in range(n):
+        for t in range(n):
+            x = field[s, t]
+            for mu in (0, 1):
+                g = GroupElement(tuple(lk[mu, s, t] for lk in links))
+                assert np.allclose(vlinks[mu, s, t] @ x, act(g, x, rep), atol=1e-12)
+            k = GroupElement(tuple(kf[s, t] for kf in kfields))
+            assert np.allclose(gauged[s, t], act(k, x, rep), atol=1e-12)
+            for i in range(2):
+                assert np.allclose(mus[i][s, t], mu_factor(x, rep, i), atol=1e-12)
+    a = random_compact(spec, rng)
+    cols = np.stack([infinitesimal_act(a, e, rep) for e in np.eye(rep.dim)], axis=1)
+    assert np.allclose(action_matrix(a, rep), cols, atol=1e-13)
