@@ -226,7 +226,7 @@ def _assembly_params(fixture: CurveFixture, fx_cfg):
                 "deg3": list(fixture.degrees[2]), "c1": c_phys[0], "c2": c_phys[1],
                 "support": [list(s) for s in fixture.support], "scale": scale}
     return {"deg": list(fixture.degrees[0]), "cm": c_phys[0],
-            "support": [list(s)[:2] for s in fixture.support], "scale": scale}
+            "support": [list(s) for s in fixture.support], "scale": scale}
 
 
 def run_example_mode(mode, cfg, rng_seed, out_dir, tol):

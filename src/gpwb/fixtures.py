@@ -50,6 +50,13 @@ class CurveFixture:
                              f"scalars, got {len(self.degrees)} and {len(self.c)}")
         degs = tuple(tuple(int(d) for d in row) for row in self.degrees)
         sup = tuple(tuple(int(i) for i in s) for s in self.support)
+        # a support index picks one summand per slot; the two slots of a
+        # higgs field are endomorphism indices of the first factor
+        rows = (degs[0], degs[0]) if self.kind == "higgs" else degs
+        for s in sup:
+            if len(s) != len(rows) or not all(0 <= i < len(r) for i, r in zip(s, rows)):
+                raise ValueError(f"support index {list(s)} does not index the summands "
+                                 f"{[list(r) for r in rows]} of a {self.kind} fixture")
         cs = tuple(_frac(x) for x in self.c)
         object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "support", sup)

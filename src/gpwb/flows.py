@@ -165,7 +165,8 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
     work = state.copy()
     deg_before = unfrozen_degrees(work)
     blocks, l2, linf = pointwise_residual(work)
-    trajectory = [(0, l2, linf, work.sup_log_metric())]
+    sup_log = work.sup_log_metric()  # of the last accepted state
+    trajectory = [(0, l2, linf, sup_log)]
     rejections = []
     step = opts.step
     accepted = 0
@@ -194,7 +195,8 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
         # (period-2 orbits have exactly equal residuals), not progress
         if l2_new <= l2 * (1.0 - 1e-13) or l2_new <= opts.tol:
             blocks, l2, linf = blocks_new, l2_new, linf_new
-            trajectory.append((it, l2, linf, work.sup_log_metric()))
+            sup_log = work.sup_log_metric()
+            trajectory.append((it, l2, linf, sup_log))
             accepted += 1
             if accepted >= 5:
                 step = min(2.0 * step, opts.step_cap)
@@ -207,7 +209,7 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
             if step < 1e-15:
                 reason = "step underflow"
                 break
-        if work.sup_log_metric() > opts.metric_cutoff:
+        if sup_log > opts.metric_cutoff:
             reason = "metric blow-up"
             break
     converged = bool(l2 <= opts.tol)
@@ -226,7 +228,7 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
         final_residual=l2,
         final_residual_linf=linf,
         trajectory=trajectory,
-        sup_log_metric=work.sup_log_metric(),
+        sup_log_metric=sup_log,
         degrees_before=deg_before,
         degrees_after=unfrozen_degrees(work),
         residual_snapshot=snapshot,
@@ -335,8 +337,8 @@ def build_section(rep: RepSpec, bundles, support, rng, order=DEFAULT_STENCIL,
     """Holomorphic section supported on the given V-summands.
 
     Per supported summand the scalar dbar kernel is extracted and a seeded
-    unit combination (or the indexed basis vector) is placed there; the
-    summand must have non-negative degree.
+    unit combination (or the indexed vector) of its canonical basis is
+    placed there; the summand must have non-negative degree.
     """
     lat = bundles[0].lattice
     n = lat.n

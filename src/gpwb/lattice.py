@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .groups import CONSTANT, FROZEN, FULL, ProductGroupSpec, SubgroupSetting
 from .reps import RepSpec, apply_slots, moment_block, slot_matrices, slot_operator
@@ -137,10 +138,18 @@ def _log_unitary(p: np.ndarray) -> np.ndarray:
     return 0.5 * (out - np.swapaxes(out, -1, -2).conj())
 
 
+def _warn_near_branch_cut(angles):
+    """Warn when a plaquette angle lies within 0.1 pi of the branch cut of
+    the principal log, where curvature and degree may have wrapped."""
+    if np.max(np.abs(angles)) > 0.9 * np.pi:
+        warnings.warn("plaquette phase near the branch cut; degree may be ambiguous")
+
+
 def curvature_field(bundle_links: np.ndarray, n: int) -> np.ndarray:
     """Hermitian blocks i N^2 log P(x) of shape (N, N, r, r)."""
-    p = plaquette_field(bundle_links)
-    return (1j * n * n) * _log_unitary(p)
+    log_p = _log_unitary(plaquette_field(bundle_links))
+    _warn_near_branch_cut(np.linalg.eigvalsh(-1j * log_p))
+    return (1j * n * n) * log_p
 
 
 def lattice_degree(bundle_or_links) -> float:
@@ -153,8 +162,7 @@ def lattice_degree(bundle_or_links) -> float:
         ang = np.angle(p[..., 0, 0])
     else:
         ang = np.angle(np.linalg.det(p))
-    if np.max(np.abs(ang)) > 0.9 * np.pi:
-        warnings.warn("plaquette phase near the branch cut; degree may be ambiguous")
+    _warn_near_branch_cut(ang)
     return float(-np.sum(ang))
 
 
@@ -216,34 +224,90 @@ def dbar_matrix(lat: TorusLattice, vlinks: np.ndarray, order=DEFAULT_STENCIL) ->
     return out.tocsr()
 
 
+# shift of the shift-invert solve: DᴴD + SECTION_SHIFT is positive definite,
+# its inverse maps the kernel to 1 and the lowest nonzero mode of a line
+# bundle of degree d >= 1 (eigenvalue 4 pi d of DᴴD) below 0.08
+SECTION_SHIFT = 1.0
+
+
+def _fixed_phases(size):
+    """A fixed unit-modulus vector with pseudo-random phases: the ARPACK start
+    vector and the phase reference of ``canonical_basis``.  A smooth section
+    has an overlap with it of order one, unlike with a plane wave."""
+    return np.exp(TWO_PI * 1j * np.random.default_rng(0).random(size))
+
+
+def canonical_basis(kernel: np.ndarray, n: int, dimv: int) -> np.ndarray:
+    """Orthonormal basis of the column span of ``kernel`` (shape
+    (N*N*D, m), orthonormal columns) that depends only on that span.
+
+    The columns are the eigenvectors of a fixed real weight on (site,
+    component) compressed to the span, in ascending order of eigenvalue,
+    each phased so that its overlap with ``_fixed_phases`` is real and
+    positive.  The basis is unique whenever the compressed weight has a
+    simple spectrum.  The weight is smooth, so the compressed spectrum of
+    smooth sections is spread over O(1), and no lattice translation or
+    reflection leaves it invariant, since such symmetries permute the
+    sections of a constant-curvature bundle.
+    """
+    s, t, a = np.meshgrid(np.arange(n) / n, np.arange(n) / n, np.arange(dimv),
+                          indexing="ij")
+    w = (np.cos(TWO_PI * s) + 0.7 * np.sin(TWO_PI * t)
+         + 0.3 * np.cos(TWO_PI * (s + 2 * t)) + a).ravel()
+    _, c = np.linalg.eigh(kernel.conj().T @ (w[:, None] * kernel))
+    basis = kernel @ c
+    overlap = _fixed_phases(len(w)).conj() @ basis
+    return basis * (overlap.conj() / np.abs(overlap))
+
+
 def holomorphic_sections(lat: TorusLattice, vlinks: np.ndarray, count: int,
                          order=DEFAULT_STENCIL, strict=False, gap_tol=1e-6):
-    """Orthonormal numerical kernel vectors of the dbar operator.
+    """Orthonormal numerical kernel vectors of the dbar operator D.
 
     Returns (sections, residuals, gap_ratio) where ``sections`` has shape
-    (count, N, N, D).  With ``strict`` the call fails when the requested
-    count exceeds the numerical kernel (gap test at ``gap_tol``).
+    (count, N, N, D), ``residuals`` are the ``count`` smallest singular
+    values of D and ``gap_ratio`` is the next one over the largest residual.
+    With ``strict`` the call fails when the requested count exceeds the
+    numerical kernel (gap test at ``gap_tol``).
+
+    Sparse path: shift-invert ARPACK on DᴴD (sparse LU of DᴴD +
+    SECTION_SHIFT, fixed start vector) gives the ``count + 1`` lowest modes;
+    QR makes them orthonormal (ARPACK drifts inside a degenerate kernel),
+    and a thin SVD of D on that block gives the singular values to full
+    accuracy (the eigenvalues of DᴴD carry only sqrt(eps)).  The kernel is
+    returned in ``canonical_basis``, so the sections depend only on the
+    kernel subspace, not on the solver, the BLAS or the thread count.  The
+    tests keep the dense SVD of D as the reference.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    D = dbar_matrix(lat, vlinks, order=order).toarray()
-    _, svals, vh = np.linalg.svd(D)
+    n = lat.n
+    dimv = vlinks.shape[-1]
+    D = dbar_matrix(lat, vlinks, order=order)
+    size = D.shape[1]
+    gram = (D.conj().T @ D).tocsc()
+    # a minimum-degree ordering of the symmetric pattern: at N = 64 the LU
+    # holds 1.5M nonzeros against 2.7M with the default COLAMD, 4x faster
+    lu = spla.splu(gram + SECTION_SHIFT * sp.identity(size, format="csc"),
+                   permc_spec="MMD_AT_PLUS_A")
+    inverse = spla.LinearOperator((size, size), matvec=lu.solve, dtype=complex)
+    _, modes = spla.eigsh(gram, k=count + 1, sigma=-SECTION_SHIFT, OPinv=inverse,
+                          v0=_fixed_phases(size))
+    q, _ = np.linalg.qr(modes)
+    _, svals, wh = np.linalg.svd(D @ q, full_matrices=False)
     svals = svals[::-1]
-    vh = vh[::-1]
+    block = q @ wh[::-1].conj().T
     residuals = svals[:count]
-    nxt = svals[count] if count < len(svals) else np.inf
+    nxt = svals[count]
     gap_ratio = float(nxt / max(residuals[-1], 1e-300))
     if strict and (residuals[-1] > gap_tol * nxt):
         raise ValueError(
             f"requested {count} sections but numerical kernel is smaller; "
             f"residuals {residuals}, next singular value {nxt:.3e}"
         )
-    n = lat.n
-    dimv = vlinks.shape[-1]
-    secs = vh[:count].conj().reshape(count, n, n, dimv)
+    secs = canonical_basis(block[:, :count], n, dimv).T.reshape(count, n, n, dimv)
     # L2-normalise with volume weight 1/N^2
-    secs = secs * n
-    return secs, residuals * 1.0, gap_ratio
+    return secs * n, residuals, gap_ratio
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,20 @@ def test_fixture_arity_must_match_kind(kind, degrees, c):
         CurveFixture(kind, degrees, (), c)
 
 
+@pytest.mark.parametrize("kind,degrees,support", [
+    ("pair_tensor", ((1,), (0,)), ((3, 0),)),
+    ("pair_tensor", ((1,), (0,)), ((0,),)),
+    ("coherent_system", ((1, 0), (0,)), ((0, 1),)),
+    ("twisted_triple", ((1,), (0,), (0,)), ((0, 0),)),
+    ("higgs", ((0, 0), (0,)), ((0, 2),)),
+    ("higgs", ((0, 0), (0,)), ((-1, 0),)),
+])
+def test_support_must_index_the_summands(kind, degrees, support):
+    c = (1,) * len(degrees)
+    with pytest.raises(ValueError, match="support index"):
+        CurveFixture(kind, degrees, support, c)
+
+
 def test_inconsistent_verdicts_raise():
     with pytest.raises(ValueError):
         FixtureVerdict(stable=True, slack=Fraction(-1))

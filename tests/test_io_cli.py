@@ -142,8 +142,9 @@ def test_cli_exit_codes(tmp_path):
     {"mode": "vortex_threshold", "threshold": {"scan": ["a", 1]}},
     {"mode": "pair", "fixture": {"degrees": [[1]], "support": [[0, 0]], "c": ["2", "0"]}},
     {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[0, 0]], "c": ["x"]}},
+    {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[3, 0]], "c": ["2", "0"]}},
 ], ids=["negative_step", "small_lattice", "short_scan", "text_scan", "degree_arity",
-        "bad_c"])
+        "bad_c", "support_index"])
 def test_config_value_errors_exit_2(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

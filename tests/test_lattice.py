@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from gpwb.lattice import (
     LatticeBundle,
     LatticePairState,
     build_torus,
+    canonical_basis,
     corrected_links,
     curvature_field,
     curvature_response_matrix,
@@ -94,6 +97,21 @@ def test_branch_ambiguity_warning():
     links[0] = links[0] * np.exp(0.95j * np.pi * t)  # plaquette phases at 0.95 pi
     with pytest.warns(UserWarning):
         lattice_degree(LatticeBundle(lat, 1, links))
+
+
+@pytest.mark.parametrize("degrees", [[1], [1, 0]])
+def test_curvature_field_warns_near_branch_cut(degrees):
+    lat = build_torus(8)
+    b = direct_sum_bundle(lat, degrees)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curvature_field(b.links, lat.n)
+    links = b.links.copy()
+    # one s-link of the first summand turns the plaquettes on either side of
+    # it by +-0.95 pi
+    links[0, 3, 3, 0, 0] *= np.exp(0.95j * np.pi)
+    with pytest.warns(UserWarning, match="branch cut"):
+        curvature_field(links, lat.n)
 
 
 def test_degree_additive_under_tensor():
@@ -197,6 +215,53 @@ def test_sections_hom_bundle():
     secs, res, gap = holomorphic_sections(LAT, vl, 1)
     assert res[0] < 1e-10
     assert gap > 1e6
+
+
+def _section_case(lat, case):
+    """(vlinks, kernel dimension): the line bundle L_d, or Hom(L_0, L_1)
+    through a standard slot on L_1 and a dual slot on L_0."""
+    if case == "hom":
+        rep = RepSpec(ProductGroupSpec((1, 1)), (Slot(1, STANDARD, 0), Slot(1, DUAL, 1)))
+        links = [make_constant_curvature_line_bundle(lat, d).links for d in (1, 0)]
+        return section_transport(rep, links), 1
+    return scalar_vlinks(make_constant_curvature_line_bundle(lat, case)), case
+
+
+def _dense_reference(lat, vlinks, count):
+    """Kernel from the full dense SVD of D, in the same canonical basis."""
+    _, svals, vh = np.linalg.svd(dbar_matrix(lat, vlinks).toarray())
+    n, dimv = lat.n, vlinks.shape[-1]
+    kernel = vh[::-1][:count].conj().T
+    secs = canonical_basis(kernel, n, dimv).T.reshape(count, n, n, dimv) * n
+    return secs, svals[::-1]
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("case", [1, 2, 3, "hom"])
+def test_sparse_sections_match_dense_reference(n, case):
+    lat = build_torus(n)
+    vl, d = _section_case(lat, case)
+    secs, res, gap = holomorphic_sections(lat, vl, d)
+    ref, ref_svals = _dense_reference(lat, vl, d)
+    assert secs.shape == ref.shape
+    assert np.max(np.abs(secs - ref)) < 1e-10
+    assert np.max(res) <= 1e-10
+    assert gap > 1e6
+    # the next singular value agrees with the dense spectrum
+    assert gap * res[-1] == pytest.approx(ref_svals[d], rel=1e-10)
+    with pytest.raises(ValueError):
+        holomorphic_sections(lat, vl, d + 1, strict=True)
+
+
+def test_sections_at_n64_exact_count_orthonormal():
+    lat = build_torus(64)
+    d = 3
+    secs, res, gap = holomorphic_sections(lat, scalar_vlinks(
+        make_constant_curvature_line_bundle(lat, d)), d, strict=True)
+    assert secs.shape == (d, 64, 64, 1)
+    assert np.max(res) <= 1e-10 and gap > 1e6
+    gram = np.einsum("axyi,bxyi->ab", secs.conj(), secs) / lat.sites
+    assert np.linalg.norm(gram - np.eye(d)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
