@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import expm
 
 from .groups import (
     FROZEN,
@@ -18,11 +18,9 @@ from .groups import (
     GroupElement,
     ProductGroupSpec,
     SubgroupSetting,
-    exp_hermitian_direction,
     inner_product,
-    project_subalgebra,
 )
-from .reps import RepSpec, act, action_matrix, infinitesimal_act, mu_full, mu_shifted
+from .reps import RepSpec, act, action_matrix, infinitesimal_act, moment_block, mu_shifted
 
 MEMBERSHIP_TOL = 1e-10  # component mass outside V^- that still counts as inside
 
@@ -344,33 +342,47 @@ def is_simple(x, rep: RepSpec, setting: SubgroupSetting) -> bool:
 
 def kn_functional(x, s: AlgebraElement, rep: RepSpec, spec: ProductGroupSpec,
                   setting: SubgroupSetting, quadrature_steps: int = 512) -> float:
-    """Integral over t in [0,1] of <mu_h(e^{i t s} x) - c_h, s>.
+    """Integral over t in [0,1] of <mu_h(e^{i t s} x) - c_h, s> for compact s.
 
-    Composite Simpson quadrature with at least ``quadrature_steps`` panels.
+    Composite Simpson quadrature with at least ``quadrature_steps`` panels
+    is the definition.  One ``eigh`` of the Hermitian i*s_f per factor gives
+    e^{i t s_f} at every node as one stacked array; ``act`` runs once per
+    node on those blocks, and the moment maps and pairings of all nodes are
+    taken on the stacked images, one ``moment_block`` per unfrozen factor.
     """
+    if s.flavor != "compact":
+        raise ValueError("kn_functional needs a compact (skew-Hermitian) direction s")
+    spec.check_blocks(s.blocks)
     m = max(int(quadrature_steps), 2)
     if m % 2:
         m += 1
     ts = np.linspace(0.0, 1.0, m + 1)
-    c = setting.central_shift
-    vals = np.empty(m + 1)
-    for k, t in enumerate(ts):
-        y = act(exp_hermitian_direction(s, t), x, rep)
-        mh = project_subalgebra(mu_full(y, rep, spec), setting) - c
-        vals[k] = inner_product(mh, s, spec)
+    exps = []
+    for b in s.blocks:
+        w, v = np.linalg.eigh(0.5j * (b - b.conj().T))  # i*s_f
+        exps.append((v * np.exp(np.outer(ts, w))[:, None, :]) @ v.conj().T)
+    ys = np.stack([act(GroupElement(tuple(e[k] for e in exps)), x, rep) for k in range(m + 1)])
+    unfrozen = setting.unfrozen()
+    # mu_h - c_h per node, c_h = -i c_f I, flattened side by side over the unfrozen factors
+    mh = np.concatenate([
+        (moment_block(ys, rep, i) + 1j * setting.central_scalars[i] * np.eye(spec.factor_dims[i]))
+        .reshape(m + 1, -1) for i in unfrozen], axis=1)
+    sv = np.concatenate([s.blocks[i].reshape(-1) for i in unfrozen])
+    vals = np.einsum("tk,k->t", mh, sv.conj()).real
     h = 1.0 / m
     return float(h / 3.0 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-1:2].sum()))
 
 
 def metric_exponent(g: GroupElement, setting: SubgroupSetting) -> AlgebraElement:
-    """The compact-flavor w with g = k e^{i w}: i*w = (1/2) log(g^dagger g)."""
+    """The compact-flavor w with g = k e^{i w}: i*w = (1/2) log(g^dagger g),
+    the log taken on the eigenvalues of the positive-definite g^dagger g."""
     blocks = []
     for i, b in enumerate(g.blocks):
         if setting.modes[i] == FROZEN:
             blocks.append(np.zeros_like(b))
             continue
-        m = b.conj().T @ b
-        w = -0.5j * logm(m)
+        lam, v = np.linalg.eigh(b.conj().T @ b)
+        w = -0.5j * ((v * np.log(lam)) @ v.conj().T)
         blocks.append(0.5 * (w - w.conj().T))
     return AlgebraElement(tuple(blocks), "compact")
 
@@ -394,7 +406,9 @@ def gradient_flow(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSett
 
     Each accepted step multiplies the accumulated element by
     exp(-i*step*residual); the step halves on residual increase and doubles
-    after five straight accepts, capped at ``step_cap``.
+    after five straight accepts, capped at ``step_cap``.  A run that does not
+    converge ends with reason "step underflow" (the step fell below 1e-14),
+    "metric blow-up", "non-finite residual" or "max_iter".
     """
     h = h0 if h0 is not None else GroupElement.identity(spec, "complexified")
 
@@ -414,6 +428,7 @@ def gradient_flow(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSett
         return worst
 
     r, rnorm = residual(h)
+    slog = sup_log(h)  # of the last accepted element
     trajectory = [rnorm]
     rejections = []
     accepted_run = 0
@@ -430,11 +445,12 @@ def gradient_flow(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSett
         cand = gstep.compose(h)
         rc, rcnorm = residual(cand)
         if not np.isfinite(rcnorm):
-            return FlowResult(False, it, rnorm, trajectory, h, sup_log(h),
+            return FlowResult(False, it, rnorm, trajectory, h, slog,
                               rejections, "non-finite residual")
         # strict decrease: equal-residual steps are cycles, not progress
         if rcnorm <= rnorm * (1 - 1e-13) or rcnorm <= tol:
             h, r, rnorm = cand, rc, rcnorm
+            slog = sup_log(h)
             trajectory.append(rnorm)
             accepted_run += 1
             if accepted_run >= 5:
@@ -445,10 +461,11 @@ def gradient_flow(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSett
             step *= 0.5
             accepted_run = 0
             if step < 1e-14:
-                break
-        if sup_log(h) > metric_cutoff:
-            return FlowResult(False, it, rnorm, trajectory, h, sup_log(h),
+                return FlowResult(False, it, rnorm, trajectory, h, slog,
+                                  rejections, "step underflow")
+        if slog > metric_cutoff:
+            return FlowResult(False, it, rnorm, trajectory, h, slog,
                               rejections, "metric blow-up")
     converged = bool(rnorm <= tol)
-    return FlowResult(converged, it, rnorm, trajectory, h, sup_log(h), rejections,
+    return FlowResult(converged, it, rnorm, trajectory, h, slog, rejections,
                       "" if converged else "max_iter")

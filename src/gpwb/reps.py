@@ -17,17 +17,18 @@ symplectic form (<a,b> - <b,a>)/(2i).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import (
+    FROZEN,
     AlgebraElement,
     DimensionMismatchError,
     GroupElement,
     ProductGroupSpec,
     SubgroupSetting,
-    project_subalgebra,
 )
 
 STANDARD = "standard"
@@ -119,6 +120,15 @@ def slot_matrices(blocks, rep: RepSpec, generator=False):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_first(k0: int, nslots: int, axis: int):
+    """Transpose that moves slot ``axis`` to the front of the slot axes,
+    after k0 leading axes (np.moveaxis(t, k0 + axis, k0)), and its inverse."""
+    perm = tuple(range(k0)) + (k0 + axis,) + tuple(
+        k0 + j for j in range(nslots) if j != axis)
+    return perm, tuple(int(k) for k in np.argsort(perm))
+
+
 def apply_slots(mats, x, rep: RepSpec):
     """Apply one matrix per slot (None: identity) to x of shape (..., D)."""
     x = np.asarray(x, dtype=complex)
@@ -128,9 +138,10 @@ def apply_slots(mats, x, rep: RepSpec):
     for axis, m in enumerate(mats):
         if m is None:
             continue
-        t = np.moveaxis(t, k0 + axis, k0)
+        perm, inv = _slot_first(k0, len(mats), axis)
+        t = t.transpose(perm)
         shp = t.shape
-        t = np.moveaxis(_matmul(m, t.reshape(lead + (shp[k0], -1))).reshape(shp), k0, k0 + axis)
+        t = _matmul(m, t.reshape(lead + (shp[k0], -1))).reshape(shp).transpose(inv)
     return t.reshape(x.shape)
 
 
@@ -175,7 +186,7 @@ def moment_block(x, rep: RepSpec, i: int):
     out = np.zeros(lead + (n, n), dtype=complex)
     for axis in rep.factor_slots(i):
         sl = rep.slots[axis]
-        m = np.moveaxis(t, k0 + axis, k0).reshape(lead + (sl.dim, -1))
+        m = t.transpose(_slot_first(k0, len(rep.slots), axis)[0]).reshape(lead + (sl.dim, -1))
         if sl.action == STANDARD:
             out += -1j * _gram(m)
         elif sl.action == DUAL:
@@ -247,8 +258,17 @@ def mu_full(x, rep: RepSpec, spec: ProductGroupSpec = None) -> AlgebraElement:
 
 
 def mu_shifted(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSetting) -> AlgebraElement:
-    """Subgroup moment map pi_h(mu(x)) - c_h."""
-    return project_subalgebra(mu_full(x, rep, spec), setting) - setting.central_shift
+    """Subgroup moment map pi_h(mu(x)) - c_h: the moment block minus -i c_i I
+    on each unfrozen factor, zero on the frozen ones."""
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    blocks = []
+    for i, (n, mode, c) in enumerate(zip(spec.factor_dims, setting.modes,
+                                         setting.central_scalars)):
+        if mode == FROZEN:
+            blocks.append(np.zeros((n, n), complex))
+        else:
+            blocks.append(moment_block(x, rep, i) - (-1j * c * np.eye(n)))
+    return AlgebraElement(tuple(blocks), "compact")
 
 
 # ---------------------------------------------------------------------------

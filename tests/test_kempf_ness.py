@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm, logm
 from scipy.optimize import nnls
 
 from gpwb.groups import (
@@ -7,7 +8,9 @@ from gpwb.groups import (
     GroupElement,
     ProductGroupSpec,
     SubgroupSetting,
+    exp_hermitian_direction,
     inner_product,
+    project_subalgebra,
     random_compact,
     random_unitary,
 )
@@ -19,12 +22,13 @@ from gpwb.kempf_ness import (
     kn_functional,
     kn_functional_group,
     maximal_weight,
+    metric_exponent,
     negative_subspace,
     ssc_generators,
     stability_test,
     total_weight,
 )
-from gpwb.reps import ADJOINT, STANDARD, RepSpec, Slot, act, mu_shifted
+from gpwb.reps import ADJOINT, DUAL, STANDARD, TRIVIAL, RepSpec, Slot, act, mu_full, mu_shifted
 
 U1 = ProductGroupSpec((1,))
 REP_U1 = RepSpec(U1, (Slot(1, STANDARD, 0),))
@@ -335,6 +339,104 @@ def test_kn_cocycle(rng):
         assert abs(lhs - rhs) < 1e-6 * (1 + abs(rhs))
 
 
+# Slot layouts for the closed-form oracle: (factor dims, slots, modes) from
+# random factor dims n, m, k in 1..3.
+KN_LAYOUTS = {
+    "standard": lambda n, m, k: ((n, m), ((n, STANDARD, 0), (m, STANDARD, 1)),
+                                 ("full", "frozen")),
+    "dual": lambda n, m, k: ((n, m), ((n, DUAL, 0), (m, STANDARD, 1)), ("full", "frozen")),
+    "adjoint": lambda n, m, k: ((n, m), ((n * n, ADJOINT, 0), (m, STANDARD, 1)),
+                                ("full", "frozen")),
+    "trivial_slot": lambda n, m, k: ((n, m), ((n, STANDARD, 0), (k + 1, TRIVIAL, -1),
+                                              (m, DUAL, 1)), ("full", "frozen")),
+    "constant_factor": lambda n, m, k: ((n, m), ((n, STANDARD, 0), (m, DUAL, 1)),
+                                        ("full", "constant")),
+    "two_unfrozen": lambda n, m, k: ((n, m, k), ((n, STANDARD, 0), (m, DUAL, 1), (k, DUAL, 2)),
+                                     ("full", "full", "frozen")),
+}
+
+
+def random_layout(name, rng):
+    dims, slots, modes = KN_LAYOUTS[name](*(int(d) for d in rng.integers(1, 4, size=3)))
+    spec = ProductGroupSpec(dims)
+    rep = RepSpec(spec, tuple(Slot(*sl) for sl in slots))
+    scalars = tuple(0.0 if md == "frozen" else float(rng.uniform(-1.5, 1.5)) for md in modes)
+    setting = SubgroupSetting(spec, modes, scalars)
+    x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    return spec, rep, setting, x
+
+
+def unfrozen_direction(spec, setting, rng, scale=0.3):
+    """Random compact direction, zero on the frozen factors."""
+    s = random_compact(spec, rng, scale)
+    return project_subalgebra(s, setting)
+
+
+def kn_scale(value, x, s):
+    """Scale for relative errors: the value, or |x|^2 |s| (the size of the
+    integrand) where the value is smaller by cancellation."""
+    return max(abs(value), np.vdot(x, x).real * s.norm())
+
+
+@pytest.mark.parametrize("layout", sorted(KN_LAYOUTS))
+def test_kn_matches_closed_form(layout, rng):
+    # the integrand is the t-derivative of (1/2)|e^{its} x|^2 - t <c, s>
+    for _ in range(4):
+        spec, rep, setting, x = random_layout(layout, rng)
+        s = unfrozen_direction(spec, setting, rng)
+        y = act(GroupElement(tuple(expm(1j * b) for b in s.blocks)), x, rep)
+        closed = (0.5 * (np.vdot(y, y).real - np.vdot(x, x).real)
+                  - inner_product(setting.central_shift, s, spec))
+        val = kn_functional(x, s, rep, spec, setting, 512)
+        assert abs(val - closed) <= 1e-10 * kn_scale(closed, x, s), (layout, val, closed)
+
+
+def kn_per_node(x, s, rep, spec, setting, quadrature_steps):
+    """The quadrature as one exponential, action and pairing per node."""
+    m = quadrature_steps + quadrature_steps % 2
+    ts = np.linspace(0.0, 1.0, m + 1)
+    vals = np.empty(m + 1)
+    for k, t in enumerate(ts):
+        y = act(exp_hermitian_direction(s, t), x, rep)
+        mh = project_subalgebra(mu_full(y, rep, spec), setting) - setting.central_shift
+        vals[k] = inner_product(mh, s, spec)
+    h = 1.0 / m
+    return h / 3.0 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-1:2].sum())
+
+
+@pytest.mark.parametrize("layout", sorted(KN_LAYOUTS))
+def test_kn_matches_per_node_loop(layout, rng):
+    for panels in (8, 65):
+        spec, rep, setting, x = random_layout(layout, rng)
+        s = random_compact(spec, rng, 0.3)  # frozen blocks act on x, but are not paired
+        want = kn_per_node(x, s, rep, spec, setting, panels)
+        got = kn_functional(x, s, rep, spec, setting, panels)
+        assert abs(got - want) <= 1e-13 * kn_scale(want, x, s), (layout, got, want)
+
+
+def test_kn_rejects_a_general_direction(rng):
+    spec, rep = u2_tensor(2)
+    x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    s = AlgebraElement((np.eye(2), np.zeros((2, 2))), "general")
+    with pytest.raises(ValueError, match="compact"):
+        kn_functional(x, s, rep, spec, central(spec, 0.5))
+
+
+def test_metric_exponent_matches_logm(rng):
+    spec = ProductGroupSpec((1, 2, 3))
+    setting = SubgroupSetting(spec, ("full", "frozen", "constant"))
+    for _ in range(10):
+        g = GroupElement(tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                               for n in spec.factor_dims))
+        w = metric_exponent(g, setting)
+        assert np.all(w.blocks[1] == 0)
+        for i in (0, 2):
+            b = g.blocks[i]
+            ref = -0.5j * logm(b.conj().T @ b)
+            assert np.linalg.norm(w.blocks[i] - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
+            assert np.array_equal(w.blocks[i], -w.blocks[i].conj().T)
+
+
 # ---------------------------------------------------------------------------
 # gradient flow
 
@@ -372,6 +474,16 @@ def test_flow_unstable_diverges(rng):
     x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
     res = gradient_flow(x, rep, spec, setting, max_iter=4000, tol=1e-9)
     assert not res.converged
+
+
+def test_flow_step_underflow_is_labelled(rng):
+    spec, rep = u2_tensor(3)
+    setting = central(spec, -0.8)
+    x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    res = gradient_flow(x, rep, spec, setting, max_iter=8000, tol=1e-8)
+    assert not res.converged
+    assert res.diverged_reason == "step underflow"
+    assert res.iterations < 8000 and res.iterations == res.rejections[-1]
 
 
 def test_flow_uniqueness_modulo_unitary(rng):
