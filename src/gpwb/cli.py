@@ -162,17 +162,13 @@ def run_threshold(cfg, rng_seed, workers, tol):
     opts = flow_opts_from(cfg, tol)
     unit = TWO_PI * d
 
-    lo, hi = float(scan[0]), float(scan[1])
-    # the holomorphic pair does not depend on c: extract its section once
-    base = assemble_example("pair_tensor", {"deg1": [d], "deg2": [0], "c": lo * unit},
-                            lattice_n=n, seed=rng_seed)
-
     def converges(mult):
-        st = base.copy()
-        st.setting = SubgroupSetting(st.spec, st.setting.modes, (mult * unit, 0.0))
-        st.params["c"] = mult * unit
+        st = assemble_example("pair_tensor",
+                              {"deg1": [d], "deg2": [0], "c": mult * unit},
+                              lattice_n=n, seed=rng_seed)
         return heat_flow(st, opts)
 
+    lo, hi = float(scan[0]), float(scan[1])
     rep_lo, rep_hi = converges(lo), converges(hi)
     out = {"mode": "vortex_threshold", "d": d, "lattice_n": n,
            "scan": [lo, hi], "unit": unit,
