@@ -127,7 +127,7 @@ def _kn_single(args):
         "c": c1, "simple": simple, "stable": v.stable,
         "slack": float(v.slack) if np.isfinite(v.slack) else None,
         "marginal": v.marginal, "converged": res.converged,
-        "residual": res.final_residual,
+        "reason": res.diverged_reason, "residual": res.final_residual,
         "agrees": (not simple) or v.marginal or (res.converged == v.stable),
     }
 

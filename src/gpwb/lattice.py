@@ -26,7 +26,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .groups import CONSTANT, FROZEN, FULL, ProductGroupSpec, SubgroupSetting
-from .reps import RepSpec, apply_slots, moment_block, slot_matrices, slot_operator
+from .reps import (RepSpec, _batched_kron, apply_slots, moment_block, slot_matrices,
+                   slot_operator)
 
 TWO_PI = 2.0 * np.pi
 
@@ -74,9 +75,28 @@ class LatticeBundle:
     rank: int
     links: np.ndarray  # (2, N, N, r, r) complex
     summand_degrees: tuple = ()  # intended Chern numbers when decomposable
+    _frame: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self):
         return LatticeBundle(self.lattice, self.rank, self.links.copy(), self.summand_degrees)
+
+    def link_frame(self):
+        """``link_frame`` of the links, kept until the links change: it is
+        recomputed when they differ from the copy it was made from, so no
+        in-place write (``gauge_transform``) can leave it stale."""
+        if self._frame is None or not np.array_equal(self._frame[0], self.links):
+            self._frame = link_frame(self.links)
+        return self._frame
+
+
+def link_frame(links: np.ndarray):
+    """The raw-link data every metric correction reuses: (copy of the
+    links, their inverses, the links shifted back one site along their own
+    axis, and the inverses of those), each of shape (2, N, N, r, r)."""
+    inv = np.linalg.inv(links)
+    back = np.stack([np.roll(links[mu], 1, axis=mu) for mu in (0, 1)])
+    back_inv = np.stack([np.roll(inv[mu], 1, axis=mu) for mu in (0, 1)])
+    return links.copy(), inv, back, back_inv
 
 
 def trivial_bundle(lat: TorusLattice, rank=1) -> LatticeBundle:
@@ -120,11 +140,8 @@ def direct_sum_bundle(lat: TorusLattice, degrees) -> LatticeBundle:
 
 def plaquette_field(links: np.ndarray) -> np.ndarray:
     """P(x) = U1(x)^-1 U0(x+t)^-1 U1(x+s) U0(x), shape (N, N, r, r)."""
-    u0, u1 = links[0], links[1]
-    u0t = np.roll(u0, -1, axis=1)
-    u1s = np.roll(u1, -1, axis=0)
-    inv = np.linalg.inv
-    return inv(u1) @ inv(u0t) @ u1s @ u0
+    inv = np.linalg.inv(links)  # both directions in one call
+    return inv[1] @ np.roll(inv[0], -1, axis=1) @ np.roll(links[1], -1, axis=0) @ links[0]
 
 
 def _log_unitary(p: np.ndarray) -> np.ndarray:
@@ -371,7 +388,7 @@ class LatticePairState:
         f = self.factors[i]
         if f.mode != FULL:
             return f.bundle.links
-        return corrected_links(f.bundle.links, self.u[i])
+        return corrected_links(f.bundle.links, self.u[i], f.bundle.link_frame())
 
     def metric_frame_section(self):
         """Section in the metric-orthonormal frame: act(e^{u(x)}, Phi(x))."""
@@ -392,29 +409,26 @@ class LatticePairState:
         return worst
 
 
-def corrected_links(links: np.ndarray, u: np.ndarray) -> np.ndarray:
+def corrected_links(links: np.ndarray, u: np.ndarray, frame=None) -> np.ndarray:
     """Multiply links by exp(-i * kappa * transverse centered difference of u).
 
     kappa = -1: the s-links pick up the centered t-difference and the
     t-links minus the centered s-difference, transported to the base site.
-    The induced change of i N^2 log P is exactly the operator assembled by
-    ``curvature_response_matrix`` for abelian factors.
+    The induced change of i N^2 log P is, to first order where the
+    plaquettes are trivial, the operator ``curvature_response_matrix(lat,
+    links)`` (exactly, for abelian factors).  ``frame`` is the
+    ``link_frame`` of ``links``, when the caller keeps one.
     """
-    r = links.shape[-1]
-    out = links.copy()
+    _, inv, back, back_inv = link_frame(links) if frame is None else frame
+
     # transported neighbour values of u along direction nu
     def transported_diff(nu):
-        lk = links[nu]
-        up = np.linalg.inv(lk) @ np.roll(u, -1, axis=nu) @ lk
-        lk_m = np.roll(links[nu], 1, axis=nu)
-        um = lk_m @ np.roll(u, 1, axis=nu) @ np.linalg.inv(lk_m)
+        up = inv[nu] @ np.roll(u, -1, axis=nu) @ links[nu]
+        um = back[nu] @ np.roll(u, 1, axis=nu) @ back_inv[nu]
         return 0.5 * (up - um)
 
-    dt_u = transported_diff(1)
-    ds_u = transported_diff(0)
-    out[0] = links[0] @ _expm_herm(-1j * dt_u)
-    out[1] = links[1] @ _expm_herm(1j * ds_u)
-    return out
+    # both directions through one exponential
+    return links @ _expm_herm(np.stack((-1j * transported_diff(1), 1j * transported_diff(0))))
 
 
 def _expm_herm(a):
@@ -427,25 +441,59 @@ def _expm_herm(a):
     return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
-def curvature_response_matrix(lat: TorusLattice) -> sp.csr_matrix:
-    """Exact linear response L of the abelian curvature i N^2 log P to the
-    metric exponent u under ``corrected_links``; Hermitian part positive
-    semidefinite."""
+def _response_transports(frame, mu, hops):
+    """(G^-1, G) per site for the transport G of fiber(x) to fiber(x + hops
+    mu) along axis mu, for hops in {-1, 1, 2}; ``frame`` is a ``link_frame``."""
+    links, inv, back, back_inv = frame
+    if hops == 1:
+        return inv[mu], links[mu]
+    if hops == -1:
+        return back[mu], back_inv[mu]
+    return (inv[mu] @ np.roll(inv[mu], -1, axis=mu),
+            np.roll(links[mu], -1, axis=mu) @ links[mu])
+
+
+def curvature_response_matrix(lat: TorusLattice, links=None) -> sp.csr_matrix:
+    """Linear response L_A of the curvature i N^2 log P to the metric
+    exponent u under ``corrected_links``, on fields flattened over (site,
+    a, b).
+
+    Each neighbour value u(x+o) enters transported to the base site,
+    G^-1 u(x+o) G with G the product of the raw links along the axis, so
+    its block is kron(G^-1, G^T) times the stencil weight; L_A is gauge
+    covariant and, for unitary links, its Hermitian part is positive
+    semidefinite.  It is the exact response where the plaquettes are
+    trivial.  Without ``links``, or at rank 1, the transports cancel and
+    this is the real, translation-invariant stencil of the abelian
+    response, exact at every curvature.
+    """
     n = lat.n
     n2 = n * n
+    r = 1 if links is None else links.shape[-1]
+    r2 = r * r
+    shape = (n2, r2, r2)
     idx = np.arange(n2).reshape(n, n)
-    # stencil of -N^2 * gamma * circ with gamma = -1 (see corrected_links)
-    offsets = {(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.5, (-1, 0): -0.5,
-               (0, -1): -0.5, (2, 0): -0.5, (0, 2): -0.5}
+    comp = np.arange(r2)
+    frame = link_frame(links) if r > 1 else None
+    row = np.broadcast_to(idx.reshape(n2, 1, 1) * r2 + comp[:, None], shape).ravel()
+    # stencil of -N^2 * gamma * circ with gamma = -1 (see corrected_links):
+    # (axis, signed number of hops along it) -> weight; zero hops is the centre
+    offsets = {(0, 0): 1.0, (0, 1): 0.5, (1, 1): 0.5, (0, -1): -0.5,
+               (1, -1): -0.5, (0, 2): -0.5, (1, 2): -0.5}
     rows, cols, vals = [], [], []
-    for (ds, dt), w in offsets.items():
-        tgt = np.roll(np.roll(idx, -ds, axis=0), -dt, axis=1)
-        rows.append(idx.ravel())
-        cols.append(tgt.ravel())
-        vals.append(np.full(n2, w * n * n))
+    for (mu, hops), w in offsets.items():
+        tgt = np.roll(idx, -hops, axis=mu)
+        if r == 1 or hops == 0:
+            block = np.eye(r2)
+        else:
+            ginv, g = _response_transports(frame, mu, hops)
+            block = _batched_kron(ginv, np.swapaxes(g, -1, -2)).reshape(shape)
+        rows.append(row)
+        cols.append(np.broadcast_to(tgt.reshape(n2, 1, 1) * r2 + comp, shape).ravel())
+        vals.append(np.broadcast_to(w * n * n * block, shape).ravel())
     L = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n2, n2),
+        shape=(n2 * r2, n2 * r2),
     )
     return L.tocsr()
 

@@ -135,6 +135,36 @@ def test_gauge_covariance_of_flow(rng):
     assert rep1.iterations == rep2.iterations
 
 
+def stable_rank2_pair(n, c_norm=2.5):
+    """E = L2 + L1 with the section on both rows: c-stable at c = 5/2, since
+    sat<phi> is O and E/sat<phi> has slope 3 > 5/2."""
+    return assemble_example("pair_tensor", {"deg1": [2, 1], "deg2": [0], "c": c_norm * TWO_PI,
+                                            "support": [[0, 0], [1, 0]]},
+                            lattice_n=n, seed=1)
+
+
+RANK2_OPTS = FlowOpts(tol=1e-7, metric_cutoff=25.0)
+
+
+def test_gauge_covariance_of_rank2_flow(rng):
+    st = stable_rank2_pair(8)
+    rep1 = heat_flow(st, RANK2_OPTS)
+    st2 = gauge_transform(st, random_unitary_gauge(st.spec, st.lattice, rng))
+    assert np.max(np.abs(st2.factors[0].bundle.links - st.factors[0].bundle.links)) > 0.1
+    rep2 = heat_flow(st2, RANK2_OPTS)
+    assert rep1.converged and rep2.converged
+    assert rep1.iterations == rep2.iterations
+    assert abs(rep1.final_residual - rep2.final_residual) < 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_rank2_stable_flow_steps_do_not_grow_with_n(n):
+    rep = heat_flow(stable_rank2_pair(n), RANK2_OPTS)
+    assert rep.converged
+    assert rep.iterations <= 150
+    assert abs(rep.degrees_after[0] - rep.degrees_before[0]) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # coherent systems
 

@@ -313,6 +313,105 @@ def test_constant_exponent_leaves_links(rng):
     assert np.max(np.abs(out - b.links)) < 1e-12
 
 
+def _gauged_trivial_links(n, rank, rng):
+    """Links of a trivial bundle after a random unitary gauge: P = I at every
+    site, but no link is the identity."""
+    lat = build_torus(n)
+    k = random_unitary_gauge(ProductGroupSpec((rank,)), lat, rng)[0]
+    links = trivial_bundle(lat, rank).links
+    for mu in (0, 1):
+        links[mu] = np.roll(k, -1, axis=mu) @ links[mu] @ np.swapaxes(k, -1, -2).conj()
+    return lat, links
+
+
+def test_response_operator_is_the_curvature_jacobian_at_rank2(rng):
+    # column by column over a real basis of the Hermitian fields: the
+    # central-difference Jacobian of u -> i N^2 log P(corrected_links(u))
+    # at u = 0 is L_A applied to the basis field
+    n, r, eps = 4, 2, 1e-5
+    lat, links = _gauged_trivial_links(n, r, rng)
+    assert np.max(np.abs(plaquette_field(links) - np.eye(r))) < 1e-14
+    L = curvature_response_matrix(lat, links)
+    assert L.shape == (n * n * r * r,) * 2
+    worst = 0.0
+    for site in range(n * n):
+        for a in range(r):
+            for b in range(a, r):
+                for phase in ((1.0,) if a == b else (1.0, 1j)):
+                    e = np.zeros((n * n, r, r), complex)
+                    e[site, a, b] = phase
+                    e[site, b, a] = np.conj(phase)
+                    e = e.reshape(n, n, r, r)
+                    jac = (curvature_field(corrected_links(links, eps * e), n)
+                           - curvature_field(corrected_links(links, -eps * e), n)) / (2 * eps)
+                    pred = (L @ e.ravel()).reshape(n, n, r, r)
+                    worst = max(worst, float(np.max(np.abs(jac - pred))))
+    assert worst < 1e-6
+
+
+def _response_matrix_reference(n):
+    """The abelian 7-point response stencil, assembled as it was before the
+    operator took links."""
+    import scipy.sparse as sp
+
+    n2 = n * n
+    idx = np.arange(n2).reshape(n, n)
+    offsets = {(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.5, (-1, 0): -0.5,
+               (0, -1): -0.5, (2, 0): -0.5, (0, 2): -0.5}
+    rows, cols, vals = [], [], []
+    for (ds, dt), w in offsets.items():
+        tgt = np.roll(np.roll(idx, -ds, axis=0), -dt, axis=1)
+        rows.append(idx.ravel())
+        cols.append(tgt.ravel())
+        vals.append(np.full(n2, w * n * n))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n2, n2)).tocsr()
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_rank1_response_operator_is_the_abelian_stencil(n):
+    lat = build_torus(n)
+    ref = _response_matrix_reference(n)
+    for links in (None, make_constant_curvature_line_bundle(lat, 1).links,
+                  make_constant_curvature_line_bundle(lat, -2).links):
+        L = curvature_response_matrix(lat, links)
+        assert L.dtype == ref.dtype
+        assert np.array_equal(L.indptr, ref.indptr)
+        assert np.array_equal(L.indices, ref.indices)
+        assert np.array_equal(L.data, ref.data)
+
+
+def test_rank2_response_operator_is_covariant_and_accretive(rng):
+    # L_A of the gauge-transformed links is L_A conjugated by the gauge, and
+    # its Hermitian part is positive semidefinite
+    lat = build_torus(6)
+    b = direct_sum_bundle(lat, [2, 1])
+    k = random_unitary_gauge(ProductGroupSpec((2,)), lat, rng)[0]
+    links = b.links.copy()
+    for mu in (0, 1):
+        links[mu] = np.roll(k, -1, axis=mu) @ links[mu] @ np.swapaxes(k, -1, -2).conj()
+    u = rng.standard_normal((6, 6, 2, 2)) + 1j * rng.standard_normal((6, 6, 2, 2))
+    kh = np.swapaxes(k, -1, -2).conj()
+    lu = (curvature_response_matrix(lat, b.links) @ u.ravel()).reshape(u.shape)
+    lu_gauged = (curvature_response_matrix(lat, links) @ (k @ u @ kh).ravel()).reshape(u.shape)
+    assert np.max(np.abs(lu_gauged - k @ lu @ kh)) < 1e-10
+    L = curvature_response_matrix(lat, links).toarray()
+    assert np.linalg.eigvalsh(0.5 * (L + L.conj().T)).min() > -1e-9
+
+
+def test_link_frame_follows_the_links(rng):
+    b = direct_sum_bundle(LAT, [1, 0])
+    first = b.link_frame()
+    assert b.link_frame() is first  # kept while the links are unchanged
+    k = random_unitary_gauge(ProductGroupSpec((2,)), LAT, rng)[0]
+    b.links[0] = np.roll(k, -1, axis=0) @ b.links[0]  # in place
+    links, inv, back, back_inv = b.link_frame()
+    assert np.array_equal(links, b.links)
+    assert np.allclose(inv @ b.links, np.eye(2), atol=1e-12)
+    assert np.array_equal(back[0], np.roll(b.links[0], 1, axis=0))
+    assert np.allclose(back_inv @ back, np.eye(2), atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the lattice path is the point path applied site by site
 
