@@ -101,11 +101,11 @@ def _semi_implicit_scalar(d, step, n):
     return out
 
 
-def unfrozen_degrees(state: LatticePairState):
+def unfrozen_degrees(state: LatticePairState, frames=None):
     out = {}
     for i, f in enumerate(state.factors):
         if f.mode == FULL:
-            out[i] = lattice_degree(state.corrected_links(i))
+            out[i] = lattice_degree(state.corrected_links(i, frames[i] if frames else None))
     return out
 
 
@@ -173,8 +173,9 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
     """
     opts = opts or FlowOpts()
     work = state.copy()
-    deg_before = unfrozen_degrees(work)
-    blocks, l2, linf = pointwise_residual(work)
+    frames = work.link_frames()
+    deg_before = unfrozen_degrees(work, frames)
+    blocks, l2, linf = pointwise_residual(work, frames)
     sup_log = work.sup_log_metric()  # of the last accepted state
     trajectory = [(0, l2, linf, sup_log)]
     rejections = []
@@ -210,7 +211,7 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
             trial[i] = work.u[i] - step * d
         saved = {i: work.u[i] for i in trial}
         work.u.update(trial)
-        blocks_new, l2_new, linf_new = pointwise_residual(work)
+        blocks_new, l2_new, linf_new = pointwise_residual(work, frames)
         if not np.isfinite(l2_new):
             work.u.update(saved)
             reason = "non-finite residual"
@@ -254,7 +255,7 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
         trajectory=trajectory,
         sup_log_metric=sup_log,
         degrees_before=deg_before,
-        degrees_after=unfrozen_degrees(work),
+        degrees_after=unfrozen_degrees(work, frames),
         residual_snapshot=snapshot,
         constraint=constraint_diagnostics(work, blocks),
         rejections=rejections,

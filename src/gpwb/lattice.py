@@ -75,28 +75,19 @@ class LatticeBundle:
     rank: int
     links: np.ndarray  # (2, N, N, r, r) complex
     summand_degrees: tuple = ()  # intended Chern numbers when decomposable
-    _frame: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self):
         return LatticeBundle(self.lattice, self.rank, self.links.copy(), self.summand_degrees)
 
-    def link_frame(self):
-        """``link_frame`` of the links, kept until the links change: it is
-        recomputed when they differ from the copy it was made from, so no
-        in-place write (``gauge_transform``) can leave it stale."""
-        if self._frame is None or not np.array_equal(self._frame[0], self.links):
-            self._frame = link_frame(self.links)
-        return self._frame
-
 
 def link_frame(links: np.ndarray):
-    """The raw-link data every metric correction reuses: (copy of the
-    links, their inverses, the links shifted back one site along their own
-    axis, and the inverses of those), each of shape (2, N, N, r, r)."""
+    """The raw-link data every metric correction reuses: (the links, their
+    inverses, the links shifted back one site along their own axis, and the
+    inverses of those), each of shape (2, N, N, r, r)."""
     inv = np.linalg.inv(links)
     back = np.stack([np.roll(links[mu], 1, axis=mu) for mu in (0, 1)])
     back_inv = np.stack([np.roll(inv[mu], 1, axis=mu) for mu in (0, 1)])
-    return links.copy(), inv, back, back_inv
+    return links, inv, back, back_inv
 
 
 def trivial_bundle(lat: TorusLattice, rank=1) -> LatticeBundle:
@@ -382,13 +373,21 @@ class LatticePairState:
     def factor_links_raw(self):
         return [f.bundle.links for f in self.factors]
 
-    def corrected_links(self, i):
+    def corrected_links(self, i, frame=None):
         """Metric-corrected unitary links of factor i (transverse-gradient
-        phase correction; exact curvature response for abelian factors)."""
+        phase correction; exact curvature response for abelian factors).
+        ``frame`` is the ``link_frame`` of its raw links, if the caller
+        keeps one."""
         f = self.factors[i]
         if f.mode != FULL:
             return f.bundle.links
-        return corrected_links(f.bundle.links, self.u[i], f.bundle.link_frame())
+        return corrected_links(f.bundle.links, self.u[i], frame)
+
+    def link_frames(self):
+        """``link_frame`` of the raw links of every FULL factor, by index: a
+        flow computes them once, since the raw links never change."""
+        return {i: link_frame(f.bundle.links) for i, f in enumerate(self.factors)
+                if f.mode == FULL}
 
     def metric_frame_section(self):
         """Section in the metric-orthonormal frame: act(e^{u(x)}, Phi(x))."""
@@ -569,12 +568,14 @@ def mu_factor_field(section_field, rep: RepSpec, factor_i: int) -> np.ndarray:
     return moment_block(section_field, rep, factor_i)
 
 
-def pointwise_residual(state: LatticePairState):
+def pointwise_residual(state: LatticePairState, frames=None):
     """Skew-Hermitian residual blocks of the shifted subgroup moment map.
 
     Per site and unfrozen factor: N^2 log P + mu_f(Psi) + i c_f I, with the
     constant-mode blocks replaced by their site average.  Returns
     (blocks dict, l2 norm, linf norm); norms use the volume-1 weighting.
+    ``frames`` is ``state.link_frames()``, for callers that evaluate the
+    residual many times.
     """
     n = state.lattice.n
     psi = state.metric_frame_section()
@@ -589,7 +590,8 @@ def pointwise_residual(state: LatticePairState):
             r = np.mean(mu, axis=(0, 1)) + 1j * c_i * np.eye(ni)
             blocks[i] = np.broadcast_to(r, (n, n, ni, ni)).copy()
         else:
-            lam = _log_unitary(plaquette_field(state.corrected_links(i))) * (n * n)
+            links = state.corrected_links(i, frames[i] if frames else None)
+            lam = _log_unitary(plaquette_field(links)) * (n * n)
             r = lam + mu + 1j * c_i * np.eye(ni)
             blocks[i] = r
     sq = 0.0

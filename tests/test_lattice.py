@@ -24,6 +24,7 @@ from gpwb.lattice import (
     gauge_transform,
     holomorphic_sections,
     lattice_degree,
+    link_frame,
     make_constant_curvature_line_bundle,
     mu_factor_field,
     plaquette_field,
@@ -399,17 +400,19 @@ def test_rank2_response_operator_is_covariant_and_accretive(rng):
     assert np.linalg.eigvalsh(0.5 * (L + L.conj().T)).min() > -1e-9
 
 
-def test_link_frame_follows_the_links(rng):
+def test_link_frame_matches_the_links(rng):
     b = direct_sum_bundle(LAT, [1, 0])
-    first = b.link_frame()
-    assert b.link_frame() is first  # kept while the links are unchanged
     k = random_unitary_gauge(ProductGroupSpec((2,)), LAT, rng)[0]
-    b.links[0] = np.roll(k, -1, axis=0) @ b.links[0]  # in place
-    links, inv, back, back_inv = b.link_frame()
-    assert np.array_equal(links, b.links)
-    assert np.allclose(inv @ b.links, np.eye(2), atol=1e-12)
-    assert np.array_equal(back[0], np.roll(b.links[0], 1, axis=0))
+    links = b.links.copy()
+    links[0] = np.roll(k, -1, axis=0) @ links[0]
+    _, inv, back, back_inv = link_frame(links)
+    assert np.allclose(inv @ links, np.eye(2), atol=1e-12)
+    for mu in (0, 1):
+        assert np.array_equal(back[mu], np.roll(links[mu], 1, axis=mu))
     assert np.allclose(back_inv @ back, np.eye(2), atol=1e-12)
+    u = rng.standard_normal((LAT.n, LAT.n, 2, 2)) + 1j * rng.standard_normal((LAT.n, LAT.n, 2, 2))
+    u = u + np.swapaxes(u, -1, -2).conj()
+    assert np.array_equal(corrected_links(links, u, link_frame(links)), corrected_links(links, u))
 
 
 # ---------------------------------------------------------------------------
