@@ -31,6 +31,7 @@ from .lattice import (
     direct_sum_bundle,
     holomorphic_sections,
     lattice_degree,
+    link_frame,
     mu_factor_field,
     pointwise_residual,
     section_transport,
@@ -173,7 +174,9 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
     """
     opts = opts or FlowOpts()
     work = state.copy()
-    frames = work.link_frames()
+    # the raw links never change during the flow: invert them once
+    frames = {i: link_frame(f.bundle.links) for i, f in enumerate(work.factors)
+              if f.mode == FULL}
     deg_before = unfrozen_degrees(work, frames)
     blocks, l2, linf = pointwise_residual(work, frames)
     sup_log = work.sup_log_metric()  # of the last accepted state

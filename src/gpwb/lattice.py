@@ -383,12 +383,6 @@ class LatticePairState:
             return f.bundle.links
         return corrected_links(f.bundle.links, self.u[i], frame)
 
-    def link_frames(self):
-        """``link_frame`` of the raw links of every FULL factor, by index: a
-        flow computes them once, since the raw links never change."""
-        return {i: link_frame(f.bundle.links) for i, f in enumerate(self.factors)
-                if f.mode == FULL}
-
     def metric_frame_section(self):
         """Section in the metric-orthonormal frame: act(e^{u(x)}, Phi(x))."""
         return apply_metric_exponents(self.section, self.rep, self.u, self.factors)
@@ -574,8 +568,8 @@ def pointwise_residual(state: LatticePairState, frames=None):
     Per site and unfrozen factor: N^2 log P + mu_f(Psi) + i c_f I, with the
     constant-mode blocks replaced by their site average.  Returns
     (blocks dict, l2 norm, linf norm); norms use the volume-1 weighting.
-    ``frames`` is ``state.link_frames()``, for callers that evaluate the
-    residual many times.
+    ``frames`` maps each FULL factor to the ``link_frame`` of its raw
+    links, for callers that evaluate the residual many times.
     """
     n = state.lattice.n
     psi = state.metric_frame_section()

@@ -135,10 +135,10 @@ def test_gauge_covariance_of_flow(rng):
     assert rep1.iterations == rep2.iterations
 
 
-def stable_rank2_pair(n, c_norm=2.5):
+def stable_rank2_pair(n):
     """E = L2 + L1 with the section on both rows: c-stable at c = 5/2, since
     sat<phi> is O and E/sat<phi> has slope 3 > 5/2."""
-    return assemble_example("pair_tensor", {"deg1": [2, 1], "deg2": [0], "c": c_norm * TWO_PI,
+    return assemble_example("pair_tensor", {"deg1": [2, 1], "deg2": [0], "c": 2.5 * TWO_PI,
                                             "support": [[0, 0], [1, 0]]},
                             lattice_n=n, seed=1)
 
