@@ -10,7 +10,7 @@ drives both
 and the trace constraint deg(E) = c1 rk + c2 k is an exact discrete sum
 identity at every configuration, solved or not.
 """
-from gpwb.fixtures import CurveFixture, coherent_system_stable
+from gpwb.fixtures import CurveFixture, verdict
 from gpwb.flows import FlowOpts, assemble_example, constraint_diagnostics, heat_flow
 from gpwb.lattice import TWO_PI
 
@@ -19,7 +19,7 @@ c1 = 2 * TWO_PI
 c2 = TWO_PI * d - c1  # constraint deg = c1 rk + c2 k, so c2 < 0 here
 
 fx = CurveFixture("coherent_system", ((d,), (0,) * k), ((0, 0),), (2, -1))
-v = coherent_system_stable(fx)
+v = verdict(fx)
 print(f"algebraic verdict (Chern units, c = (2, -1)): stable={v.stable}, slack={v.slack}")
 
 st = assemble_example("coherent_system", {"deg": [d], "k": k, "c1": c1, "c2": c2},

@@ -8,13 +8,13 @@ the trace of the equation forces the central level to equal the slope.
 """
 import numpy as np
 
-from gpwb.fixtures import CurveFixture, higgs_stable
+from gpwb.fixtures import CurveFixture, verdict
 from gpwb.flows import FlowOpts, assemble_example, constraint_diagnostics, heat_flow
 
 # stable: flat O + O with both off-diagonal components present, so no
 # summand subsheaf is invariant
 fx = CurveFixture("higgs", ((0, 0), (0,)), ((0, 1), (1, 0)), (0, 0))
-print("flat O+O, two-sided off-diagonal field:", higgs_stable(fx))
+print("flat O+O, two-sided off-diagonal field:", verdict(fx))
 
 st = assemble_example("higgs", {"deg": [0, 0], "theta": [[0, 2.0], [0.5, 0]]}, lattice_n=16)
 rep = heat_flow(st, FlowOpts(max_iter=20000, tol=1e-10))
@@ -26,7 +26,7 @@ print(f"flow converged in {rep.iterations} iterations; "
 # unstable: split L(1) + L(-1) with zero field; L(1) is invariant with
 # slope above the average
 fx0 = CurveFixture("higgs", ((1, -1), (0,)), (), (0, 0))
-print("\nsplit L(1)+L(-1), zero field:", higgs_stable(fx0))
+print("\nsplit L(1)+L(-1), zero field:", verdict(fx0))
 st0 = assemble_example("higgs", {"deg": [1, -1], "theta": [[0, 0], [0, 0]]}, lattice_n=16)
 rep0 = heat_flow(st0, FlowOpts(max_iter=20000, tol=1e-8, metric_cutoff=25.0))
 print(f"flow outcome: converged={rep0.converged} ({rep0.reason}), "

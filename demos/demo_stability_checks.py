@@ -11,28 +11,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from gpwb.fixtures import (
-    CurveFixture,
-    pair_stable,
-    ssc_reduction_equiv,
-    triple_stable,
-    twisted_triple_stable,
-)
+from gpwb.fixtures import CurveFixture, ssc_reduction_equiv, verdict
 
 print("pair: V1 = L(2)+L(0), section in the L(0) summand, c = 1")
 f = CurveFixture("pair_tensor", ((2, 0), (0,)), ((1, 0),), (1, 0))
-v = pair_stable(f)
+v = verdict(f)
 print(f"  stable={v.stable}, slack={v.slack}, witness={v.witness}")
 print("  (the L(2) summand has slope 2 > c: destabilizing)\n")
 
 print("same data, c = 5/2:")
 f = CurveFixture("pair_tensor", ((2, 0), (0,)), ((1, 0),), (Fraction(5, 2), 0))
-print(f"  {pair_stable(f)}\n")
+print(f"  {verdict(f)}\n")
 
 print("rank-1 triple with an isomorphism, scanning c:")
 for c in (Fraction(-1, 2), Fraction(0), Fraction(1, 2)):
     f = CurveFixture("triple_fixed_E2", ((0,), (0,)), ((0, 0),), (c, 0))
-    v = triple_stable(f)
+    v = verdict(f)
     label = "marginal" if v.marginal else ("stable" if v.stable else "unstable")
     print(f"  c = {str(c):>4}: {label} (slack {v.slack})")
 print()
@@ -42,8 +36,8 @@ c1 = Fraction(3, 2)
 c2 = Fraction(1) - c1
 tw = CurveFixture("twisted_triple", ((1,), (0,), (0,)), ((0, 0, 0),), (c1, c2, 0))
 tr = CurveFixture("triple_fixed_E2", ((1,), (0,)), ((0, 0),), (c1, 0))
-print(f"  twisted: {twisted_triple_stable(tw).stable}, "
-      f"plain: {triple_stable(tr).stable}\n")
+print(f"  twisted: {verdict(tw).stable}, "
+      f"plain: {verdict(tr).stable}\n")
 
 print("generator reduction on random weight cones (all five kinds):")
 rng = np.random.default_rng(3)

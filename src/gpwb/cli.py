@@ -18,20 +18,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fixtures import CurveFixture, load_fixture, ssc_reduction_equiv, verdict
+from .fixtures import KINDS, CurveFixture, load_fixture, ssc_reduction_equiv, verdict
 from .flows import FlowOpts, assemble_example, heat_flow, newton_abelian
-from .groups import ProductGroupSpec, SubgroupSetting
+from .groups import CONSTANT, ProductGroupSpec, SubgroupSetting
 from .io import emit_csv, write_report
 from .kempf_ness import gradient_flow, is_simple, stability_test
 from .lattice import TWO_PI
 from .reps import STANDARD, RepSpec, Slot
 
-MODES = ("kempf_ness", "vortex_threshold", "pair", "triple", "coherent_system",
-         "twisted_triple", "higgs", "invariant_suite")
+_KIND_OF_MODE = {entry.cli_mode: kind for kind, entry in KINDS.items()}
 
-_KIND_OF_MODE = {"pair": "pair_tensor", "triple": "triple_fixed_E2",
-                 "coherent_system": "coherent_system",
-                 "twisted_triple": "twisted_triple", "higgs": "higgs"}
+MODES = ("kempf_ness", "vortex_threshold", *_KIND_OF_MODE, "invariant_suite")
 
 
 class ConfigError(ValueError):
@@ -210,29 +207,22 @@ def _fixture_from_cfg(fx, kind):
 
 
 def _assembly_params(fixture: CurveFixture, fx_cfg):
-    c_phys = [float(TWO_PI * c) for c in fixture.c]
-    scale = fx_cfg.get("scale", 1.0)
-    kind = fixture.kind
-    if kind in ("pair_tensor", "triple_fixed_E2"):
-        return {"deg1": list(fixture.degrees[0]), "deg2": list(fixture.degrees[1]),
-                "c": c_phys[0], "support": [list(s) for s in fixture.support],
-                "scale": scale}
-    if kind == "coherent_system":
-        return {"deg": list(fixture.degrees[0]), "k": len(fixture.degrees[1]),
-                "c1": c_phys[0], "c2": c_phys[1],
-                "support": [list(s) for s in fixture.support], "scale": scale}
-    if kind == "twisted_triple":
-        return {"deg1": list(fixture.degrees[0]), "deg2": list(fixture.degrees[1]),
-                "deg3": list(fixture.degrees[2]), "c1": c_phys[0], "c2": c_phys[1],
-                "support": [list(s) for s in fixture.support], "scale": scale}
-    return {"deg": list(fixture.degrees[0]), "cm": c_phys[0],
-            "support": [list(s) for s in fixture.support], "scale": scale}
+    entry = KINDS[fixture.kind]
+    params = {"support": [list(s) for s in fixture.support], "scale": fx_cfg.get("scale", 1.0)}
+    for f, (dname, cname) in enumerate(zip(entry.degree_params, entry.scalar_params)):
+        row = list(fixture.degrees[f])
+        if dname:
+            params[dname] = len(row) if entry.factor_modes[f] == CONSTANT else row
+        if cname:
+            params[cname] = float(TWO_PI * fixture.c[f])
+    return params
 
 
 def run_example_mode(mode, cfg, rng_seed, out_dir, tol):
     kind = _KIND_OF_MODE[mode]
     fx_cfg = cfg.get("fixture", {})
-    fixture = _fixture_from_cfg(fx_cfg, kind) if fx_cfg else _default_fixture(kind)
+    fixture = (_fixture_from_cfg(fx_cfg, kind) if fx_cfg
+               else CurveFixture(kind, *KINDS[kind].default_fixture))
     v = verdict(fixture)
     ok, _ = ssc_reduction_equiv(fixture, trials=200,
                                 rng=np.random.default_rng(rng_seed))
@@ -268,7 +258,7 @@ def run_example_mode(mode, cfg, rng_seed, out_dir, tol):
     }
     if out_dir:
         emit_csv(rep.trajectory, os.path.join(out_dir, f"{mode}_trajectory.csv"))
-    if mode == "pair" and len(fixture.degrees[0]) == 1:
+    if KINDS[kind].newton_oracle and len(fixture.degrees[0]) == 1:
         nt = newton_abelian(st)
         payload["newton"] = {"converged": nt.converged,
                             "final_residual": nt.final_residual,
@@ -277,18 +267,6 @@ def run_example_mode(mode, cfg, rng_seed, out_dir, tol):
             du = rep.state.u[0][:, :, 0, 0].real - nt.state.u[0][:, :, 0, 0].real
             payload["newton"]["metric_sup_difference"] = float(np.max(np.abs(du)))
     return payload
-
-
-def _default_fixture(kind):
-    if kind == "pair_tensor":
-        return CurveFixture(kind, ((1,), (0,)), ((0, 0),), (2, 0))
-    if kind == "triple_fixed_E2":
-        return CurveFixture(kind, ((1,), (0,)), ((0, 0),), (2, 0))
-    if kind == "coherent_system":
-        return CurveFixture(kind, ((1,), (0,)), ((0, 0),), (2, -1))
-    if kind == "twisted_triple":
-        return CurveFixture(kind, ((1,), (0,), (0,)), ((0, 0, 0),), (Fraction(3, 2), Fraction(-1, 2), 0))
-    return CurveFixture("higgs", ((0, 0), (0,)), ((0, 1), (1, 0)), (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +320,10 @@ def run(config: dict, out_dir=None, workers=1, seed=None, tol=None) -> dict:
     tol = tol if tol is not None else config.get("tol")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    if mode == "kempf_ness":
-        payload = run_kempf_ness(config, rng_seed, workers)
-    elif mode == "vortex_threshold":
-        payload = run_threshold(config, rng_seed, workers, tol)
-    elif mode == "invariant_suite":
-        payload = run_invariant_suite(config, rng_seed, workers)
-    else:
-        payload = run_example_mode(mode, config, rng_seed, out_dir, tol)
+    runners = {"kempf_ness": lambda: run_kempf_ness(config, rng_seed, workers),
+               "vortex_threshold": lambda: run_threshold(config, rng_seed, workers, tol),
+               "invariant_suite": lambda: run_invariant_suite(config, rng_seed, workers)}
+    payload = runners.get(mode, lambda: run_example_mode(mode, config, rng_seed, out_dir, tol))()
     payload["seed"] = rng_seed
     payload["config_echo"] = json.dumps(config, sort_keys=True)
     if out_dir:

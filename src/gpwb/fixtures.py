@@ -1,4 +1,9 @@
-"""Slope-stability verdicts for decomposable curve fixtures.
+"""The example kinds as one table, and their exact slope-stability verdicts.
+
+``KINDS`` describes each example class of the paper (pairs, triples,
+coherent systems, twisted triples, Higgs bundles) as data: its slots and
+factor modes, its trace constraint and how the lattice assembly and the
+CLI name its parameters.  Everything kind-specific elsewhere reads it.
 
 A fixture is a direct sum of line bundles per factor (integer Chern
 numbers; paper-normalised degree = 2*pi*Chern number), a combinatorial
@@ -12,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-KINDS = ("pair_tensor", "triple_fixed_E2", "coherent_system", "twisted_triple", "higgs")
+from .groups import CONSTANT, FROZEN, FULL
+from .reps import ADJOINT, DUAL, STANDARD
 
 
 def _frac(x):
@@ -28,6 +34,88 @@ def _frac(x):
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     return Fraction(x).limit_denominator(10**12)
+
+
+@dataclass(frozen=True)
+class ExampleKind:
+    """One example class as data.
+
+    ``slots`` gives (action, factor) per tensor slot of V and
+    ``factor_modes`` the subgroup mode of each factor; the gauge factors
+    are the unfrozen ones.  ``degree_params`` and ``scalar_params`` name
+    the ``assemble_example`` parameter of each degree row and central
+    scalar: None for a frozen factor (trivial line, scalar 0), and the
+    parameter of a constant-mode factor, whose bundle is trivial, is its
+    rank.  A support index picks one summand per slot, two (a, b) for an
+    adjoint slot, over the first ``support_slots`` slots (all by default);
+    the remaining slots take summand 0.
+
+    ``constraint`` is (diagnostic key, sign, note) of the trace constraint
+    sign * (deg - sum_f c_f rk_f) = 0 over the gauge factors; the note
+    formats the exact value as ``slack`` or ``per_rank`` (divided by the
+    rank of factor 0).  ``witness_labels`` name the subobject of a
+    lowering and of a raising chain generator.
+    """
+
+    cli_mode: str
+    slots: tuple
+    factor_modes: tuple
+    degree_params: tuple
+    scalar_params: tuple
+    default_fixture: tuple                    # (degrees, support, c) the CLI runs by default
+    witness_labels: tuple = ("pair", "pair")
+    constraint: tuple = None
+    default_support: bool = True              # the summands of non-negative degree; else none
+    support_slots: int = None
+    vacuous_note: str = "no admissible directions"
+    newton_oracle: bool = False               # the CLI cross-checks rank 1 with newton_abelian
+    gauge: tuple = field(init=False)
+    positions: tuple = field(init=False)      # (factor, sign) per support-index entry
+
+    def __post_init__(self):
+        signs = {STANDARD: (1,), DUAL: (-1,), ADJOINT: (1, -1)}
+        object.__setattr__(self, "gauge", tuple(
+            f for f, m in enumerate(self.factor_modes) if m != FROZEN))
+        object.__setattr__(self, "positions", tuple(
+            (f, sign) for action, f in self.slots[:self.support_slots] for sign in signs[action]))
+
+    def slot_index(self, index, dims):
+        """Multi-index into V of a support index (``dims``: factor ranks)."""
+        index = [int(i) for i in index]
+        if len(index) != len(self.positions):
+            raise ValueError(f"support index {index} needs {len(self.positions)} entries")
+        out = []
+        for action, f in self.slots[:self.support_slots]:
+            out.append(index.pop(0) * dims[f] + index.pop(0) if action == ADJOINT
+                       else index.pop(0))
+        return tuple(out) + (0,) * (len(self.slots) - len(out))
+
+
+KINDS = {
+    "pair_tensor": ExampleKind(
+        "pair", ((STANDARD, 0), (STANDARD, 1)), (FULL, FROZEN), ("deg1", "deg2"), ("c", None),
+        (((1,), (0,)), ((0, 0),), (2, 0)), witness_labels=("sub", "quotient"),
+        newton_oracle=True),
+    "triple_fixed_E2": ExampleKind(
+        "triple", ((STANDARD, 0), (DUAL, 1)), (FULL, FROZEN), ("deg1", "deg2"), ("c", None),
+        (((1,), (0,)), ((0, 0),), (2, 0)), witness_labels=("sub", "quotient")),
+    "coherent_system": ExampleKind(
+        "coherent_system", ((STANDARD, 0), (DUAL, 1)), (FULL, CONSTANT), ("deg", "k"),
+        ("c1", "c2"), (((1,), (0,)), ((0, 0),), (2, -1)),
+        constraint=("constraint_slack", 1, "constraint deg - c1 rk - c2 k = {slack} != 0")),
+    "twisted_triple": ExampleKind(
+        "twisted_triple", ((STANDARD, 0), (DUAL, 1), (DUAL, 2)), (FULL, FULL, FROZEN),
+        ("deg1", "deg2", "deg3"), ("c1", "c2", None),
+        (((1,), (0,), (0,)), ((0, 0, 0),), (Fraction(3, 2), Fraction(-1, 2), 0)),
+        constraint=("sum_rule_slack", -1, "sum rule n1 c1 + n2 c2 - deg = {slack} != 0")),
+    # the second factor is the cotangent line of the flat torus
+    "higgs": ExampleKind(
+        "higgs", ((ADJOINT, 0), (STANDARD, 1)), (FULL, FROZEN), ("deg", None), ("cm", None),
+        (((0, 0), (0,)), ((0, 1), (1, 0)), (0, 0)), witness_labels=("invariant", "invariant"),
+        constraint=("trace_obstruction", 1, "cm != slope: obstruction {per_rank}"),
+        default_support=False, support_slots=1,
+        vacuous_note="no invariant proper summand subsheaf"),
+}
 
 
 @dataclass(frozen=True)
@@ -42,21 +130,23 @@ class CurveFixture:
     c: tuple                # rational central scalars, one per factor
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        entry = KINDS.get(self.kind)
+        if entry is None:
             raise ValueError(f"unknown fixture kind {self.kind!r}")
-        arity = 3 if self.kind == "twisted_triple" else 2
+        arity = len(entry.factor_modes)
         if len(self.degrees) != arity or len(self.c) != arity:
             raise ValueError(f"{self.kind} needs {arity} degree rows and {arity} central "
                              f"scalars, got {len(self.degrees)} and {len(self.c)}")
         degs = tuple(tuple(int(d) for d in row) for row in self.degrees)
         sup = tuple(tuple(int(i) for i in s) for s in self.support)
-        # a support index picks one summand per slot; the two slots of a
-        # higgs field are endomorphism indices of the first factor
-        rows = (degs[0], degs[0]) if self.kind == "higgs" else degs
+        rows = [degs[f] for f, _ in entry.positions]
         for s in sup:
             if len(s) != len(rows) or not all(0 <= i < len(r) for i, r in zip(s, rows)):
                 raise ValueError(f"support index {list(s)} does not index the summands "
                                  f"{[list(r) for r in rows]} of a {self.kind} fixture")
+        if any(any(degs[f]) for f, m in enumerate(entry.factor_modes) if m == CONSTANT):
+            raise ValueError(f"a constant-mode factor of a {self.kind} fixture is trivial: "
+                             f"its degrees must be 0")
         cs = tuple(_frac(x) for x in self.c)
         object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "support", sup)
@@ -83,28 +173,10 @@ class FixtureVerdict:
             raise ValueError(f"verdict stable={self.stable} contradicts slack {self.slack}")
 
 
-def _fin(best, slack, cand):
-    if best is None or slack < best[0]:
-        return (slack, cand)
-    return best
-
-
-def _verdict_from(best, vacuous_note=""):
-    if best is None:
-        return FixtureVerdict(stable=True, slack=None, note=vacuous_note or "no admissible directions")
-    slack, wit = best
-    return FixtureVerdict(stable=bool(slack > 0), slack=slack, witness=wit,
-                          marginal=bool(slack == 0))
-
-
 def _subsets(n):
     for r in range(n + 1):
         for s in itertools.combinations(range(n), r):
             yield frozenset(s)
-
-
-def _deg(degree_row, subset):
-    return sum(degree_row[i] for i in subset)
 
 
 # ---------------------------------------------------------------------------
@@ -143,230 +215,83 @@ def p_indices(weights, chain_subsets, support_rows):
 
 
 # ---------------------------------------------------------------------------
-# the five verdicts
-
-
-def _support_rows(fixture, axis=0):
-    return frozenset(s[axis] for s in fixture.support)
-
-
-def pair_stable(fixture: CurveFixture, c=None) -> FixtureVerdict:
-    """Twisted-pair stability: every summand subsheaf V' has slope < c, and
-    every proper V' containing the section support has quotient slope > c."""
-    if fixture.kind != "pair_tensor":
-        raise ValueError("fixture kind must be pair_tensor")
-    c = _frac(c if c is not None else fixture.c[0])
-    deg1 = fixture.degrees[0]
-    n1 = len(deg1)
-    rows = _support_rows(fixture, 0)
-    best = None
-    for s in _subsets(n1):
-        r = len(s)
-        if r > 0:
-            slack = c * r - _deg(deg1, s)  # mu(V') < c
-            best = _fin(best, slack, ("sub", tuple(sorted(s))))
-        if r < n1 and rows <= s:
-            q_deg = sum(deg1) - _deg(deg1, s)
-            slack = q_deg - c * (n1 - r)   # mu(V1/V') > c
-            best = _fin(best, slack, ("quotient", tuple(sorted(s))))
-    return _verdict_from(best)
-
-
-def triple_stable(fixture: CurveFixture, c=None) -> FixtureVerdict:
-    """Fixed-second-bundle triple stability, checked in both the two-sided
-    slope form and the alpha-slope form; the two must agree."""
-    if fixture.kind != "triple_fixed_E2":
-        raise ValueError("fixture kind must be triple_fixed_E2")
-    c = _frac(c if c is not None else fixture.c[0])
-    deg1, deg2 = fixture.degrees[0], fixture.degrees[1]
-    n1, n2 = len(deg1), len(deg2)
-    rows = _support_rows(fixture, 0)
-    best = None
-    for s in _subsets(n1):
-        r = len(s)
-        if r > 0:
-            best = _fin(best, c * r - _deg(deg1, s), ("sub", tuple(sorted(s))))
-        if r < n1 and rows <= s:
-            slack = (sum(deg1) - _deg(deg1, s)) - c * (n1 - r)
-            best = _fin(best, slack, ("quotient", tuple(sorted(s))))
-    v = _verdict_from(best)
-
-    # alpha-slope reformulation: mu_alpha of subtriples with the second
-    # bundle whole or zero, alpha chosen so mu_alpha(total) = c
-    alpha = (c * (n1 + n2) - sum(deg1) - sum(deg2)) / Fraction(n2)
-    alt = None
-    for s in _subsets(n1):
-        r = len(s)
-        if r > 0:
-            # (E1', 0): mu < c
-            alt = _fin(alt, c * r - _deg(deg1, s), ("sub", tuple(sorted(s))))
-        if r < n1 and rows <= s:
-            num = _deg(deg1, s) + sum(deg2) + alpha * n2
-            alt = _fin(alt, c * (r + n2) - num, ("quotient", tuple(sorted(s))))
-    v2 = _verdict_from(alt)
-    if (v.stable, v.slack) != (v2.stable, v2.slack):
-        raise AssertionError("two-sided and alpha-slope formulations disagree")
-    return v
-
-
-def coherent_system_stable(fixture: CurveFixture, c1=None, c2=None) -> FixtureVerdict:
-    """Coherent-system stability over (subsheaf, section-subset) pairs.
-
-    Requires the trace constraint deg(E) = c1 rk + c2 k exactly; otherwise
-    the verdict carries the unsolvable flag and no stability claim.  The
-    pair enumeration subsumes the single-subsheaf inequality with maximal
-    compatible section count and also enforces the sign condition on c2
-    coming from the constant-factor directions.
-    """
-    if fixture.kind != "coherent_system":
-        raise ValueError("fixture kind must be coherent_system")
-    c1 = _frac(c1 if c1 is not None else fixture.c[0])
-    c2 = _frac(c2 if c2 is not None else fixture.c[1])
-    deg = fixture.degrees[0]
-    n = len(deg)
-    k = len(fixture.degrees[1])
-    constraint = Fraction(sum(deg)) - c1 * n - c2 * k
-    if constraint != 0:
-        return FixtureVerdict(stable=False, slack=None, unsolvable=True,
-                              note=f"constraint deg - c1 rk - c2 k = {constraint} != 0")
-    # support: multi-index (i, j): section j lies in summand i
-    sec_rows = {j: frozenset(i for i, jj in fixture.support if jj == j) for j in range(k)}
-    best = None
-    for s in _subsets(n):
-        for t in _subsets(k):
-            if (len(s) == 0 and len(t) == 0) or (len(s) == n and len(t) == k):
-                continue
-            if any(not sec_rows[j] <= s for j in t):
-                continue  # sections of t must land inside s
-            slack = c1 * len(s) + c2 * len(t) - _deg(deg, s)
-            best = _fin(best, slack, ("pair", tuple(sorted(s)), tuple(sorted(t))))
-    return _verdict_from(best)
-
-
-def twisted_triple_stable(fixture: CurveFixture, c1=None, c2=None) -> FixtureVerdict:
-    """Twisted-triple stability over pairs of summand subsheaves with the
-    map-compatibility filter, under the global sum rule."""
-    if fixture.kind != "twisted_triple":
-        raise ValueError("fixture kind must be twisted_triple")
-    c1 = _frac(c1 if c1 is not None else fixture.c[0])
-    c2 = _frac(c2 if c2 is not None else fixture.c[1])
-    deg1, deg2 = fixture.degrees[0], fixture.degrees[1]
-    n1, n2 = len(deg1), len(deg2)
-    rule = c1 * n1 + c2 * n2 - sum(deg1) - sum(deg2)
-    if rule != 0:
-        return FixtureVerdict(stable=False, slack=None, unsolvable=True,
-                              note=f"sum rule n1 c1 + n2 c2 - deg = {rule} != 0")
-    best = None
-    for s1 in _subsets(n1):
-        for s2 in _subsets(n2):
-            if len(s1) == 0 and len(s2) == 0:
-                continue
-            if len(s1) == n1 and len(s2) == n2:
-                continue
-            ok = all(not (j in s2) or (i in s1) for (i, j, *_rest) in fixture.support)
-            if not ok:
-                continue
-            slack = c1 * len(s1) + c2 * len(s2) - _deg(deg1, s1) - _deg(deg2, s2)
-            best = _fin(best, slack,
-                        ("pair", tuple(sorted(s1)), tuple(sorted(s2))))
-    return _verdict_from(best)
-
-
-def higgs_stable(fixture: CurveFixture) -> FixtureVerdict:
-    """Slope condition over endomorphism-invariant summand subsheaves; the
-    central scalar is pinned to the slope of the bundle."""
-    if fixture.kind != "higgs":
-        raise ValueError("fixture kind must be higgs")
-    deg = fixture.degrees[0]
-    m = len(deg)
-    mu = Fraction(sum(deg), m)
-    cm = fixture.c[0]
-    if cm != mu:
-        return FixtureVerdict(stable=False, slack=None, unsolvable=True,
-                              note=f"cm != slope: obstruction {mu - cm}")
-    # support pairs (a, b): component mapping summand b into summand a
-    best = None
-    for s in _subsets(m):
-        if len(s) == 0 or len(s) == m:
-            continue
-        invariant = all(not (b in s) or (a in s) for (a, b, *_rest) in fixture.support)
-        if not invariant:
-            continue
-        slack = mu * len(s) - _deg(deg, s)  # mu(E') < mu(E)
-        best = _fin(best, slack, ("invariant", tuple(sorted(s))))
-    return _verdict_from(best, vacuous_note="no invariant proper summand subsheaf")
+# the verdict engine
 
 
 def verdict(fixture: CurveFixture) -> FixtureVerdict:
-    return {
-        "pair_tensor": pair_stable,
-        "triple_fixed_E2": triple_stable,
-        "coherent_system": coherent_system_stable,
-        "twisted_triple": twisted_triple_stable,
-        "higgs": higgs_stable,
-    }[fixture.kind](fixture)
+    """Exact verdict: the kind's trace constraint, then the least weight of
+    the two-eigenvalue generators of every single-step joint chain
+    S < everything, S running over the summand subsets of the gauge factors.
+
+    The minimising generator names the witness: the summands its lowering
+    (or raising) step keeps at the lower weight."""
+    entry = KINDS[fixture.kind]
+    if entry.constraint:
+        _, sign, note = entry.constraint
+        slack = sign * sum(sum(fixture.degrees[f]) - fixture.c[f] * len(fixture.degrees[f])
+                           for f in entry.gauge)
+        if slack != 0:
+            return FixtureVerdict(stable=False, slack=None, unsolvable=True, note=note.format(
+                slack=slack, per_rank=slack / len(fixture.degrees[0])))
+    everything = {f: frozenset(range(len(fixture.degrees[f]))) for f in entry.gauge}
+    best = None
+    for parts in itertools.product(*(_subsets(len(fixture.degrees[f])) for f in entry.gauge)):
+        step = dict(zip(entry.gauge, parts))
+        chain = [step, everything] if step != everything else [everything]
+        for alpha, w in chain_generators(fixture, chain):
+            if best is None or w < best[0]:
+                low = -1 if alpha[0] < 0 else 0
+                sub = [s for s, a in zip(chain, alpha) if a == low]
+                best = (w, (entry.witness_labels[low + 1],) + tuple(
+                    tuple(sorted(sub[-1][f])) if sub else () for f in entry.gauge))
+    if best is None:
+        return FixtureVerdict(stable=True, slack=None, note=entry.vacuous_note)
+    slack, witness = best
+    return FixtureVerdict(stable=bool(slack > 0), slack=slack, witness=witness,
+                          marginal=bool(slack == 0))
 
 
 # ---------------------------------------------------------------------------
-# generator cone vs full-cone reduction check
+# chain generators, and the generator-cone vs full-cone reduction check
 
 
-def _gauge_factors(kind):
-    return [0, 1] if kind in ("coherent_system", "twisted_triple") else [0]
+def induced_weight(kind, weights, index):
+    """Exact weight on the target summand ``index`` (a support index of
+    ``kind``) of the diagonal generator with summand weights ``weights[f]``
+    on each gauge factor f, read from the kind's slots."""
+    # signs by negation and the sum seeded with its first term: the
+    # reduction check calls this on Fractions, whose products are slow
+    terms = [weights[f][i] if sign > 0 else -weights[f][i]
+             for (f, sign), i in zip(KINDS[kind].positions, index) if f in weights]
+    return sum(terms[1:], terms[0])
 
 
-def _summand_eigenvalue(fixture, chain, alpha, multi_idx):
-    """Induced eigenvalue of the chain element on one target summand."""
-    kind = fixture.kind
-
-    def step_of(f, i):
-        for k, step in enumerate(chain):
-            if i in step[f]:
-                return k
-        raise ValueError("chain does not exhaust the summands")
-
-    if kind in ("pair_tensor", "triple_fixed_E2"):
-        return alpha[step_of(0, multi_idx[0])]
-    if kind in ("coherent_system", "twisted_triple"):
-        return alpha[step_of(0, multi_idx[0])] - alpha[step_of(1, multi_idx[1])]
-    # higgs: endomorphism component (a, b) maps summand b into summand a
-    return alpha[step_of(0, multi_idx[0])] - alpha[step_of(0, multi_idx[1])]
-
-
-def _target_summands(fixture):
-    kind = fixture.kind
-    n0 = len(fixture.degrees[0])
-    if kind in ("pair_tensor", "triple_fixed_E2"):
-        return [(i,) for i in range(n0)]
-    if kind in ("coherent_system", "twisted_triple"):
-        n1 = len(fixture.degrees[1])
-        return [(i, j) for i in range(n0) for j in range(n1)]
-    return [(a, b) for a in range(n0) for b in range(n0)]
+def _chain_weights(fixture, chain, alpha):
+    """Summand weights per gauge factor: alpha of the first step holding it."""
+    return {f: [next(a for a, step in zip(alpha, chain) if i in step[f])
+                for i in range(len(fixture.degrees[f]))] for f in chain[0]}
 
 
 def _acts_trivially(fixture, chain, alpha):
-    return all(
-        _summand_eigenvalue(fixture, chain, alpha, s) == 0
-        for s in _target_summands(fixture)
-    )
+    weights = _chain_weights(fixture, chain, alpha)
+    rows = [range(len(fixture.degrees[f])) for f, _ in KINDS[fixture.kind].positions]
+    return all(induced_weight(fixture.kind, weights, s) == 0 for s in itertools.product(*rows))
 
 
 def _filtration_weight(fixture, chain, alpha):
     """Full-formula total weight of a joint chain with weights alpha:
     sum_k alpha_k (deg gr_k - sum_f c_f rk_f(gr_k)); None (+infinity)
     unless every supported summand has non-positive induced eigenvalue."""
-    alpha = [_frac(a) for a in alpha]
-    factors = _gauge_factors(fixture.kind)
-    for s in fixture.support:
-        if _summand_eigenvalue(fixture, chain, alpha, s) > 0:
-            return None
+    weights = _chain_weights(fixture, chain, alpha)
+    if any(induced_weight(fixture.kind, weights, s) > 0 for s in fixture.support):
+        return None
     total = Fraction(0)
-    prev = {f: frozenset() for f in factors}
-    for k, step in enumerate(chain):
-        for f in factors:
+    prev = {f: frozenset() for f in chain[0]}
+    for a, step in zip(alpha, chain):
+        for f in step:
             gr = set(step[f]) - set(prev[f])
             d = sum(fixture.degrees[f][i] for i in gr)
-            total += alpha[k] * (Fraction(d) - fixture.c[f] * len(gr))
+            total += _frac(a) * (Fraction(d) - fixture.c[f] * len(gr))
             prev[f] = step[f]
     return total
 
@@ -374,7 +299,7 @@ def _filtration_weight(fixture, chain, alpha):
 def random_joint_chain(fixture, rng, max_len=3):
     """Random increasing chain of per-factor summand subsets whose last
     step is everything."""
-    factors = _gauge_factors(fixture.kind)
+    factors = KINDS[fixture.kind].gauge
     r = int(rng.integers(1, max_len + 1))
     cuts = {}
     for f in factors:
@@ -398,9 +323,9 @@ def chain_generators(fixture, chain):
     r = len(chain)
     gens = []
     for i in range(1, r + 1):
-        gens.append([Fraction(-1)] * i + [Fraction(0)] * (r - i))
+        gens.append([-1] * i + [0] * (r - i))
     for j in range(1, r + 1):
-        gens.append([Fraction(0)] * (j - 1) + [Fraction(1)] * (r - j + 1))
+        gens.append([0] * (j - 1) + [1] * (r - j + 1))
     out = []
     for a in gens:
         if _acts_trivially(fixture, chain, a):

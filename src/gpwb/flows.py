@@ -1,5 +1,5 @@
 """Metric heat flow and Newton oracle for the lattice vortex equations,
-plus assembly of the five example classes.
+plus assembly of the example classes of ``fixtures.KINDS``.
 
 The flow works in the metric picture: holomorphic links and section are
 fixed, and per-site Hermitian exponents u evolve by
@@ -35,9 +35,8 @@ from .lattice import (
     mu_factor_field,
     pointwise_residual,
     section_transport,
-    trivial_bundle,
 )
-from .reps import ADJOINT, DUAL, STANDARD, RepSpec, Slot, summand_weights
+from .reps import ADJOINT, STANDARD, RepSpec, Slot, summand_weights
 
 
 @dataclass
@@ -110,9 +109,20 @@ def unfrozen_degrees(state: LatticePairState, frames=None):
     return out
 
 
+def _constraint_slack(state: LatticePairState, sign):
+    """sign * (deg - sum_f c_f rk_f) over the gauge-varying factors, in
+    physical units (degree 2 pi per Chern unit)."""
+    gauge = [i for i, f in enumerate(state.factors) if f.mode != FROZEN]
+    terms = [state.setting.central_scalars[i] * state.spec.factor_dims[i] for i in gauge]
+    deg = sum(sum(state.factors[i].bundle.summand_degrees) for i in gauge) * TWO_PI
+    # the two signs keep the summation order of the reported diagnostics
+    return deg - terms[0] - sum(terms[1:]) if sign > 0 else sum(terms) - deg
+
+
 def constraint_diagnostics(state: LatticePairState, blocks=None):
-    """Example-class diagnostics: integrated trace identities and the
-    per-equation norms for constant-mode factors."""
+    """Example-class diagnostics: integrated trace identities, the kind's
+    trace constraint, the per-equation norms when a factor is in constant
+    mode, and the trace of the moment map of an adjoint factor."""
     diag = {}
     if blocks is None:
         blocks, _, _ = pointwise_residual(state)
@@ -123,34 +133,19 @@ def constraint_diagnostics(state: LatticePairState, blocks=None):
         else:
             trace_sum += float(np.mean(np.trace(_herm(1j * r), axis1=2, axis2=3).real))
     diag["integrated_trace"] = trace_sum
-    if state.kind == "coherent_system":
-        i_full = [i for i, f in enumerate(state.factors) if f.mode == FULL][0]
-        i_const = [i for i, f in enumerate(state.factors) if f.mode == CONSTANT][0]
+    modes = [f.mode for f in state.factors]
+    if CONSTANT in modes:
+        i_full, i_const = modes.index(FULL), modes.index(CONSTANT)
         diag["eq_bundle_residual"] = float(
             np.sqrt(np.mean(np.sum(np.abs(_herm(1j * blocks[i_full])) ** 2, axis=(2, 3))))
         )
         diag["eq_sections_residual"] = float(np.linalg.norm(_herm(1j * blocks[i_const][0, 0])))
-        n = state.spec.factor_dims[i_full]
-        k = state.spec.factor_dims[i_const]
-        c1 = state.setting.central_scalars[i_full]
-        c2 = state.setting.central_scalars[i_const]
-        deg = sum(state.factors[i_full].bundle.summand_degrees) * TWO_PI
-        diag["constraint_slack"] = deg - c1 * n - c2 * k
-    if state.kind == "twisted_triple":
-        n1, n2 = state.spec.factor_dims[0], state.spec.factor_dims[1]
-        c1, c2 = state.setting.central_scalars[0], state.setting.central_scalars[1]
-        degs = sum(state.factors[0].bundle.summand_degrees) + sum(
-            state.factors[1].bundle.summand_degrees
-        )
-        diag["sum_rule_slack"] = n1 * c1 + n2 * c2 - degs * TWO_PI
-    if state.kind == "higgs":
-        i_full = 0
-        m = state.spec.factor_dims[0]
-        cm = state.setting.central_scalars[0]
-        deg = sum(state.factors[0].bundle.summand_degrees) * TWO_PI
-        diag["trace_obstruction"] = deg - m * cm
-        psi = state.metric_frame_section()
-        mu = mu_factor_field(psi, state.rep, 0)
+    entry = KINDS.get(state.kind)
+    if entry is not None and entry.constraint:
+        diag[entry.constraint[0]] = _constraint_slack(state, entry.constraint[1])
+    adjoint = [sl.factor for sl in state.rep.slots if sl.action == ADJOINT]
+    if adjoint:
+        mu = mu_factor_field(state.metric_frame_section(), state.rep, adjoint[0])
         diag["interaction_trace_sup"] = float(
             np.max(np.abs(np.trace(mu, axis1=2, axis2=3)))
         )
@@ -397,140 +392,67 @@ def build_section(rep: RepSpec, bundles, support, rng, order=DEFAULT_STENCIL,
 
 
 def assemble_example(kind: str, params: dict, lattice_n=16, seed=0) -> LatticePairState:
-    """Build a LatticePairState for one of the five example classes.
+    """Build a LatticePairState for one example class of ``fixtures.KINDS``.
+
+    Each degree row and central scalar is read from the parameter the
+    kind's entry names for it: a frozen factor defaults to the trivial
+    line, a constant-mode factor's parameter is its rank, and a missing
+    central scalar is the slope of its factor.  ``support`` lists support
+    indices of the kind (default: the summands of non-negative degree, or
+    none where the kind says so); ``theta`` instead gives a constant
+    section, one value per coordinate of V.
 
     Central parameters are in the same units as ``lattice_degree`` (a
     Chern-number-d line bundle has degree 2*pi*d).  Inconsistent constraint
     parameters attach a warning entry in ``state.params`` instead of
     failing: the violating configuration is itself a useful fixture.
     """
-    if kind not in KINDS:
+    entry = KINDS.get(kind)
+    if entry is None:
         raise ValueError(f"unknown example kind {kind!r}")
     rng = np.random.default_rng(seed)
     lat = build_torus(lattice_n)
     params = dict(params)
-    notes = {}
-
-    if kind in ("pair_tensor", "triple_fixed_E2"):
-        deg1 = list(params["deg1"])
-        deg2 = list(params.get("deg2", [0]))
-        c = float(params["c"])
-        n1, n2 = len(deg1), len(deg2)
-        spec = ProductGroupSpec((n1, n2))
-        action2 = STANDARD if kind == "pair_tensor" else DUAL
-        rep = RepSpec(spec, (Slot(n1, STANDARD, 0), Slot(n2, action2, 1)))
-        setting = SubgroupSetting(spec, (FULL, FROZEN), (c, 0.0))
-        b1 = direct_sum_bundle(lat, deg1)
-        b2 = direct_sum_bundle(lat, deg2)
-        factors = [FactorState(b1, FULL), FactorState(b2, FROZEN)]
-        support = params.get("support")
-        if support is None:
-            sign = 1 if kind == "pair_tensor" else -1
-            support = [
-                (i, j)
-                for i in range(n1)
-                for j in range(n2)
-                if deg1[i] + sign * deg2[j] >= 0
-            ]
-        phi, res = build_section(rep, [b1, b2], support, rng,
-                                 section_index=params.get("section_index"),
-                                 scale=params.get("scale", 1.0))
-        return LatticePairState(lat, spec, rep, setting, factors, phi,
-                                construction_residual=res, kind=kind, params=params)
-
-    if kind == "coherent_system":
-        deg = list(params["deg"])
-        k = int(params["k"])
-        c1, c2 = float(params["c1"]), float(params["c2"])
-        n = len(deg)
-        spec = ProductGroupSpec((n, k))
-        rep = RepSpec(spec, (Slot(n, STANDARD, 0), Slot(k, DUAL, 1)))
-        setting = SubgroupSetting(spec, (FULL, CONSTANT), (c1, c2))
-        b1 = direct_sum_bundle(lat, deg)
-        b2 = trivial_bundle(lat, k)
-        factors = [FactorState(b1, FULL), FactorState(b2, CONSTANT)]
-        slack = TWO_PI * sum(deg) - c1 * n - c2 * k
-        if abs(slack) > 1e-12:
-            notes["constraint_warning"] = (
-                f"deg(E) - c1 rk - c2 k = {slack:.3e}: no exact solutions exist"
-            )
-        support = params.get("support")
-        if support is None:
-            support = [(i, j) for i in range(n) for j in range(k) if deg[i] >= 0]
-        phi, res = build_section(rep, [b1, b2], support, rng,
-                                 section_index=params.get("section_index"),
-                                 scale=params.get("scale", 1.0))
-        st = LatticePairState(lat, spec, rep, setting, factors, phi,
-                              construction_residual=res, kind=kind, params=params)
-        st.params.update(notes)
-        return st
-
-    if kind == "twisted_triple":
-        deg1, deg2 = list(params["deg1"]), list(params["deg2"])
-        deg3 = list(params.get("deg3", [0]))
-        c1, c2 = float(params["c1"]), float(params["c2"])
-        n1, n2, n3 = len(deg1), len(deg2), len(deg3)
-        spec = ProductGroupSpec((n1, n2, n3))
-        rep = RepSpec(spec, (Slot(n1, STANDARD, 0), Slot(n2, DUAL, 1), Slot(n3, DUAL, 2)))
-        setting = SubgroupSetting(spec, (FULL, FULL, FROZEN), (c1, c2, 0.0))
-        b1, b2, b3 = (direct_sum_bundle(lat, d) for d in (deg1, deg2, deg3))
-        factors = [FactorState(b1, FULL), FactorState(b2, FULL), FactorState(b3, FROZEN)]
-        slack = n1 * c1 + n2 * c2 - TWO_PI * (sum(deg1) + sum(deg2))
-        if abs(slack) > 1e-12:
-            notes["constraint_warning"] = f"n1 c1 + n2 c2 - deg = {slack:.3e}"
-        support = params.get("support")
-        if support is None:
-            support = [
-                (i, j, l)
-                for i in range(n1)
-                for j in range(n2)
-                for l in range(n3)
-                if deg1[i] - deg2[j] - deg3[l] >= 0
-            ]
-        phi, res = build_section(rep, [b1, b2, b3], support, rng,
-                                 section_index=params.get("section_index"),
-                                 scale=params.get("scale", 1.0))
-        st = LatticePairState(lat, spec, rep, setting, factors, phi,
-                              construction_residual=res, kind=kind, params=params)
-        st.params.update(notes)
-        return st
-
-    # higgs
-    deg = list(params["deg"])
-    m = len(deg)
-    cm = params.get("cm")
-    if cm is None:
-        cm = TWO_PI * sum(deg) / m
-    cm = float(cm)
-    spec = ProductGroupSpec((m, 1))
-    rep = RepSpec(spec, (Slot(m * m, ADJOINT, 0), Slot(1, STANDARD, 1)))
-    setting = SubgroupSetting(spec, (FULL, FROZEN), (cm, 0.0))
-    b1 = direct_sum_bundle(lat, deg)
-    b2 = trivial_bundle(lat, 1)  # cotangent line of the flat torus
-    factors = [FactorState(b1, FULL), FactorState(b2, FROZEN)]
+    rows, scalars = [], []
+    for mode, dname, cname in zip(entry.factor_modes, entry.degree_params, entry.scalar_params):
+        row = params.get(dname, [0]) if mode == FROZEN else params[dname]
+        rows.append([0] * int(row) if mode == CONSTANT else list(row))
+        c = params.get(cname)
+        scalars.append(0.0 if mode == FROZEN else
+                       float(TWO_PI * sum(rows[-1]) / len(rows[-1]) if c is None else c))
+    spec = ProductGroupSpec(tuple(len(r) for r in rows))
+    rep = RepSpec(spec, tuple(Slot(len(rows[f]) ** (2 if action == ADJOINT else 1), action, f)
+                              for action, f in entry.slots))
+    setting = SubgroupSetting(spec, entry.factor_modes, tuple(scalars))
+    bundles = [direct_sum_bundle(lat, r) for r in rows]
+    factors = [FactorState(b, m) for b, m in zip(bundles, entry.factor_modes)]
+    weights = summand_weights([b.summand_degrees for b in bundles], rep)
     theta = params.get("theta")
     if theta is not None:
-        theta = np.asarray(theta, dtype=complex)
-        if not all(d == 0 for d in deg):
-            for a in range(m):
-                for bq in range(m):
-                    if theta[a, bq] != 0 and deg[a] - deg[bq] < 0:
-                        raise ValueError(
-                            f"constant endomorphism component {(a, bq)} needs "
-                            f"non-negative degree, got {deg[a] - deg[bq]}"
-                        )
+        theta = np.asarray(theta, dtype=complex).reshape(rep.shape)
+        bad = np.argwhere((theta != 0) & (weights < 0))
+        if len(bad):
+            idx = tuple(int(i) for i in bad[0])
+            raise ValueError(f"constant section component {idx} needs non-negative "
+                             f"degree, got {int(round(weights[idx]))}")
         phi = np.zeros((lat.n, lat.n, rep.dim), complex)
         phi[:, :, :] = theta.reshape(-1)
         res = 0.0
     else:
-        support = params.get("support", [])
-        phi, res = build_section(rep, [b1, b2],
-                                 [(a * m + bq, 0) for a, bq in support], rng,
+        support = params.get("support")
+        if support is None:
+            support = np.argwhere(weights >= 0).tolist() if entry.default_support else []
+        else:
+            support = [entry.slot_index(s, spec.factor_dims) for s in support]
+        phi, res = build_section(rep, bundles, support, rng,
                                  section_index=params.get("section_index"),
                                  scale=params.get("scale", 1.0))
     st = LatticePairState(lat, spec, rep, setting, factors, phi,
-                          construction_residual=res, kind="higgs", params=params)
-    mu_e = TWO_PI * sum(deg) / m
-    if abs(cm - mu_e) > 1e-12:
-        st.params["constraint_warning"] = f"cm - slope = {cm - mu_e:.3e}: no solutions"
+                          construction_residual=res, kind=kind, params=params)
+    if entry.constraint:
+        _, sign, note = entry.constraint
+        slack = _constraint_slack(st, sign)
+        if abs(slack) > 1e-12:
+            st.params["constraint_warning"] = note.format(
+                slack=f"{slack:.3e}", per_rank=f"{slack / len(rows[0]):.3e}") + ": no solutions"
     return st

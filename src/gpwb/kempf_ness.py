@@ -268,10 +268,14 @@ def stability_test(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSet
     generators, evaluates the total weight of every generator, and returns
     the minimal-slack verdict.  Degree data is injected per chain step by
     a callable ``degrees(chain)`` when the fixture carries curve degrees;
-    by default all degrees are zero.
+    by default all degrees are zero.  Chains run over one factor only, so
+    ``factor`` may be left out only when a single factor is unfrozen.
     """
     if factor is None:
         nf = [i for i, m in enumerate(setting.modes) if m != FROZEN]
+        if len(nf) > 1:
+            raise ValueError(f"factors {nf} are unfrozen: stability_test examines the "
+                             f"chains of one factor, so name it with factor=")
         factor = nf[0]
     n = spec.factor_dims[factor]
     if subspace_lattice is None:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fixtures import CurveFixture, pair_stable, ssc_reduction_equiv
+from .fixtures import CurveFixture, ssc_reduction_equiv, verdict
 from .flows import assemble_example, constraint_diagnostics
 from .groups import (
     ProductGroupSpec,
@@ -161,7 +161,7 @@ def check_fixture_permutation(rng):
         perm = list(rng.permutation(3))
         f2 = CurveFixture("pair_tensor", (tuple(degs[p] for p in perm), (0,)),
                           tuple((perm.index(i), 0) for i in rows), (c, 0))
-        v1, v2 = pair_stable(f1), pair_stable(f2)
+        v1, v2 = verdict(f1), verdict(f2)
         worst_ok = worst_ok and (v1.stable, v1.slack) == (v2.stable, v2.slack)
     return worst_ok, "verdicts invariant under summand permutation"
 

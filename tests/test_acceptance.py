@@ -12,8 +12,6 @@ from gpwb.cli import run as cli_run
 from gpwb.fixtures import (
     CurveFixture,
     ssc_reduction_equiv,
-    triple_stable,
-    twisted_triple_stable,
     verdict,
 )
 from gpwb.flows import (
@@ -330,7 +328,7 @@ def test_criterion_07_twisted_triples():
                           tuple((int(i), 0, 0) for i in rows), (c1, c2, 0))
         tr = CurveFixture("triple_fixed_E2", (tuple(deg1), (d2,)),
                           tuple((int(i), 0) for i in rows), (c1, 0))
-        assert twisted_triple_stable(tw).stable == triple_stable(tr).stable
+        assert verdict(tw).stable == verdict(tr).stable
     dt = time.time() - t0
     assert dt < 60.0
     report(7, "twisted triples", f"(sum rule x5, reduction x100, {dt:.1f}s)")

@@ -294,11 +294,11 @@ def test_twisted_flow_converges():
 def test_rank2_flow_matches_rational_verdict():
     """Non-abelian metric flow agrees with the exact summand-lattice verdict
     on decomposable rank-2 pairs, both directions."""
-    from gpwb.fixtures import CurveFixture, pair_stable
+    from gpwb.fixtures import CurveFixture, verdict
 
     for c_norm, expect in ((1.5, True), (0.8, False)):
         fx = CurveFixture("pair_tensor", ((1, 0), (0,)), ((0, 0), (1, 0)), (c_norm, 0))
-        assert pair_stable(fx).stable == expect
+        assert verdict(fx).stable == expect
         st = assemble_example("pair_tensor",
                               {"deg1": [1, 0], "deg2": [0], "c": c_norm * TWO_PI},
                               lattice_n=8, seed=3)
@@ -320,14 +320,14 @@ def test_flow_unique_solution_from_different_starts(rng):
 def test_correspondence_sweep_rank1_pairs():
     """Certified-stable fixtures converge, certified-unstable diverge, over
     a small sweep of degrees and levels (marginal cases excluded)."""
-    from gpwb.fixtures import CurveFixture, pair_stable
+    from gpwb.fixtures import CurveFixture, verdict
 
     for d in (0, 1, 2):
         for c_norm in (d - 0.5, d + 0.4, d + 1.5):
             fx = CurveFixture("pair_tensor", ((d,), (0,)),
                               ((0, 0),),
                               (round(c_norm, 3), 0))
-            v = pair_stable(fx)
+            v = verdict(fx)
             if v.marginal:
                 continue
             st = assemble_example("pair_tensor",

@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,3 +180,32 @@ def test_report_is_deterministic_text(tmp_path):
     write_report(p2, json.loads(json.dumps(payload)))
     assert p1.read_bytes() == p2.read_bytes()
     assert b"\r" not in p1.read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "data" / "reports"
+
+
+def _float_text(v):
+    try:
+        float(v)
+    except ValueError:
+        return False
+    return any(ch in v for ch in ".en")  # ints and fractions compare as text
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
+def test_report_matches_golden(tmp_path, name):
+    """Reports of the example modes (default fixtures, and two rank-2
+    fixtures at section seed 1) against reports kept in tests/data:
+    non-float lines exactly, floats to 1e-9 relative."""
+    cfg = json.loads((GOLDEN / name / "config.json").read_text())
+    run(cfg, out_dir=str(tmp_path), seed=5)
+    got = (tmp_path / "report.txt").read_text().splitlines()
+    want = (GOLDEN / name / "report.txt").read_text().splitlines()
+    assert [g.split(" = ")[0] for g in got] == [w.split(" = ")[0] for w in want]
+    for g, w in zip(got, want):
+        gv, wv = g.split(" = ", 1)[1], w.split(" = ", 1)[1]
+        if _float_text(wv) and _float_text(gv):
+            assert math.isclose(float(gv), float(wv), rel_tol=1e-9, abs_tol=1e-12), (g, w)
+        else:
+            assert g == w

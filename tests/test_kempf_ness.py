@@ -222,6 +222,17 @@ def test_stability_zero_vector_not_stable():
     assert v.marginal
 
 
+def test_stability_needs_the_factor_when_two_are_unfrozen(rng):
+    # chains run over one factor; with two gauge-varying factors the other
+    # half of the filtrations would go unexamined
+    spec, rep = u2_tensor(2)
+    x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    setting = SubgroupSetting(spec, ("full", "full"), (0.7, -0.7))
+    with pytest.raises(ValueError, match="factor="):
+        stability_test(x, rep, spec, setting)
+    assert stability_test(x, rep, spec, setting, factor=0).slack is not None
+
+
 def brute_force_verdict(x, rep, spec, setting, rng, n_grid=7, n_rand=40):
     """Dense alpha-grid over chains built from coordinate and random
     subspaces; direct total-weight evaluation."""
