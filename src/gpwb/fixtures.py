@@ -147,6 +147,10 @@ class CurveFixture:
         if any(any(degs[f]) for f, m in enumerate(entry.factor_modes) if m == CONSTANT):
             raise ValueError(f"a constant-mode factor of a {self.kind} fixture is trivial: "
                              f"its degrees must be 0")
+        for f, name in enumerate(entry.degree_params):
+            if name is None and degs[f] != (0,):
+                raise ValueError(f"factor {f} of a {self.kind} fixture is the trivial line: "
+                                 f"its degrees must be [0], got {list(degs[f])}")
         cs = tuple(_frac(x) for x in self.c)
         object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "support", sup)

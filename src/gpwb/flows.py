@@ -169,7 +169,7 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
     """
     opts = opts or FlowOpts()
     work = state.copy()
-    # the raw links never change during the flow: invert them once
+    # the raw links never change during the flow: check and invert them once
     frames = {i: link_frame(f.bundle.links) for i, f in enumerate(work.factors)
               if f.mode == FULL}
     deg_before = unfrozen_degrees(work, frames)

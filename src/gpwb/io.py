@@ -12,7 +12,8 @@ import json
 import numpy as np
 
 from .groups import ProductGroupSpec, SubgroupSetting
-from .lattice import FactorState, LatticeBundle, LatticePairState, TorusLattice
+from .lattice import (FactorState, LatticeBundle, LatticePairState, TorusLattice,
+                      require_unitary)
 from .reps import RepSpec, Slot
 
 SNAPSHOT_HEADER = "GPWB1"
@@ -46,6 +47,9 @@ def save_state(path, state: LatticePairState):
 
 
 def load_state(path) -> LatticePairState:
+    """Read a GPWB1 snapshot; ``ValueError`` on another header or on link
+    fields that are not unitary (the lattice inverts links by their
+    adjoint)."""
     with np.load(path, allow_pickle=True) as z:
         header = str(z["header"])
         if header != SNAPSHOT_HEADER:
@@ -58,6 +62,7 @@ def load_state(path) -> LatticePairState:
         dims = []
         for i in range(nf):
             links = z[f"links_{i}"]
+            require_unitary(links, f"snapshot links_{i}")
             degs = tuple(int(d) for d in z[f"degrees_{i}"])
             rank = links.shape[-1]
             dims.append(rank)

@@ -7,6 +7,8 @@ Conventions fixed here and relied on everywhere else:
   hops s -> s+1, axis 1 hops t -> t+1.
 * ``U[mu][s, t]`` transports fiber(x) -> fiber(x + mu_hat); covariant
   forward difference is U^-1 s(x + mu_hat) - s(x).
+* links are unitary, and their inverse is taken as their adjoint
+  (``require_unitary`` checks a link field once per flow and on loading).
 * plaquette P(x) = U1(x)^-1 U0(x+t)^-1 U1(x+s) U0(x); the Hermitian
   curvature block is i N^2 log P(x), and the constant-curvature bundle
   with d holomorphic sections has i*Lambda F = +2 pi d.
@@ -80,11 +82,28 @@ class LatticeBundle:
         return LatticeBundle(self.lattice, self.rank, self.links.copy(), self.summand_degrees)
 
 
+# largest entry of U Uᴴ - I accepted of a link field; the links are
+# inverted by their adjoint, so a larger defect would be a wrong inverse
+UNITARY_TOL = 1e-10
+
+
+def require_unitary(links: np.ndarray, what="links"):
+    """Raise ``ValueError`` unless every matrix of the stack is unitary to
+    ``UNITARY_TOL`` (max |U Uᴴ - I|)."""
+    eye = np.eye(links.shape[-1])
+    defect = float(np.max(np.abs(links @ np.swapaxes(links, -1, -2).conj() - eye)))
+    if not defect <= UNITARY_TOL:
+        raise ValueError(f"{what} are not unitary: max |U Uᴴ - I| = {defect:.3e} "
+                         f"> {UNITARY_TOL:g}")
+
+
 def link_frame(links: np.ndarray):
     """The raw-link data every metric correction reuses: (the links, their
     inverses, the links shifted back one site along their own axis, and the
-    inverses of those), each of shape (2, N, N, r, r)."""
-    inv = np.linalg.inv(links)
+    inverses of those), each of shape (2, N, N, r, r).  The links must be
+    unitary (``require_unitary``); their inverses are their adjoints."""
+    require_unitary(links)
+    inv = np.swapaxes(links, -1, -2).conj()
     back = np.stack([np.roll(links[mu], 1, axis=mu) for mu in (0, 1)])
     back_inv = np.stack([np.roll(inv[mu], 1, axis=mu) for mu in (0, 1)])
     return links, inv, back, back_inv
@@ -131,7 +150,7 @@ def direct_sum_bundle(lat: TorusLattice, degrees) -> LatticeBundle:
 
 def plaquette_field(links: np.ndarray) -> np.ndarray:
     """P(x) = U1(x)^-1 U0(x+t)^-1 U1(x+s) U0(x), shape (N, N, r, r)."""
-    inv = np.linalg.inv(links)  # both directions in one call
+    inv = np.swapaxes(links, -1, -2).conj()  # unitary links: inverse = adjoint
     return inv[1] @ np.roll(inv[0], -1, axis=1) @ np.roll(links[1], -1, axis=0) @ links[0]
 
 
@@ -393,11 +412,11 @@ class LatticePairState:
             if f.mode == FROZEN:
                 continue
             uu = self.u[i]
-            if f.mode == CONSTANT:
-                ev = np.linalg.eigvalsh(0.5 * (uu + uu.conj().T))
-                worst = max(worst, 2.0 * float(np.max(np.abs(ev))) if ev.size else 0.0)
+            if uu.shape[-1] == 1:
+                ev = uu.real  # the eigenvalue of the Hermitian part of a 1 x 1 block
             else:
                 ev = np.linalg.eigvalsh(0.5 * (uu + np.swapaxes(uu, -1, -2).conj()))
+            if ev.size:
                 worst = max(worst, 2.0 * float(np.max(np.abs(ev))))
         return worst
 
@@ -410,18 +429,19 @@ def corrected_links(links: np.ndarray, u: np.ndarray, frame=None) -> np.ndarray:
     The induced change of i N^2 log P is, to first order where the
     plaquettes are trivial, the operator ``curvature_response_matrix(lat,
     links)`` (exactly, for abelian factors).  ``frame`` is the
-    ``link_frame`` of ``links``, when the caller keeps one.
+    ``link_frame`` of ``links``, when the caller keeps one; at rank 1 the
+    transports cancel (G^-1 u G = u) and neither is needed.
     """
-    _, inv, back, back_inv = link_frame(links) if frame is None else frame
-
-    # transported neighbour values of u along direction nu
-    def transported_diff(nu):
-        up = inv[nu] @ np.roll(u, -1, axis=nu) @ links[nu]
-        um = back[nu] @ np.roll(u, 1, axis=nu) @ back_inv[nu]
-        return 0.5 * (up - um)
+    if links.shape[-1] == 1:
+        diff = [0.5 * (np.roll(u, -1, axis=nu) - np.roll(u, 1, axis=nu)) for nu in (0, 1)]
+    else:
+        _, inv, back, back_inv = link_frame(links) if frame is None else frame
+        # neighbour values of u along direction nu, transported to the base site
+        diff = [0.5 * (inv[nu] @ np.roll(u, -1, axis=nu) @ links[nu]
+                       - back[nu] @ np.roll(u, 1, axis=nu) @ back_inv[nu]) for nu in (0, 1)]
 
     # both directions through one exponential
-    return links @ _expm_herm(np.stack((-1j * transported_diff(1), 1j * transported_diff(0))))
+    return links @ _expm_herm(np.stack((-1j * diff[1], 1j * diff[0])))
 
 
 def _expm_herm(a):

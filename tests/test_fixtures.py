@@ -591,6 +591,14 @@ def test_constant_factor_degrees_must_be_zero():
         CurveFixture("coherent_system", ((1,), (1,)), (), (1, 0))
 
 
+@pytest.mark.parametrize("row", [(1, 2), (1,), (0, 0)])
+def test_rows_without_an_assembly_parameter_are_the_trivial_line(row):
+    # the higgs cotangent line is always assembled as the trivial line (0,)
+    with pytest.raises(ValueError, match="trivial line"):
+        CurveFixture("higgs", ((0, 0), row), (), (0, 0))
+    assert CurveFixture("higgs", ((0, 0), (0,)), (), (0, 0)).degrees[1] == (0,)
+
+
 def test_inconsistent_verdicts_raise():
     with pytest.raises(ValueError):
         FixtureVerdict(stable=True, slack=Fraction(-1))

@@ -30,6 +30,17 @@ def test_snapshot_roundtrip(tmp_path):
     assert l2a == l2b
 
 
+def test_snapshot_rejects_non_unitary_links(tmp_path):
+    # the lattice inverts links by their adjoint, so a snapshot must hold unitaries
+    st = assemble_example("pair_tensor", {"deg1": [1], "deg2": [0], "c": 2 * TWO_PI},
+                          lattice_n=8, seed=3)
+    st.factors[0].bundle.links = 2 * st.factors[0].bundle.links
+    path = tmp_path / "state.npz"
+    save_state(path, st)
+    with pytest.raises(ValueError, match="not unitary"):
+        load_state(path)
+
+
 def test_snapshot_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.npz"
     np.savez(path, header=np.array("NOPE"))
@@ -145,8 +156,9 @@ def test_cli_exit_codes(tmp_path):
     {"mode": "pair", "fixture": {"degrees": [[1]], "support": [[0, 0]], "c": ["2", "0"]}},
     {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[0, 0]], "c": ["x"]}},
     {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[3, 0]], "c": ["2", "0"]}},
+    {"mode": "higgs", "fixture": {"degrees": [[0, 0], [1, 2]], "support": [], "c": ["0", "0"]}},
 ], ids=["negative_step", "small_lattice", "short_scan", "text_scan", "degree_arity",
-        "bad_c", "support_index"])
+        "bad_c", "support_index", "higgs_cotangent_row"])
 def test_config_value_errors_exit_2(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

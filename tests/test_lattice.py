@@ -405,6 +405,81 @@ def test_link_frame_matches_the_links(rng):
     assert np.allclose(back_inv @ back, np.eye(2), atol=1e-12)
 
 
+def _unitary_link_fields(rng):
+    """Rank-1 and rank-2 link fields, each also after a random unitary gauge."""
+    out = []
+    for bundle in (make_constant_curvature_line_bundle(LAT, 3), direct_sum_bundle(LAT, [2, -1])):
+        k = random_unitary_gauge(ProductGroupSpec((bundle.rank,)), LAT, rng)[0]
+        out += [bundle.links, _gauged_links(bundle.links, k)]
+    return out
+
+
+def test_adjoint_inverses_match_the_matrix_inverse(rng):
+    # plaquette_field and link_frame invert unitary links by their adjoint
+    for links in _unitary_link_fields(rng):
+        inv = np.linalg.inv(links)
+        ref = inv[1] @ np.roll(inv[0], -1, axis=1) @ np.roll(links[1], -1, axis=0) @ links[0]
+        assert np.max(np.abs(plaquette_field(links) - ref)) < 1e-13
+        _, frame_inv, _, back_inv = link_frame(links)
+        ref_back_inv = np.stack([np.roll(inv[mu], 1, axis=mu) for mu in (0, 1)])
+        assert np.max(np.abs(frame_inv - inv)) < 1e-13
+        assert np.max(np.abs(back_inv - ref_back_inv)) < 1e-13
+
+
+def test_link_frame_rejects_non_unitary_links(rng):
+    for links in _unitary_link_fields(rng):
+        bent = links.copy()
+        bent[1, 3, 5] *= 1.0 + 1e-8
+        with pytest.raises(ValueError, match="not unitary"):
+            link_frame(bent)
+        with pytest.raises(ValueError, match="not unitary"):
+            link_frame(2 * links)
+
+
+def _transported_corrected_links(links, u):
+    """Rank-1 ``corrected_links`` with the transports written out."""
+    inv = np.linalg.inv(links)
+
+    def transported_diff(nu):
+        back = np.roll(links[nu], 1, axis=nu)
+        back_inv = np.roll(inv[nu], 1, axis=nu)
+        up = inv[nu] @ np.roll(u, -1, axis=nu) @ links[nu]
+        um = back @ np.roll(u, 1, axis=nu) @ back_inv
+        return 0.5 * (up - um)
+
+    return links @ np.exp(np.stack((-1j * transported_diff(1), 1j * transported_diff(0))))
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("d", [1, 3])
+def test_rank1_corrected_links_match_the_transported_formula(n, d, rng):
+    lat = build_torus(n)
+    links = make_constant_curvature_line_bundle(lat, d).links
+    k = random_unitary_gauge(U1, lat, rng)[0]
+    u = (0.3 * rng.standard_normal((n, n, 1, 1))).astype(complex)
+    for lk in (links, _gauged_links(links, k)):
+        ref = _transported_corrected_links(lk, u)
+        assert np.max(np.abs(corrected_links(lk, u) - ref)) < 1e-14
+        assert np.max(np.abs(corrected_links(lk, u, link_frame(lk)) - ref)) < 1e-14
+
+
+def test_rank1_sup_log_metric_is_the_eigenvalue_reference(rng):
+    # a full and a constant-mode factor, both of rank 1
+    lat = build_torus(8)
+    spec = ProductGroupSpec((1, 1))
+    rep = RepSpec(spec, (Slot(1, STANDARD, 0), Slot(1, DUAL, 1)))
+    factors = [FactorState(make_constant_curvature_line_bundle(lat, 1), "full"),
+               FactorState(trivial_bundle(lat), "constant")]
+    state = LatticePairState(lat, spec, rep, SubgroupSetting(spec, ("full", "constant"), (0, 0)),
+                             factors, np.ones((8, 8, 1), complex))
+    state.u[0] = rng.standard_normal((8, 8, 1, 1)) + 1j * rng.standard_normal((8, 8, 1, 1))
+    for scale in (0.1, 10.0):
+        state.u[1] = scale * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
+        ref = max(2.0 * float(np.max(np.abs(np.linalg.eigvalsh(
+            0.5 * (uu + np.swapaxes(uu, -1, -2).conj()))))) for uu in state.u.values())
+        assert state.sup_log_metric() == ref
+
+
 # ---------------------------------------------------------------------------
 # the lattice path is the point path applied site by site
 
