@@ -184,41 +184,6 @@ def _subsets(n):
 
 
 # ---------------------------------------------------------------------------
-# weight bookkeeping (general evaluator used by the reduction check)
-
-
-def deg_alpha(weights, chain_data, c):
-    """alpha_r (deg V - c rk V) + sum_{k<r} (alpha_k - alpha_{k+1})
-    (deg V_k - c rk V_k); chain_data = [(deg, rk), ...] increasing."""
-    weights = [_frac(a) for a in weights]
-    c = _frac(c)
-    if any(b < a for a, b in zip(weights, weights[1:])) or len(weights) != len(chain_data):
-        raise ValueError("weights must be non-decreasing and match the chain")
-    dr = [(Fraction(int(d)), Fraction(int(r))) for d, r in chain_data]
-    out = weights[-1] * (dr[-1][0] - c * dr[-1][1])
-    for k in range(len(weights) - 1):
-        out += (weights[k] - weights[k + 1]) * (dr[k][0] - c * dr[k][1])
-    return out
-
-
-def p_indices(weights, chain_subsets, support_rows):
-    """(p_alpha, p_chi): the last step with non-positive weight and the
-    first step containing the section support (0-sentinels when none)."""
-    weights = [_frac(a) for a in weights]
-    p_alpha = 0
-    for i, a in enumerate(weights, start=1):
-        if a <= 0:
-            p_alpha = i
-    p_chi = 0
-    rows = set(support_rows)
-    for i, s in enumerate(chain_subsets, start=1):
-        if rows <= set(s):
-            p_chi = i
-            break
-    return p_alpha, p_chi
-
-
-# ---------------------------------------------------------------------------
 # the verdict engine
 
 

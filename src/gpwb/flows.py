@@ -5,8 +5,11 @@ The flow works in the metric picture: holomorphic links and section are
 fixed, and per-site Hermitian exponents u evolve by
 u <- u - step * (I + step L_A)^{-1} (i * residual) on gauge-varying
 factors, with L_A the linear curvature response (FFT solve at rank 1,
-sparse LU at rank > 1); frozen factors are never touched and
-constant-mode factors move by one global step.  The Newton solver drives
+sparse LU at rank > 1, kept for the current and the previous step value);
+frozen factors are never touched and constant-mode factors move by one
+global step.  A flow that does not converge names its reason: "metric
+blow-up", "stationary residual", "step underflow", "non-finite residual"
+or "max_iter".  The Newton solver drives
 the exact same discrete residual for a single abelian gauge factor, so on
 the solvable side both produce the same metric to solver tolerance.
 """
@@ -160,12 +163,18 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
     linear curvature response of ``curvature_response_matrix`` for the
     factor's links.  That removes the stiffness of the curvature term, so
     the step count does not grow with N.  Rank-1 factors solve by FFT;
-    at rank > 1 a sparse LU of I + step L_A is kept for the current step
-    value.  The fixed points are those of the explicit flow.
+    at rank > 1 the sparse LUs of I + step L_A are kept for the current
+    and the previous step value, so a step that halves and doubles back
+    reuses its factorization.  The fixed points are those of the explicit
+    flow.
 
-    Step control: halve on residual increase, double after five straight
-    accepts, cap at ``opts.step_cap``; divergence is reported when the
-    metric exponent or the iteration budget runs out, never raised.
+    Step control: halve on a trial that does not lower the residual,
+    double after five straight accepts, cap at ``opts.step_cap``.  A flow
+    that does not converge is reported, never raised, with its reason:
+    "metric blow-up" (sup |u| passes ``opts.metric_cutoff``), "stationary
+    residual" (two consecutive trials, at step s and s/2, give exactly the
+    current residual), "step underflow" (step below 1e-15), "non-finite
+    residual" or "max_iter".
     """
     opts = opts or FlowOpts()
     work = state.copy()
@@ -181,21 +190,30 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
     accepted = 0
     it = 0
     reason = ""
+    ties = 0  # consecutive rejected trials whose residual equals the current one
     responses = {}  # factor -> L_A of a rank > 1 FULL factor
-    factorized = {}  # factor -> (step, LU of I + step L_A): one step value at a time
+    # factor -> {step: LU of I + step L_A} for the current and the previous
+    # step value, least recently used first.  Steps only halve and double,
+    # so the float keys repeat exactly; a flow that keeps halving would hold
+    # one LU per halving if none were dropped.
+    factorized = {}
 
     def implicit(i, d, step):
         if d.shape[-1] == 1:
             delta = _semi_implicit_scalar(d[:, :, 0, 0].real, step, work.lattice.n)
             return delta[:, :, None, None].astype(complex)
-        if i not in factorized or factorized[i][0] != step:
-            factorized.pop(i, None)  # release the old factors first
+        lus = factorized.setdefault(i, {})
+        lu = lus.pop(step, None)
+        if lu is None:
+            if len(lus) > 1:
+                del lus[next(iter(lus))]  # release the older LU first
             if i not in responses:
                 responses[i] = curvature_response_matrix(work.lattice,
                                                          work.factors[i].bundle.links)
             op = sp.identity(responses[i].shape[0], format="csc") + step * responses[i]
-            factorized[i] = (step, spla.splu(op.tocsc()))
-        return _herm(factorized[i][1].solve(d.reshape(-1)).reshape(d.shape))
+            lu = spla.splu(op.tocsc())
+        lus[step] = lu
+        return _herm(lu.solve(d.reshape(-1)).reshape(d.shape))
 
     while it < opts.max_iter and l2 > opts.tol:
         it += 1
@@ -224,11 +242,18 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
             if accepted >= 5:
                 step = min(2.0 * step, opts.step_cap)
                 accepted = 0
+            ties = 0
         else:
             work.u.update(saved)
             rejections.append(it)
             accepted = 0
             step *= 0.5
+            # an exact tie at step s and again at s/2: the descent direction
+            # moves no residual; one tie alone may be a period-2 orbit
+            ties = ties + 1 if l2_new == l2 else 0
+            if ties >= 2:
+                reason = "stationary residual"
+                break
             if step < 1e-15:
                 reason = "step underflow"
                 break

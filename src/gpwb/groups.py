@@ -224,11 +224,6 @@ def exp_element(s: AlgebraElement, t: float = 1.0) -> GroupElement:
     return GroupElement(blocks, flavor)
 
 
-def exp_hermitian_direction(s: AlgebraElement, t: float = 1.0) -> GroupElement:
-    """exp(sqrt(-1) t s): the positive "metric" direction for compact s."""
-    return GroupElement(tuple(expm(1j * t * b) for b in s.blocks), "complexified")
-
-
 def cartan_involution(g: GroupElement) -> GroupElement:
     """Blockwise (g^dagger)^{-1}; fixes the unitary elements."""
     blocks = []

@@ -31,9 +31,9 @@ def save_state(path, state: LatticePairState):
         "num_factors": np.array(len(state.factors)),
         "central_scalars": np.array(state.setting.central_scalars),
         "modes": np.array([f.mode for f in state.factors]),
-        "slots": np.array(
-            [(sl.dim, sl.action, sl.factor) for sl in state.rep.slots], dtype=object
-        ),
+        "slot_dims": np.array([sl.dim for sl in state.rep.slots], dtype=np.int64),
+        "slot_actions": np.array([sl.action for sl in state.rep.slots], dtype=str),
+        "slot_factors": np.array([sl.factor for sl in state.rep.slots], dtype=np.int64),
         "section": state.section,
         "construction_residual": np.array(state.construction_residual),
         "params": np.array(json.dumps(state.params, sort_keys=True, default=str)),
@@ -47,38 +47,41 @@ def save_state(path, state: LatticePairState):
 
 
 def load_state(path) -> LatticePairState:
-    """Read a GPWB1 snapshot; ``ValueError`` on another header or on link
+    """Read a GPWB1 snapshot; ``ValueError`` on another header, on an array
+    that needs pickle (unpickling a file can run arbitrary code) or on link
     fields that are not unitary (the lattice inverts links by their
     adjoint)."""
-    with np.load(path, allow_pickle=True) as z:
-        header = str(z["header"])
-        if header != SNAPSHOT_HEADER:
-            raise ValueError(f"not a {SNAPSHOT_HEADER} snapshot (header {header!r})")
-        n = int(z["lattice_n"])
-        lat = TorusLattice(n)
-        nf = int(z["num_factors"])
-        modes = [str(m) for m in z["modes"]]
-        factors = []
-        dims = []
-        for i in range(nf):
-            links = z[f"links_{i}"]
-            require_unitary(links, f"snapshot links_{i}")
-            degs = tuple(int(d) for d in z[f"degrees_{i}"])
-            rank = links.shape[-1]
-            dims.append(rank)
-            factors.append(FactorState(LatticeBundle(lat, rank, links, degs), modes[i]))
-        spec = ProductGroupSpec(tuple(dims))
-        slots = tuple(Slot(int(d), str(a), int(f)) for d, a, f in z["slots"])
-        rep = RepSpec(spec, slots)
-        setting = SubgroupSetting(spec, tuple(modes),
-                                  tuple(float(c) for c in z["central_scalars"]))
-        state = LatticePairState(lat, spec, rep, setting, factors, z["section"],
-                                 float(z["construction_residual"]), str(z["kind"]),
-                                 json.loads(str(z["params"])))
-        for i in range(nf):
-            key = f"metric_exp_{i}"
-            if key in z:
-                state.u[i] = z[key]
+    with np.load(path, allow_pickle=False) as npz:
+        z = {key: npz[key] for key in npz.files}  # an object array raises here
+    header = str(z["header"])
+    if header != SNAPSHOT_HEADER:
+        raise ValueError(f"not a {SNAPSHOT_HEADER} snapshot (header {header!r})")
+    n = int(z["lattice_n"])
+    lat = TorusLattice(n)
+    nf = int(z["num_factors"])
+    modes = [str(m) for m in z["modes"]]
+    factors = []
+    dims = []
+    for i in range(nf):
+        links = z[f"links_{i}"]
+        require_unitary(links, f"snapshot links_{i}")
+        degs = tuple(int(d) for d in z[f"degrees_{i}"])
+        rank = links.shape[-1]
+        dims.append(rank)
+        factors.append(FactorState(LatticeBundle(lat, rank, links, degs), modes[i]))
+    spec = ProductGroupSpec(tuple(dims))
+    slots = tuple(Slot(int(d), str(a), int(f)) for d, a, f in
+                  zip(z["slot_dims"], z["slot_actions"], z["slot_factors"]))
+    rep = RepSpec(spec, slots)
+    setting = SubgroupSetting(spec, tuple(modes),
+                              tuple(float(c) for c in z["central_scalars"]))
+    state = LatticePairState(lat, spec, rep, setting, factors, z["section"],
+                             float(z["construction_residual"]), str(z["kind"]),
+                             json.loads(str(z["params"])))
+    for i in range(nf):
+        key = f"metric_exp_{i}"
+        if key in z:
+            state.u[i] = z[key]
     return state
 
 

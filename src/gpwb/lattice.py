@@ -389,9 +389,6 @@ class LatticePairState:
         )
         return st
 
-    def factor_links_raw(self):
-        return [f.bundle.links for f in self.factors]
-
     def corrected_links(self, i, frame=None):
         """Metric-corrected unitary links of factor i (transverse-gradient
         phase correction; exact curvature response for abelian factors).
@@ -530,21 +527,6 @@ def _expm_pos(u):
     h = 0.5 * (u + np.swapaxes(u, -1, -2).conj())
     w, v = np.linalg.eigh(h)
     return (v * np.exp(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
-
-
-def dbar_operator(state: LatticePairState, order=DEFAULT_STENCIL) -> sp.csr_matrix:
-    """Sparse dbar operator of the state's holomorphic structure, acting on
-    flattened section fields through the representation."""
-    vlinks = section_transport(state.rep, state.factor_links_raw())
-    return dbar_matrix(state.lattice, vlinks, order=order)
-
-
-def state_sections(state: LatticePairState, count: int, order=DEFAULT_STENCIL,
-                   strict=False):
-    """Orthonormal numerical dbar-kernel sections of the state's bundle."""
-    vlinks = section_transport(state.rep, state.factor_links_raw())
-    return holomorphic_sections(state.lattice, vlinks, count, order=order,
-                                strict=strict)
 
 
 def random_unitary_gauge(spec: ProductGroupSpec, lat: TorusLattice, rng):

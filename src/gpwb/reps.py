@@ -236,12 +236,6 @@ def action_matrix(s: AlgebraElement, rep: RepSpec):
 # moment maps
 
 
-def mu_fundamental(x):
-    """Rank-one moment map -i x x^dagger of a single standard slot."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    return -1j * np.outer(x, x.conj())
-
-
 def mu_factor(x, rep: RepSpec, factor_i: int):
     """Moment-map block of one factor, summed over the slots it acts on."""
     if not rep.factor_slots(factor_i):

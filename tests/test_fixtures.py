@@ -9,10 +9,8 @@ from gpwb.fixtures import (
     CurveFixture,
     FixtureVerdict,
     chain_generators,
-    deg_alpha,
     induced_weight,
     load_fixture,
-    p_indices,
     random_joint_chain,
     save_fixture,
     ssc_reduction_equiv,
@@ -27,41 +25,16 @@ def pair(degs, support_rows, c, deg2=(0,)):
 
 
 # ---------------------------------------------------------------------------
-# deg_alpha / p_indices
+# chain indices against maximal_weight
 
 
-def test_deg_alpha_single_step():
-    assert deg_alpha([1], [(3, 2)], 1) == Fraction(1)  # deg - c rk = 3 - 2
-
-
-def test_deg_alpha_two_step_plugin():
-    # sub (deg, rk) = (2, 1) inside (3, 2), c = 1, alpha = (0, 1)
-    out = deg_alpha([0, 1], [(2, 1), (3, 2)], 1)
-    assert out == Fraction(0)
-
-
-def test_deg_alpha_linear(rng):
-    chain = [(2, 1), (5, 3)]
-    for _ in range(30):
-        a = sorted(rng.integers(-5, 5, size=2).tolist())
-        b = sorted(rng.integers(-5, 5, size=2).tolist())
-        x, y = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        combo = [x * p + y * q for p, q in zip(a, b)]
-        lhs = deg_alpha(sorted(combo), chain, Fraction(1, 2)) if combo == sorted(combo) else None
-        if lhs is None:
-            continue
-        rhs = x * deg_alpha(a, chain, Fraction(1, 2)) + y * deg_alpha(b, chain, Fraction(1, 2))
-        assert lhs == rhs
-
-
-def test_p_indices_basic():
-    # all weights positive: p_alpha = 0
-    assert p_indices([1, 2], [(0,), (0, 1)], {0})[0] == 0
-    # support in the first summand of the chain
-    pa, pc = p_indices([-1, 0], [(0,), (0, 1)], {0})
-    assert (pa, pc) == (2, 1)
-    # empty support: p_chi = 1 (contained in every step)
-    assert p_indices([-1, 0], [(0,), (0, 1)], set())[1] == 1
+def p_indices(weights, chain_subsets, support_rows):
+    """(p_alpha, p_chi): the last step with non-positive weight and the
+    first step containing the section support (0-sentinels when none)."""
+    p_alpha = max((i for i, a in enumerate(weights, start=1) if a <= 0), default=0)
+    p_chi = next((i for i, sub in enumerate(chain_subsets, start=1)
+                  if set(support_rows) <= set(sub)), 0)
+    return p_alpha, p_chi
 
 
 def test_p_indices_membership_matches_eigen_oracle(rng):

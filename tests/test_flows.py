@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gpwb import flows
 from gpwb.flows import (
     FlowOpts,
     assemble_example,
@@ -10,9 +11,12 @@ from gpwb.flows import (
 )
 from gpwb.lattice import (
     TWO_PI,
+    dbar_matrix,
     gauge_transform,
+    holomorphic_sections,
     pointwise_residual,
     random_unitary_gauge,
+    section_transport,
 )
 
 N = 16
@@ -31,16 +35,15 @@ def test_assembled_state_is_holomorphic():
 
 
 def test_state_level_dbar_and_sections():
-    from gpwb.lattice import dbar_operator, state_sections
-
     st = vortex_state(2.0)
-    D = dbar_operator(st)
+    vlinks = section_transport(st.rep, [f.bundle.links for f in st.factors])
+    D = dbar_matrix(st.lattice, vlinks)
     res = np.linalg.norm(D @ st.section.reshape(-1)) / st.lattice.n
     assert res < 1e-10
-    secs, resids, gap = state_sections(st, 1)
+    secs, resids, gap = holomorphic_sections(st.lattice, vlinks, 1)
     assert resids[0] < 1e-10 and gap > 1e6
     with pytest.raises(ValueError):
-        state_sections(st, 2, strict=True)
+        holomorphic_sections(st.lattice, vlinks, 2, strict=True)
 
 
 def test_residual_zero_on_exact_solution():
@@ -163,6 +166,79 @@ def test_rank2_stable_flow_steps_do_not_grow_with_n(n):
     assert rep.converged
     assert rep.iterations <= 150
     assert abs(rep.degrees_after[0] - rep.degrees_before[0]) <= 1e-9
+
+
+def test_flow_stops_on_stationary_residual():
+    # L1 + L-1 without a Higgs field: the descent field is constant on each
+    # diagonal entry and moves no curvature, so every trial residual ties
+    st = assemble_example("higgs", {"deg": [1, -1], "theta": [[0, 0], [0, 0]]},
+                          lattice_n=N)
+    rep = heat_flow(st, RANK2_OPTS)
+    assert not rep.converged
+    assert rep.reason == "stationary residual"
+    assert rep.iterations == 2 and rep.rejections == [1, 2]
+    assert np.array_equal(rep.state.u[0], st.u[0])
+    assert rep.degrees_after == rep.degrees_before
+
+
+def test_single_exact_tie_does_not_stop_the_flow(monkeypatch):
+    calls = []
+    real = flows.pointwise_residual
+
+    def first_trial_ties(state, frames=None):
+        blocks, l2, linf = real(state, frames)
+        calls.append(l2)
+        if len(calls) == 2:  # the first trial reports the current residual
+            return blocks, calls[0], linf
+        return blocks, l2, linf
+
+    monkeypatch.setattr(flows, "pointwise_residual", first_trial_ties)
+    rep = heat_flow(stable_rank2_pair(8), RANK2_OPTS)
+    assert rep.rejections[0] == 1
+    assert rep.converged
+
+
+class _CountedLU:
+    """An LU that counts how many of its kind are alive."""
+    made = 0
+    alive = 0
+    most_alive = 0
+
+    def __init__(self, lu):
+        self.lu = lu
+        cls = type(self)
+        cls.made += 1
+        cls.alive += 1
+        cls.most_alive = max(cls.most_alive, cls.alive)
+
+    def __del__(self):
+        type(self).alive -= 1
+
+    def solve(self, b):
+        return self.lu.solve(b)
+
+
+@pytest.mark.parametrize("degrees,c,n,seed,converges,most_splu", [
+    # 75 steps; 24 factorizations when only the current step value is kept
+    ([2, 1], 2.5, 8, 1, True, 13),
+    # unstable, sat<phi> = L1: the step halves about 40 times; 51 with one LU
+    ([1, 1], 1.5, 16, 3, False, 35),
+])
+def test_rank2_flow_keeps_two_factorizations(monkeypatch, degrees, c, n, seed, converges,
+                                             most_splu):
+    st = assemble_example("pair_tensor", {"deg1": degrees, "deg2": [0], "c": c * TWO_PI,
+                                          "support": [[0, 0], [1, 0]]},
+                          lattice_n=n, seed=seed)
+    real = flows.spla.splu
+    monkeypatch.setattr(_CountedLU, "made", 0)
+    monkeypatch.setattr(_CountedLU, "alive", 0)
+    monkeypatch.setattr(_CountedLU, "most_alive", 0)
+    monkeypatch.setattr(flows.spla, "splu", lambda *a, **k: _CountedLU(real(*a, **k)))
+    rep = heat_flow(st, RANK2_OPTS)
+    assert rep.converged == converges
+    assert _CountedLU.made <= most_splu
+    assert _CountedLU.most_alive <= 2
+    assert _CountedLU.alive == 0
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,47 @@ def test_snapshot_rejects_non_unitary_links(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("higgs", {"deg": [0, 0], "theta": [[0, 2.0], [0.5, 0]]}),
+    ("twisted_triple", {"deg1": [1], "deg2": [0], "deg3": [0],
+                        "c1": 1.5 * TWO_PI, "c2": -0.5 * TWO_PI}),
+    ("coherent_system", {"deg": [1], "k": 1, "c1": 2 * TWO_PI, "c2": -TWO_PI}),
+])
+def test_snapshot_roundtrip_without_pickle(tmp_path, kind, params):
+    st = assemble_example(kind, params, lattice_n=4, seed=2)
+    path = tmp_path / "state.npz"
+    save_state(path, st)
+    with np.load(path, allow_pickle=False) as z:
+        assert all(z[key].dtype != object for key in z.files)
+    back = load_state(path)
+    assert back.rep == st.rep and back.setting == st.setting
+    assert back.params == st.params and back.kind == st.kind
+    for i in st.u:
+        assert np.array_equal(back.u[i], st.u[i])
+
+
+UNPICKLED = []
+
+
+class _Payload:
+    def __reduce__(self):
+        return UNPICKLED.append, ("ran",)
+
+
+def test_snapshot_refuses_pickled_arrays(tmp_path):
+    st = assemble_example("pair_tensor", {"deg1": [1], "deg2": [0], "c": 2 * TWO_PI},
+                          lattice_n=8, seed=3)
+    path = tmp_path / "state.npz"
+    save_state(path, st)
+    with np.load(path) as z:
+        arrays = {key: z[key] for key in z.files}
+    arrays["slots"] = np.array([_Payload()], dtype=object)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="allow_pickle"):
+        load_state(path)
+    assert UNPICKLED == []
+
+
 def test_snapshot_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.npz"
     np.savez(path, header=np.array("NOPE"))

@@ -8,7 +8,6 @@ from gpwb.groups import (
     GroupElement,
     ProductGroupSpec,
     SubgroupSetting,
-    exp_hermitian_direction,
     inner_product,
     project_subalgebra,
     random_compact,
@@ -408,7 +407,7 @@ def kn_per_node(x, s, rep, spec, setting, quadrature_steps):
     ts = np.linspace(0.0, 1.0, m + 1)
     vals = np.empty(m + 1)
     for k, t in enumerate(ts):
-        y = act(exp_hermitian_direction(s, t), x, rep)
+        y = act(GroupElement(tuple(expm(1j * t * b) for b in s.blocks)), x, rep)
         mh = project_subalgebra(mu_full(y, rep, spec), setting) - setting.central_shift
         vals[k] = inner_product(mh, s, spec)
     h = 1.0 / m

@@ -22,7 +22,6 @@ from gpwb.reps import (
     infinitesimal_act,
     mu_factor,
     mu_full,
-    mu_fundamental,
     mu_shifted,
     symplectic_form,
 )
@@ -118,12 +117,6 @@ def test_infinitesimal_matches_finite_difference(rep, rng):
         fd = (act(exp_element(s, eps), x, rep) - x) / eps
         an = infinitesimal_act(s, x, rep)
         assert np.linalg.norm(fd - an) < 1e-4 * (1 + np.linalg.norm(an))
-
-
-def test_mu_fundamental_basis_vector():
-    x = np.array([1.0, 0.0])
-    assert np.allclose(mu_fundamental(x), -1j * np.diag([1.0, 0.0]))
-    assert np.allclose(mu_fundamental(np.zeros(2)), 0)
 
 
 def test_mu_hom_one_by_one():
