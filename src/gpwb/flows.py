@@ -7,15 +7,15 @@ u <- u - step * (I + step L_A)^{-1} (i * residual) on gauge-varying
 factors, with L_A the linear curvature response (FFT solve at rank 1,
 sparse LU at rank > 1, kept for the current and the previous step value);
 frozen factors are never touched and constant-mode factors move by one
-global step.  A flow that does not converge names its reason: "metric
-blow-up", "stationary residual", "step underflow", "non-finite residual"
-or "max_iter".  The Newton solver drives
-the exact same discrete residual for a single abelian gauge factor, so on
-the solvable side both produce the same metric to solver tolerance.
+global step.  The step policy and the stop reasons are those of
+``kempf_ness.descend``, which the point flow shares.  The Newton solver
+drives the exact same discrete residual for a single abelian gauge
+factor, so on the solvable side both produce the same metric to solver
+tolerance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .fixtures import KINDS
 from .groups import CONSTANT, FROZEN, FULL, ProductGroupSpec, SubgroupSetting
+from .kempf_ness import descend
 from .lattice import (
     DEFAULT_STENCIL,
     FactorState,
@@ -35,11 +36,10 @@ from .lattice import (
     holomorphic_sections,
     lattice_degree,
     link_frame,
-    mu_factor_field,
     pointwise_residual,
     section_transport,
 )
-from .reps import ADJOINT, STANDARD, RepSpec, Slot, summand_weights
+from .reps import ADJOINT, STANDARD, RepSpec, Slot, moment_block, summand_weights
 
 
 @dataclass
@@ -148,7 +148,7 @@ def constraint_diagnostics(state: LatticePairState, blocks=None):
         diag[entry.constraint[0]] = _constraint_slack(state, entry.constraint[1])
     adjoint = [sl.factor for sl in state.rep.slots if sl.action == ADJOINT]
     if adjoint:
-        mu = mu_factor_field(state.metric_frame_section(), state.rep, adjoint[0])
+        mu = moment_block(state.metric_frame_section(), state.rep, adjoint[0])
         diag["interaction_trace_sup"] = float(
             np.max(np.abs(np.trace(mu, axis1=2, axis2=3)))
         )
@@ -166,15 +166,8 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
     at rank > 1 the sparse LUs of I + step L_A are kept for the current
     and the previous step value, so a step that halves and doubles back
     reuses its factorization.  The fixed points are those of the explicit
-    flow.
-
-    Step control: halve on a trial that does not lower the residual,
-    double after five straight accepts, cap at ``opts.step_cap``.  A flow
-    that does not converge is reported, never raised, with its reason:
-    "metric blow-up" (sup |u| passes ``opts.metric_cutoff``), "stationary
-    residual" (two consecutive trials, at step s and s/2, give exactly the
-    current residual), "step underflow" (step below 1e-15), "non-finite
-    residual" or "max_iter".
+    flow.  The step policy is that of ``kempf_ness.descend``; a flow that
+    does not converge is reported with its reason, never raised.
     """
     opts = opts or FlowOpts()
     work = state.copy()
@@ -182,15 +175,6 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
     frames = {i: link_frame(f.bundle.links) for i, f in enumerate(work.factors)
               if f.mode == FULL}
     deg_before = unfrozen_degrees(work, frames)
-    blocks, l2, linf = pointwise_residual(work, frames)
-    sup_log = work.sup_log_metric()  # of the last accepted state
-    trajectory = [(0, l2, linf, sup_log)]
-    rejections = []
-    step = opts.step
-    accepted = 0
-    it = 0
-    reason = ""
-    ties = 0  # consecutive rejected trials whose residual equals the current one
     responses = {}  # factor -> L_A of a rank > 1 FULL factor
     # factor -> {step: LU of I + step L_A} for the current and the previous
     # step value, least recently used first.  Steps only halve and double,
@@ -215,54 +199,24 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
         lus[step] = lu
         return _herm(lu.solve(d.reshape(-1)).reshape(d.shape))
 
-    while it < opts.max_iter and l2 > opts.tol:
-        it += 1
-        desc = _descent_blocks(blocks, work.factors)
-        trial = {}
-        for i, d in desc.items():
+    def residual(u):
+        blocks, l2, linf = pointwise_residual(replace(work, u=u), frames)
+        return blocks, (l2, linf)
+
+    def move(u, blocks, step):
+        trial = dict(u)
+        for i, d in _descent_blocks(blocks, work.factors).items():
             # implicit in the stiff linear curvature response only, so the
             # fixed points are those of the explicit step
             if work.factors[i].mode == FULL:
                 d = implicit(i, d, step)
-            trial[i] = work.u[i] - step * d
-        saved = {i: work.u[i] for i in trial}
-        work.u.update(trial)
-        blocks_new, l2_new, linf_new = pointwise_residual(work, frames)
-        if not np.isfinite(l2_new):
-            work.u.update(saved)
-            reason = "non-finite residual"
-            break
-        # strict decrease required: equal-residual steps are limit cycles
-        # (period-2 orbits have exactly equal residuals), not progress
-        if l2_new <= l2 * (1.0 - 1e-13) or l2_new <= opts.tol:
-            blocks, l2, linf = blocks_new, l2_new, linf_new
-            sup_log = work.sup_log_metric()
-            trajectory.append((it, l2, linf, sup_log))
-            accepted += 1
-            if accepted >= 5:
-                step = min(2.0 * step, opts.step_cap)
-                accepted = 0
-            ties = 0
-        else:
-            work.u.update(saved)
-            rejections.append(it)
-            accepted = 0
-            step *= 0.5
-            # an exact tie at step s and again at s/2: the descent direction
-            # moves no residual; one tie alone may be a period-2 orbit
-            ties = ties + 1 if l2_new == l2 else 0
-            if ties >= 2:
-                reason = "stationary residual"
-                break
-            if step < 1e-15:
-                reason = "step underflow"
-                break
-        if sup_log > opts.metric_cutoff:
-            reason = "metric blow-up"
-            break
-    converged = bool(l2 <= opts.tol)
-    if not converged and not reason:
-        reason = "max_iter"
+            trial[i] = u[i] - step * d
+        return trial
+
+    d = descend(work.u, residual, move, lambda u: replace(work, u=u).sup_log_metric(),
+                opts.step, opts.tol, opts.step_cap, opts.metric_cutoff, opts.max_iter)
+    work.u = d.x
+    blocks = d.r
     snapshot = None
     if blocks:
         n = work.lattice.n
@@ -271,18 +225,18 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
             acc += np.sum(np.abs(r) ** 2, axis=(2, 3))
         snapshot = np.sqrt(acc)
     return LatticeFlowReport(
-        converged=converged,
-        iterations=it,
-        final_residual=l2,
-        final_residual_linf=linf,
-        trajectory=trajectory,
-        sup_log_metric=sup_log,
+        converged=d.converged,
+        iterations=d.iterations,
+        final_residual=d.norms[0],
+        final_residual_linf=d.norms[1],
+        trajectory=d.rows,
+        sup_log_metric=d.sup_log,
         degrees_before=deg_before,
         degrees_after=unfrozen_degrees(work, frames),
         residual_snapshot=snapshot,
         constraint=constraint_diagnostics(work, blocks),
-        rejections=rejections,
-        reason="" if converged else reason,
+        rejections=d.rejections,
+        reason=d.reason,
         state=work,
     )
 

@@ -3,7 +3,8 @@
 Maximal weights of one-parameter subgroups, weighted filtrations and their
 two-eigenvalue generators, the algebraic stability test, the integral of
 the moment map along metric geodesics, and the descent flow onto the
-shifted moment-map level set.
+shifted moment-map level set with ``descend``, the adaptive-step driver
+that the lattice heat flow shares.
 """
 from __future__ import annotations
 
@@ -100,7 +101,7 @@ class FlowResult:
     final_group_element: GroupElement
     sup_log_metric: float
     rejections: list = field(default_factory=list)
-    diverged_reason: str = ""
+    reason: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -403,23 +404,105 @@ def kn_functional_group(x, g: GroupElement, rep: RepSpec, spec: ProductGroupSpec
 # descent flow
 
 
+@dataclass
+class Descent:
+    """What ``descend`` returns: the last accepted point with its residual,
+    norms and sup_log, one row (iteration, *norms, sup_log) for the start
+    and for each accepted step, the rejected iterations, and the reason a
+    flow that did not converge stopped for ("" when it converged)."""
+
+    x: object
+    r: object
+    norms: tuple
+    sup_log: float
+    rows: list
+    rejections: list
+    iterations: int
+    converged: bool
+    reason: str
+
+
+def descend(x, residual, move, sup_log, step, tol, step_cap, metric_cutoff,
+            max_iter) -> Descent:
+    """Adaptive-step descent of a residual norm, shared by the point and the
+    lattice flows.
+
+    ``residual(x)`` returns (r, norms) and norms[0] drives the policy;
+    ``move(x, r, step)`` returns the trial point; ``sup_log(x)`` measures the
+    metric of an accepted point.  A trial is accepted when it lowers norms[0]
+    by a relative 1e-13 or reaches ``tol``: equal-residual steps are cycles
+    (period-2 orbits have exactly equal residuals), not progress.  The step
+    halves on a rejection and doubles after five straight accepts, up to
+    ``step_cap``.  A flow that does not converge stops with its reason:
+    "non-finite residual", "stationary residual" (two consecutive trials, at
+    step s and s/2, give exactly the current residual; one tie alone may be
+    a period-2 orbit), "step underflow" (step below 1e-15), "metric blow-up"
+    (sup_log passes ``metric_cutoff``) or "max_iter".  Converged means the
+    final norms[0] is at most ``tol``.
+    """
+    r, norms = residual(x)
+    slog = sup_log(x)
+    rows = [(0, *norms, slog)]
+    rejections = []
+    accepted = ties = it = 0
+    reason = ""
+    while it < max_iter and norms[0] > tol:
+        it += 1
+        cand = move(x, r, step)
+        rc, nc = residual(cand)
+        if not np.isfinite(nc[0]):
+            reason = "non-finite residual"
+            break
+        if nc[0] <= norms[0] * (1.0 - 1e-13) or nc[0] <= tol:
+            x, r, norms = cand, rc, nc
+            slog = sup_log(x)
+            rows.append((it, *norms, slog))
+            accepted += 1
+            if accepted >= 5:
+                step = min(2.0 * step, step_cap)
+                accepted = 0
+            ties = 0
+        else:
+            rejections.append(it)
+            accepted = 0
+            step *= 0.5
+            ties = ties + 1 if nc[0] == norms[0] else 0
+            if ties >= 2:
+                reason = "stationary residual"
+                break
+            if step < 1e-15:
+                reason = "step underflow"
+                break
+        if slog > metric_cutoff:
+            reason = "metric blow-up"
+            break
+    converged = bool(norms[0] <= tol)
+    return Descent(x, r, norms, slog, rows, rejections, it, converged,
+                   "" if converged else reason or "max_iter")
+
+
 def gradient_flow(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSetting,
                   max_iter=5000, step=0.1, tol=1e-9, h0: GroupElement = None,
                   step_cap=1.0, metric_cutoff=50.0) -> FlowResult:
     """Descent on the integral of the moment map.
 
     Each accepted step multiplies the accumulated element by
-    exp(-i*step*residual); the step halves on residual increase and doubles
-    after five straight accepts, capped at ``step_cap``.  A run that does not
-    converge ends with reason "step underflow" (the step fell below 1e-14),
-    "metric blow-up", "non-finite residual" or "max_iter".
+    exp(-i*step*residual) on the unfrozen factors; ``descend`` holds the
+    step policy and the stop reasons.  The trajectory lists the residual
+    norm of the start and of each accepted step.
     """
-    h = h0 if h0 is not None else GroupElement.identity(spec, "complexified")
-
     def residual(hh):
-        y = act(hh, x, rep)
-        r = mu_shifted(y, rep, spec, setting)
-        return r, float(np.sqrt(max(inner_product(r, r, spec), 0.0)))
+        r = mu_shifted(act(hh, x, rep), rep, spec, setting)
+        return r, (float(np.sqrt(max(inner_product(r, r, spec), 0.0))),)
+
+    def move(hh, r, step):
+        return GroupElement(
+            tuple(
+                expm(-1j * step * b) if setting.modes[i] != FROZEN else np.eye(b.shape[0], dtype=complex)
+                for i, b in enumerate(r.blocks)
+            ),
+            "complexified",
+        ).compose(hh)
 
     def sup_log(hh):
         worst = 0.0
@@ -431,45 +514,7 @@ def gradient_flow(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSett
             worst = max(worst, 0.5 * float(np.max(np.abs(np.log(ev)))))
         return worst
 
-    r, rnorm = residual(h)
-    slog = sup_log(h)  # of the last accepted element
-    trajectory = [rnorm]
-    rejections = []
-    accepted_run = 0
-    it = 0
-    while it < max_iter and rnorm > tol:
-        it += 1
-        gstep = GroupElement(
-            tuple(
-                expm(-1j * step * b) if setting.modes[i] != FROZEN else np.eye(b.shape[0], dtype=complex)
-                for i, b in enumerate(r.blocks)
-            ),
-            "complexified",
-        )
-        cand = gstep.compose(h)
-        rc, rcnorm = residual(cand)
-        if not np.isfinite(rcnorm):
-            return FlowResult(False, it, rnorm, trajectory, h, slog,
-                              rejections, "non-finite residual")
-        # strict decrease: equal-residual steps are cycles, not progress
-        if rcnorm <= rnorm * (1 - 1e-13) or rcnorm <= tol:
-            h, r, rnorm = cand, rc, rcnorm
-            slog = sup_log(h)
-            trajectory.append(rnorm)
-            accepted_run += 1
-            if accepted_run >= 5:
-                step = min(step * 2.0, step_cap)
-                accepted_run = 0
-        else:
-            rejections.append(it)
-            step *= 0.5
-            accepted_run = 0
-            if step < 1e-14:
-                return FlowResult(False, it, rnorm, trajectory, h, slog,
-                                  rejections, "step underflow")
-        if slog > metric_cutoff:
-            return FlowResult(False, it, rnorm, trajectory, h, slog,
-                              rejections, "metric blow-up")
-    converged = bool(rnorm <= tol)
-    return FlowResult(converged, it, rnorm, trajectory, h, slog, rejections,
-                      "" if converged else "max_iter")
+    h = h0 if h0 is not None else GroupElement.identity(spec, "complexified")
+    d = descend(h, residual, move, sup_log, step, tol, step_cap, metric_cutoff, max_iter)
+    return FlowResult(d.converged, d.iterations, d.norms[0], [row[1] for row in d.rows],
+                      d.x, d.sup_log, d.rejections, d.reason)

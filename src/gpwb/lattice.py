@@ -60,10 +60,6 @@ class TorusLattice:
     def sites(self):
         return self.n * self.n
 
-    @property
-    def volume(self):
-        return 1.0
-
 
 def build_torus(n: int) -> TorusLattice:
     return TorusLattice(int(n))
@@ -559,11 +555,6 @@ def gauge_transform(state: LatticePairState, kfields) -> LatticePairState:
     return new
 
 
-def mu_factor_field(section_field, rep: RepSpec, factor_i: int) -> np.ndarray:
-    """Sitewise moment-map block of one factor: (N, N, n_i, n_i)."""
-    return moment_block(section_field, rep, factor_i)
-
-
 def pointwise_residual(state: LatticePairState, frames=None):
     """Skew-Hermitian residual blocks of the shifted subgroup moment map.
 
@@ -581,7 +572,7 @@ def pointwise_residual(state: LatticePairState, frames=None):
             continue
         ni = state.spec.factor_dims[i]
         c_i = state.setting.central_scalars[i]
-        mu = mu_factor_field(psi, state.rep, i)
+        mu = moment_block(psi, state.rep, i)
         if f.mode == CONSTANT:
             r = np.mean(mu, axis=(0, 1)) + 1j * c_i * np.eye(ni)
             blocks[i] = np.broadcast_to(r, (n, n, ni, ni)).copy()

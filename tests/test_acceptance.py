@@ -47,7 +47,6 @@ from gpwb.lattice import (
     gauge_transform,
     holomorphic_sections,
     make_constant_curvature_line_bundle,
-    mu_factor_field,
     random_unitary_gauge,
     section_transport,
 )
@@ -59,6 +58,7 @@ from gpwb.reps import (
     Slot,
     act,
     infinitesimal_act,
+    moment_block,
     mu_full,
     symplectic_form,
 )
@@ -278,7 +278,7 @@ def test_criterion_06_higgs():
         theta = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         st = assemble_example("higgs", {"deg": [0, 0], "theta": theta}, lattice_n=8)
         psi = st.metric_frame_section()
-        mu = mu_factor_field(psi, st.rep, 0)
+        mu = moment_block(psi, st.rep, 0)
         assert float(np.max(np.abs(np.trace(mu, axis1=2, axis2=3)))) <= 1e-13
     # integrated trace obstruction with cm != slope
     st = assemble_example("higgs", {"deg": [1, -1], "theta": [[0, 0], [0, 0]], "cm": 0.7},

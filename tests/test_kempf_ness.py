@@ -16,6 +16,7 @@ from gpwb.groups import (
 from gpwb.kempf_ness import (
     WeightedFiltration,
     default_subspace_lattice,
+    descend,
     gradient_flow,
     is_simple,
     kn_functional,
@@ -486,14 +487,98 @@ def test_flow_unstable_diverges(rng):
     assert not res.converged
 
 
-def test_flow_step_underflow_is_labelled(rng):
+def test_flow_stationary_residual_is_labelled(rng):
     spec, rep = u2_tensor(3)
     setting = central(spec, -0.8)
     x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
     res = gradient_flow(x, rep, spec, setting, max_iter=8000, tol=1e-8)
     assert not res.converged
-    assert res.diverged_reason == "step underflow"
+    assert res.reason == "stationary residual"
     assert res.iterations < 8000 and res.iterations == res.rejections[-1]
+
+
+# descend on a scalar problem: x -> x - gain * step * x, norms (|x|, 2 |x|)
+
+
+def scalar_descent(x0=1.0, gain=1.0, step=0.1, tol=1e-10, step_cap=1.0,
+                   metric_cutoff=50.0, max_iter=1000, move=None, sup_log=None):
+    steps = []
+
+    def default_move(x, r, s):
+        return x - gain * s * r
+
+    def recording_move(x, r, s):
+        steps.append(s)
+        return (move or default_move)(x, r, s)
+
+    d = descend(x0, lambda x: (x, (abs(x), 2.0 * abs(x))), recording_move,
+                sup_log or (lambda x: 0.0), step, tol, step_cap, metric_cutoff, max_iter)
+    return d, steps
+
+
+def test_descend_converges_iff_norm_reaches_tol():
+    d, _ = scalar_descent(tol=1e-6)
+    assert d.converged and d.reason == "" and d.norms[0] <= 1e-6 < d.rows[-2][1]
+    assert d.rejections == [] and len(d.rows) == d.iterations + 1
+    assert d.rows[0] == (0, 1.0, 2.0, 0.0) and d.rows[-1] == (d.iterations, d.x, 2 * d.x, 0.0)
+    d, _ = scalar_descent(tol=1e-6, max_iter=3)
+    assert not d.converged and d.reason == "max_iter"
+    assert d.iterations == 3 and d.norms[0] > 1e-6
+
+
+def test_descend_doubles_after_five_accepts_up_to_the_cap():
+    d, steps = scalar_descent(step_cap=0.4, tol=1e-12)
+    assert d.converged and d.rejections == []
+    assert steps[:10] == [0.1] * 5 + [0.2] * 5
+    assert len(steps) > 15 and set(steps[10:]) == {0.4}
+
+
+def test_descend_halves_on_a_rejection():
+    # gain 25 overshoots at step 0.1 (x -> -1.5 x) and not at 0.05 (x -> -0.25 x)
+    d, steps = scalar_descent(gain=25.0)
+    assert d.converged and d.rows[1][0] == 2
+    assert steps[:8] == [0.1] + [0.05] * 5 + [0.1, 0.05]
+    assert d.rejections[:2] == [1, 7]
+
+
+def test_descend_single_exact_tie_does_not_stop():
+    trials = []
+
+    def move(x, r, s):
+        trials.append(s)
+        return -x if len(trials) == 1 else x - s * r  # |-x| == |x|: a tie at the first trial only
+
+    d, steps = scalar_descent(move=move)
+    assert d.converged and d.rejections == [1] and steps[:2] == [0.1, 0.05]
+
+
+def test_descend_stops_on_two_consecutive_ties():
+    d, steps = scalar_descent(move=lambda x, r, s: -x)
+    assert not d.converged and d.reason == "stationary residual"
+    assert d.iterations == 2 and d.rejections == [1, 2] and steps == [0.1, 0.05]
+    assert d.x == 1.0 and d.rows == [(0, 1.0, 2.0, 0.0)]
+
+
+def test_descend_step_underflow():
+    # every trial raises the residual without a tie: the step halves to the
+    # 1e-15 floor, which 0.1 / 2**46 is above and 0.1 / 2**47 below
+    d, steps = scalar_descent(move=lambda x, r, s: x + 1.0)
+    assert not d.converged and d.reason == "step underflow"
+    assert d.iterations == 47 and d.rejections == list(range(1, 48))
+    assert steps[-1] == 0.1 * 0.5 ** 46 and d.x == 1.0
+
+
+def test_descend_non_finite_residual():
+    d, _ = scalar_descent(move=lambda x, r, s: np.nan)
+    assert not d.converged and d.reason == "non-finite residual"
+    assert d.iterations == 1 and d.rejections == [] and d.x == 1.0
+
+
+def test_descend_metric_blow_up():
+    # sup_log = -log x passes 0.3 at the third accepted step, 0.9**3 = 0.729
+    d, _ = scalar_descent(sup_log=lambda x: -np.log(x), metric_cutoff=0.3)
+    assert not d.converged and d.reason == "metric blow-up"
+    assert d.iterations == 3 and d.sup_log > 0.3 and len(d.rows) == 4
 
 
 def test_flow_uniqueness_modulo_unitary(rng):

@@ -27,7 +27,6 @@ from gpwb.lattice import (
     lattice_degree,
     link_frame,
     make_constant_curvature_line_bundle,
-    mu_factor_field,
     plaquette_field,
     random_unitary_gauge,
     section_transport,
@@ -43,6 +42,7 @@ from gpwb.reps import (
     act,
     action_matrix,
     infinitesimal_act,
+    moment_block,
     mu_factor,
 )
 
@@ -503,7 +503,7 @@ def test_lattice_actions_match_point_actions_sitewise(rng):
     state = LatticePairState(lat, spec, rep, SubgroupSetting(spec, ("full", "full"), (0.0, 0.0)),
                              factors, field)
     gauged = gauge_transform(state, kfields).section
-    mus = [mu_factor_field(field, rep, i) for i in range(2)]
+    mus = [moment_block(field, rep, i) for i in range(2)]
     for s in range(n):
         for t in range(n):
             x = field[s, t]
