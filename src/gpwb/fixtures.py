@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import CONSTANT, FROZEN, FULL
+from .kempf_ness import chain_generator_weights
 from .reps import ADJOINT, DUAL, STANDARD
 
 
@@ -289,14 +290,8 @@ def chain_generators(fixture, chain):
     """Finite-weight two-eigenvalue generators of a joint chain, with the
     trivially-acting central directions dropped.  Returns a list of
     (alpha vector, weight)."""
-    r = len(chain)
-    gens = []
-    for i in range(1, r + 1):
-        gens.append([-1] * i + [0] * (r - i))
-    for j in range(1, r + 1):
-        gens.append([0] * (j - 1) + [1] * (r - j + 1))
     out = []
-    for a in gens:
+    for a in chain_generator_weights(len(chain)):
         if _acts_trivially(fixture, chain, a):
             continue
         w = _filtration_weight(fixture, chain, a)

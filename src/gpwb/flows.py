@@ -25,7 +25,6 @@ from .fixtures import KINDS
 from .groups import CONSTANT, FROZEN, FULL, ProductGroupSpec, SubgroupSetting
 from .kempf_ness import descend
 from .lattice import (
-    DEFAULT_STENCIL,
     FactorState,
     LatticePairState,
     TWO_PI,
@@ -61,7 +60,6 @@ class LatticeFlowReport:
     sup_log_metric: float
     degrees_before: dict
     degrees_after: dict
-    residual_snapshot: np.ndarray = None  # per-site residual norm
     constraint: dict = field(default_factory=dict)
     rejections: list = field(default_factory=list)
     reason: str = ""
@@ -216,14 +214,6 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
     d = descend(work.u, residual, move, lambda u: replace(work, u=u).sup_log_metric(),
                 opts.step, opts.tol, opts.step_cap, opts.metric_cutoff, opts.max_iter)
     work.u = d.x
-    blocks = d.r
-    snapshot = None
-    if blocks:
-        n = work.lattice.n
-        acc = np.zeros((n, n))
-        for r in blocks.values():
-            acc += np.sum(np.abs(r) ** 2, axis=(2, 3))
-        snapshot = np.sqrt(acc)
     return LatticeFlowReport(
         converged=d.converged,
         iterations=d.iterations,
@@ -233,8 +223,7 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
         sup_log_metric=d.sup_log,
         degrees_before=deg_before,
         degrees_after=unfrozen_degrees(work, frames),
-        residual_snapshot=snapshot,
-        constraint=constraint_diagnostics(work, blocks),
+        constraint=constraint_diagnostics(work, d.r),
         rejections=d.rejections,
         reason=d.reason,
         state=work,
@@ -334,13 +323,12 @@ def _normalize_support(support, shape):
     return out
 
 
-def build_section(rep: RepSpec, bundles, support, rng, order=DEFAULT_STENCIL,
-                  section_index=None, scale=1.0):
+def build_section(rep: RepSpec, bundles, support, rng, scale=1.0):
     """Holomorphic section supported on the given V-summands.
 
     Per supported summand the scalar dbar kernel is extracted and a seeded
-    unit combination (or the indexed vector) of its canonical basis is
-    placed there; the summand must have non-negative degree.
+    unit combination of its canonical basis is placed there; the summand
+    must have non-negative degree.
     """
     lat = bundles[0].lattice
     n = lat.n
@@ -358,15 +346,11 @@ def build_section(rep: RepSpec, bundles, support, rng, order=DEFAULT_STENCIL,
         flat = int(np.ravel_multi_index(idx, shape))
         links = vlinks[..., flat:flat + 1, flat:flat + 1]
         count = max(deg, 1)
-        secs, res, _ = holomorphic_sections(lat, links, count, order=order)
+        secs, res, _ = holomorphic_sections(lat, links, count)
         total_res = max(total_res, float(res.max()))
-        if section_index is not None:
-            vec = secs[section_index % count][:, :, 0]
-        else:
-            w = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-            w /= np.linalg.norm(w)
-            vec = np.tensordot(w, secs[:, :, :, 0], axes=(0, 0))
-        out[:, :, flat] = scale * vec
+        w = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        w /= np.linalg.norm(w)
+        out[:, :, flat] = scale * np.tensordot(w, secs[:, :, :, 0], axes=(0, 0))
     return out, total_res
 
 
@@ -423,9 +407,7 @@ def assemble_example(kind: str, params: dict, lattice_n=16, seed=0) -> LatticePa
             support = np.argwhere(weights >= 0).tolist() if entry.default_support else []
         else:
             support = [entry.slot_index(s, spec.factor_dims) for s in support]
-        phi, res = build_section(rep, bundles, support, rng,
-                                 section_index=params.get("section_index"),
-                                 scale=params.get("scale", 1.0))
+        phi, res = build_section(rep, bundles, support, rng, scale=params.get("scale", 1.0))
     st = LatticePairState(lat, spec, rep, setting, factors, phi,
                           construction_residual=res, kind=kind, params=params)
     if entry.constraint:

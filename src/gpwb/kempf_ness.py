@@ -21,7 +21,17 @@ from .groups import (
     SubgroupSetting,
     inner_product,
 )
-from .reps import RepSpec, act, action_matrix, infinitesimal_act, moment_block, mu_shifted
+from .reps import (
+    STANDARD,
+    RepSpec,
+    act,
+    apply_slots,
+    infinitesimal_act,
+    moment_block,
+    mu_shifted,
+    slot_matrices,
+    summand_weights,
+)
 
 MEMBERSHIP_TOL = 1e-10  # component mass outside V^- that still counts as inside
 
@@ -84,7 +94,6 @@ class StabilityVerdict:
     stable: bool
     slack: float
     witness: WeightedFiltration = None
-    witness_weight: float = None
     marginal: bool = False
 
     def __post_init__(self):
@@ -108,25 +117,23 @@ class FlowResult:
 # maximal weights
 
 
-def negative_subspace(s: AlgebraElement, rep: RepSpec, tol=1e-9):
-    """Orthonormal basis of the span of eigenvectors of i*rho(s) with
-    eigenvalue <= 0 (within tol)."""
-    H = 1j * action_matrix(s, rep)
-    H = 0.5 * (H + H.conj().T)
-    vals, vecs = np.linalg.eigh(H)
-    keep = vals <= tol
-    return vecs[:, keep]
-
-
 def maximal_weight(x, s: AlgebraElement, rep: RepSpec) -> float:
-    """0 if x lies in the non-positive eigenspace of i*rho(s), else +inf."""
+    """0 if x lies in V^-, the span of the eigenvectors of i*rho(s) with
+    eigenvalue <= 0 (within 1e-9), else +inf.
+
+    One ``eigh`` of the Hermitian i*s_f per factor gives an eigenbasis of
+    i*rho(s) on V: rotated into it by the adjoint eigenvector blocks, i*rho(s)
+    is diagonal with the ``summand_weights`` of the eigenvalues, so V^- is
+    a set of coordinates.
+    """
     x = np.asarray(x, dtype=complex)
     nx = np.linalg.norm(x)
     if nx == 0.0:
         return 0.0
-    basis = negative_subspace(s, rep)
-    inside = basis @ (basis.conj().T @ x)
-    if np.linalg.norm(x - inside) <= MEMBERSHIP_TOL * nx:
+    ws, vs = zip(*(np.linalg.eigh(0.5j * (b - b.conj().T)) for b in s.blocks))
+    y = apply_slots(slot_matrices([v.conj().T for v in vs], rep), x.reshape(-1), rep)
+    outside = y.reshape(rep.shape)[summand_weights(ws, rep) > 1e-9]
+    if np.linalg.norm(outside) <= MEMBERSHIP_TOL * nx:
         return 0.0
     return np.inf
 
@@ -160,49 +167,32 @@ def total_weight(x, filt: WeightedFiltration, c: AlgebraElement, rep: RepSpec,
 # SSC generators
 
 
-def ssc_generators(filt_chain, p_phi: int, factor=0):
+def chain_generator_weights(r):
+    """The 2r two-eigenvalue generators of the admissible weights of a chain
+    of length r, as weight vectors over its steps: first the lowering ones
+    (-1 on steps 1..i, 0 after), then the raising ones (0 before step j, 1
+    from it on), for i and j = 1..r."""
+    return ([[-1] * i + [0] * (r - i) for i in range(1, r + 1)]
+            + [[0] * (j - 1) + [1] * (r - j + 1) for j in range(1, r + 1)])
+
+
+def ssc_generators(filt_chain, factor=0):
     """Two-eigenvalue generators of the admissible weight cone of a chain.
 
     ``filt_chain`` is the increasing list of orthonormal bases; r = len.
-    Returns the filtrations with weights (-1, 0) on each truncation
-    (f-type, for every step) and weights (0, 1) on each co-truncation with
-    index above p_phi (g-type), eigenvalues of the elements in {0, +-i}.
+    Each weight vector of ``chain_generator_weights`` becomes the filtration
+    by the steps where its weight rises, closed off with the full space:
+    weights (-1, 0) on a truncation, (0, 1) on a co-truncation, or one
+    weight -1 or 1 on the full space.  The elements have eigenvalues in
+    {0, +-i}.
     """
     r = len(filt_chain)
-    if not 0 <= p_phi <= r:
-        raise ValueError(f"p index {p_phi} out of range for chain of length {r}")
-    full = filt_chain[-1]
     gens = []
-    for i in range(r):
-        if i == r - 1:
-            # full-space truncation: single weight -1
-            gens.append(WeightedFiltration(factor, (full,), (-1.0,)))
-        else:
-            gens.append(WeightedFiltration(factor, (filt_chain[i], full), (-1.0, 0.0)))
-    for j in range(p_phi, r):
-        if j == 0:
-            gens.append(WeightedFiltration(factor, (full,), (1.0,)))
-        else:
-            gens.append(WeightedFiltration(factor, (filt_chain[j - 1], full), (0.0, 1.0)))
+    for alpha in chain_generator_weights(r):
+        keep = [k for k in range(r) if k == r - 1 or alpha[k] != alpha[k + 1]]
+        gens.append(WeightedFiltration(factor, tuple(filt_chain[k] for k in keep),
+                                       tuple(alpha[k] for k in keep)))
     return gens
-
-
-def membership_index(x, filt_chain, rep: RepSpec, factor=0):
-    """Smallest i with x inside (chain_i (x) rest of V); 0-sentinel for x = 0."""
-    x = np.asarray(x, dtype=complex)
-    if np.linalg.norm(x) == 0.0:
-        return 0
-    t = x.reshape(rep.shape)
-    axes = rep.factor_slots(factor)
-    if len(axes) != 1 or rep.slots[axes[0]].action != "standard":
-        raise ValueError("membership index needs a single standard slot for the factor")
-    axis = axes[0]
-    for i, q in enumerate(filt_chain):
-        proj = np.tensordot(q @ q.conj().T, np.moveaxis(t, axis, 0), axes=(1, 0))
-        rest = np.moveaxis(t, axis, 0) - proj
-        if np.linalg.norm(rest) <= MEMBERSHIP_TOL * np.linalg.norm(x):
-            return i + 1
-    return len(filt_chain)
 
 
 def _nested_chains(subspaces, dim_full):
@@ -240,19 +230,20 @@ def _nested_chains(subspaces, dim_full):
     return out
 
 
-def default_subspace_lattice(x, rep: RepSpec, factor=0, include_coordinates=True):
+def default_subspace_lattice(x, rep: RepSpec, factor=0):
     """Invariant-subspace candidates on one factor for desk-scale fixtures:
-    coordinate subspaces plus the column space of x along the factor slot."""
+    coordinate subspaces plus the column space of x along the factor slot.
+    The factor must act on V through exactly one standard slot."""
     n = rep.spec.factor_dims[factor]
-    t = np.asarray(x, dtype=complex).reshape(rep.shape)
     axes = rep.factor_slots(factor)
-    axis = axes[0]
-    mat = np.moveaxis(t, axis, 0).reshape(n, -1)
-    subspaces = []
-    if include_coordinates:
-        eye = np.eye(n, dtype=complex)
-        for k in range(1, n):
-            subspaces.append(eye[:, :k])
+    actions = [rep.slots[k].action for k in axes]
+    if actions != [STANDARD]:
+        raise ValueError(f"factor {factor} must act through exactly one standard slot, "
+                         f"got {actions}")
+    t = np.asarray(x, dtype=complex).reshape(rep.shape)
+    mat = np.moveaxis(t, axes[0], 0).reshape(n, -1)
+    eye = np.eye(n, dtype=complex)
+    subspaces = [eye[:, :k] for k in range(1, n)]
     u, sv, _ = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(sv > 1e-10 * (sv[0] if sv.size and sv[0] > 0 else 1.0)))
     if 0 < rank < n:
@@ -261,16 +252,15 @@ def default_subspace_lattice(x, rep: RepSpec, factor=0, include_coordinates=True
 
 
 def stability_test(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSetting,
-                   degrees=None, subspace_lattice=None, factor=None) -> StabilityVerdict:
-    """Algebraic stability of x for the subgroup action.
+                   factor=None) -> StabilityVerdict:
+    """Algebraic stability of x for the subgroup action (base = point).
 
-    Enumerates chains over the supplied invariant-subspace lattice on the
-    designated unfrozen factor, reduces each chain to its two-eigenvalue
-    generators, evaluates the total weight of every generator, and returns
-    the minimal-slack verdict.  Degree data is injected per chain step by
-    a callable ``degrees(chain)`` when the fixture carries curve degrees;
-    by default all degrees are zero.  Chains run over one factor only, so
-    ``factor`` may be left out only when a single factor is unfrozen.
+    Enumerates chains over ``default_subspace_lattice`` on the designated
+    unfrozen factor, reduces each chain to its ``ssc_generators``,
+    evaluates the total weight of every generator, and returns the
+    minimal-slack verdict.  A generator whose V^- does not contain x has
+    total weight +inf and so never wins.  Chains run over one factor only,
+    so ``factor`` may be left out only when a single factor is unfrozen.
     """
     if factor is None:
         nf = [i for i, m in enumerate(setting.modes) if m != FROZEN]
@@ -279,25 +269,19 @@ def stability_test(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSet
                              f"chains of one factor, so name it with factor=")
         factor = nf[0]
     n = spec.factor_dims[factor]
-    if subspace_lattice is None:
-        subspace_lattice = default_subspace_lattice(x, rep, factor)
     c = setting.central_shift
     best = np.inf
     witness = None
-    for chain in _nested_chains(subspace_lattice, n):
-        p_phi = membership_index(x, chain, rep, factor)
-        for gen in ssc_generators(chain, p_phi, factor):
-            deg = None
-            if degrees is not None:
-                deg = degrees(gen.chain)
-            w = total_weight(x, gen, c, rep, degrees=deg)
+    for chain in _nested_chains(default_subspace_lattice(x, rep, factor), n):
+        for gen in ssc_generators(chain, factor):
+            w = total_weight(x, gen, c, rep)
             if w < best:
                 best = w
                 witness = gen
     stable = bool(best > 0.0)
     marginal = bool(abs(best) <= 1e-9) if np.isfinite(best) else False
     return StabilityVerdict(stable=stable, slack=float(best), witness=witness,
-                            witness_weight=float(best), marginal=marginal)
+                            marginal=marginal)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,7 @@ TWO_PI = 2.0 * np.pi
 # spurious zeros while order 1 reproduces the plain forward difference
 STENCILS = {
     1: (-1.0, 1.0),
-    2: (-1.5, 2.0, -0.5),
     3: (-11.0 / 6.0, 3.0, -1.5, 1.0 / 3.0),
-    4: (-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25),
 }
 DEFAULT_STENCIL = 3
 
@@ -210,8 +208,8 @@ def dbar_matrix(lat: TorusLattice, vlinks: np.ndarray, order=DEFAULT_STENCIL) ->
     fields, scaled by 1/spacing.
 
     ``order=1`` is the plain two-point forward difference
-    (U^-1 s(x+mu) - s(x)) * N; higher orders use the matching one-sided
-    stencils with multi-step transports.
+    (U^-1 s(x+mu) - s(x)) * N; ``order=3`` uses the four-point one-sided
+    stencil with multi-step transports.
     """
     coef = STENCILS[order]
     n = lat.n
@@ -284,7 +282,7 @@ def canonical_basis(kernel: np.ndarray, n: int, dimv: int) -> np.ndarray:
 
 
 def holomorphic_sections(lat: TorusLattice, vlinks: np.ndarray, count: int,
-                         order=DEFAULT_STENCIL, strict=False, gap_tol=1e-6):
+                         strict=False, gap_tol=1e-6):
     """Orthonormal numerical kernel vectors of the dbar operator D.
 
     Returns (sections, residuals, gap_ratio) where ``sections`` has shape
@@ -306,7 +304,7 @@ def holomorphic_sections(lat: TorusLattice, vlinks: np.ndarray, count: int,
         raise ValueError("count must be >= 1")
     n = lat.n
     dimv = vlinks.shape[-1]
-    D = dbar_matrix(lat, vlinks, order=order)
+    D = dbar_matrix(lat, vlinks)
     size = D.shape[1]
     gram = (D.conj().T @ D).tocsc()
     # a minimum-degree ordering of the symmetric pattern: at N = 64 the LU

@@ -161,15 +161,6 @@ def _one_slot(mats):
             yield [m if j == k else None for j in range(len(mats))]
 
 
-def _generator_operator(blocks, rep: RepSpec):
-    """(D, D) matrix of the generator blocks: a sum of single-slot operators."""
-    mats = slot_matrices(blocks, rep, generator=True)
-    return sum((slot_operator(one, rep) for one in _one_slot(mats)),
-               np.zeros((rep.dim, rep.dim), dtype=complex))
-
-
-
-
 def moment_block(x, rep: RepSpec, i: int):
     """Moment-map block of factor i on x of shape (..., D); zero when
     factor i acts trivially.
@@ -202,9 +193,16 @@ def moment_block(x, rep: RepSpec, i: int):
 def summand_weights(diags, rep: RepSpec):
     """Weights of a diagonal generator on the coordinate summands of V:
     ``diags[i]`` holds the diagonal of factor i; the result has shape
-    ``rep.shape``, one weight per slot multi-index."""
-    ops = _generator_operator([np.diag(d) for d in diags], rep)
-    return np.diagonal(ops).real.reshape(rep.shape)
+    ``rep.shape``, one weight per slot multi-index.  The generator acts
+    slot by slot, so each weight is the sum over the slots of the diagonal
+    entries of their ``slot_matrices``."""
+    mats = slot_matrices([np.diag(d) for d in diags], rep, generator=True)
+    out = np.zeros(rep.shape)
+    for axis, m in enumerate(mats):
+        if m is not None:
+            out += np.diagonal(m).real.reshape(
+                tuple(-1 if k == axis else 1 for k in range(len(mats))))
+    return out
 
 
 def _flat_v(x, rep: RepSpec):
@@ -225,11 +223,6 @@ def infinitesimal_act(s: AlgebraElement, x, rep: RepSpec):
     mats = slot_matrices(s.blocks, rep, generator=True)
     return sum((apply_slots(one, x, rep) for one in _one_slot(mats)),
                np.zeros(rep.dim, dtype=complex))
-
-
-def action_matrix(s: AlgebraElement, rep: RepSpec):
-    """Matrix of infinitesimal_act(s, .) on flattened V."""
-    return _generator_operator(s.blocks, rep)
 
 
 # ---------------------------------------------------------------------------

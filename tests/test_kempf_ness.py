@@ -14,7 +14,9 @@ from gpwb.groups import (
     random_unitary,
 )
 from gpwb.kempf_ness import (
+    MEMBERSHIP_TOL,
     WeightedFiltration,
+    chain_generator_weights,
     default_subspace_lattice,
     descend,
     gradient_flow,
@@ -23,12 +25,23 @@ from gpwb.kempf_ness import (
     kn_functional_group,
     maximal_weight,
     metric_exponent,
-    negative_subspace,
     ssc_generators,
     stability_test,
     total_weight,
 )
-from gpwb.reps import ADJOINT, DUAL, STANDARD, TRIVIAL, RepSpec, Slot, act, mu_full, mu_shifted
+from gpwb.reps import (
+    ADJOINT,
+    DUAL,
+    STANDARD,
+    TRIVIAL,
+    RepSpec,
+    Slot,
+    act,
+    infinitesimal_act,
+    mu_full,
+    mu_shifted,
+    summand_weights,
+)
 
 U1 = ProductGroupSpec((1,))
 REP_U1 = RepSpec(U1, (Slot(1, STANDARD, 0),))
@@ -41,38 +54,87 @@ def u2_tensor(n2=3):
 
 
 # ---------------------------------------------------------------------------
-# negative subspaces / maximal weights
+# maximal weights
 
 
-def test_negative_subspace_zero_element():
+def dense_maximal_weight(x, s, rep):
+    """Reference maximal weight from the D x D matrix of i*rho(s), built
+    column by column from ``infinitesimal_act``, and its ``eigh``; also
+    returns the eigenvalues."""
+    cols = np.stack([infinitesimal_act(s, e, rep) for e in np.eye(rep.dim)], axis=1)
+    vals, vecs = np.linalg.eigh(0.5j * (cols - cols.conj().T))
+    basis = vecs[:, vals <= 1e-9]
+    outside = x - basis @ (basis.conj().T @ x)
+    inside = np.linalg.norm(outside) <= MEMBERSHIP_TOL * np.linalg.norm(x)
+    return (0.0 if inside else np.inf), vals, basis
+
+
+LAYOUTS = {
+    "standard": ((2, 3), ((2, STANDARD, 0), (3, STANDARD, 1))),
+    "dual": ((2, 3), ((2, DUAL, 0), (3, STANDARD, 1))),
+    "adjoint": ((2, 2), ((4, ADJOINT, 0), (2, DUAL, 1))),
+    "trivial": ((3, 2), ((3, STANDARD, 0), (2, TRIVIAL, -1), (2, DUAL, 1))),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_maximal_weight_matches_dense_reference(layout, rng):
+    """The per-factor eigenbasis of maximal_weight against the D x D
+    operator: same spectrum, and the same weight for x inside and outside
+    V^- on filtration elements of either factor."""
+    dims, slots = LAYOUTS[layout]
+    spec = ProductGroupSpec(dims)
+    rep = RepSpec(spec, tuple(Slot(*sl) for sl in slots))
+    for trial in range(40):
+        f = trial % 2
+        n = dims[f]
+        q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        k = int(rng.integers(1, n + 1))
+        weights = np.sort(rng.choice(np.arange(-2.0, 3.0), size=k, replace=False))
+        steps = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist()) + [n]
+        s = WeightedFiltration(f, tuple(q[:, :m] for m in steps), weights).element(spec)
+        x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+        want, vals, basis = dense_maximal_weight(x, s, rep)
+        eig = [np.linalg.eigvalsh(0.5j * (b - b.conj().T)) for b in s.blocks]
+        assert np.allclose(np.sort(summand_weights(eig, rep).ravel()), vals, atol=1e-12)
+        assert maximal_weight(x, s, rep) == want
+        if basis.shape[1]:
+            inner = basis @ (rng.standard_normal(basis.shape[1]) + 0j)
+            assert dense_maximal_weight(inner, s, rep)[0] == 0.0
+            assert maximal_weight(inner, s, rep) == 0.0
+            if basis.shape[1] < rep.dim:
+                assert maximal_weight(inner + 1e-6 * x, s, rep) == want
+
+
+def test_maximal_weight_zero_element(rng):
+    # every eigenvalue of i*rho(0) is 0, so V^- is all of V
     spec, rep = u2_tensor()
-    basis = negative_subspace(AlgebraElement.zero(spec), rep)
-    assert basis.shape == (rep.dim, rep.dim)
+    x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    assert maximal_weight(x, AlgebraElement.zero(spec), rep) == 0.0
 
 
-def test_negative_subspace_tensor_split():
+def test_maximal_weight_tensor_split(rng):
+    # i*rho(s) has eigenvalues -1 on e1 (x) C^2 and +1 on e2 (x) C^2
     spec, rep = u2_tensor(2)
     s = AlgebraElement((np.diag([1j, -1j]), np.zeros((2, 2))), "compact")
-    basis = negative_subspace(s, rep)
-    # i*rho(s) has eigenvalues -1 on e1 (x) C^2 and +1 on e2 (x) C^2
-    assert basis.shape[1] == 2
-    for k in range(2):
-        v = basis[:, k].reshape(2, 2)
-        assert np.linalg.norm(v[1, :]) < 1e-12
+    x = np.zeros((2, 2), complex)
+    x[0] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    assert maximal_weight(x.ravel(), s, rep) == 0.0
+    x[1, 1] = 1e-3
+    assert np.isinf(maximal_weight(x.ravel(), s, rep))
 
 
-def test_negative_subspace_adjoint_triangular(rng):
+def test_maximal_weight_adjoint_triangular(rng):
     spec = ProductGroupSpec((2, 1))
     rep = RepSpec(spec, (Slot(4, ADJOINT, 0), Slot(1, STANDARD, 1)))
     s = AlgebraElement((np.diag([-1j, 0]), np.zeros((1, 1))), "compact")
-    basis = negative_subspace(s, rep)
-    # brute-force oracle: eigenvalues of i*ad(s) are {-1, 0, 0, +1}
-    assert basis.shape[1] == 3
-    # the excluded direction is the corner raising the filtration
-    excluded = np.zeros(4, complex)
-    excluded[1] = 1.0  # E_{12} in row-major vec
-    proj = basis @ (basis.conj().T @ excluded)
-    assert np.linalg.norm(proj) < 1e-10
+    # eigenvalues of i*ad(s) are {-1, 0, 0, +1}; the +1 direction is the
+    # corner E_12 (index 1 in row-major vec) that raises the filtration
+    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    x[1] = 0.0
+    assert maximal_weight(x, s, rep) == 0.0
+    x[1] = 1e-3
+    assert np.isinf(maximal_weight(x, s, rep))
 
 
 def test_maximal_weight_zero_vector(rng):
@@ -151,22 +213,24 @@ def test_total_weight_matches_direct_formula(rng):
 def test_ssc_generator_counts():
     full = np.eye(2, dtype=complex)
     q1 = full[:, :1]
-    # r=1 chain: one f-generator; with p_phi=1 no g-generators
-    gens = ssc_generators([full], 1)
-    assert len(gens) == 1
-    assert gens[0].weights == (-1.0,)
-    # r=2, p=1: f1, f2 and g2
-    gens = ssc_generators([q1, full], 1)
-    assert len(gens) == 3
-    weights = sorted(g.weights for g in gens)
-    assert weights == [(-1.0,), (-1.0, 0.0), (0.0, 1.0)]
+    # a chain of length r has 2r generators: the r lowering ones, then the r raising ones
+    assert chain_generator_weights(2) == [[-1, 0], [-1, -1], [1, 1], [0, 1]]
+    gens = ssc_generators([full])
+    assert [g.weights for g in gens] == [(-1.0,), (1.0,)]
+    gens = ssc_generators([q1, full])
+    assert [g.weights for g in gens] == [(-1.0, 0.0), (-1.0,), (1.0,), (0.0, 1.0)]
+    assert [g.length for g in gens] == [2, 1, 1, 2]
+    assert np.array_equal(gens[0].chain[0], q1) and np.array_equal(gens[3].chain[0], q1)
+    for r in range(1, 5):
+        assert len(ssc_generators([np.eye(5, dtype=complex)[:, :k + 1] for k in range(r - 1)]
+                                  + [np.eye(5, dtype=complex)])) == 2 * r
 
 
 def test_ssc_generator_eigenvalues_in_zero_pm_i():
     spec, rep = u2_tensor(2)
     full = np.eye(2, dtype=complex)
     q1 = full[:, :1]
-    for gen in ssc_generators([q1, full], 1):
+    for gen in ssc_generators([q1, full]):
         chi = gen.element(spec)
         ev = np.linalg.eigvals(chi.blocks[0])
         for e in ev:
@@ -220,6 +284,23 @@ def test_stability_zero_vector_not_stable():
     assert not v.stable
     assert v.slack == pytest.approx(0.0)
     assert v.marginal
+
+
+@pytest.mark.parametrize("slots", [
+    ((2, DUAL, 0), (2, STANDARD, 1)),
+    ((4, ADJOINT, 0), (2, STANDARD, 1)),
+    ((2, STANDARD, 0), (2, STANDARD, 0)),
+    ((2, STANDARD, 1),),
+], ids=["dual", "adjoint", "two-standard", "no-slot"])
+def test_stability_needs_one_standard_slot(slots, rng):
+    # the subspace lattice reads the column space of x along the factor's slot
+    spec = ProductGroupSpec((2, 2))
+    rep = RepSpec(spec, tuple(Slot(*sl) for sl in slots))
+    x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    with pytest.raises(ValueError, match="exactly one standard slot"):
+        default_subspace_lattice(x, rep, 0)
+    with pytest.raises(ValueError):
+        stability_test(x, rep, spec, central(spec, 0.7))
 
 
 def test_stability_needs_the_factor_when_two_are_unfrozen(rng):

@@ -8,7 +8,6 @@ from gpwb.groups import (
     GroupElement,
     ProductGroupSpec,
     SubgroupSetting,
-    random_compact,
 )
 from gpwb.lattice import (
     TWO_PI,
@@ -40,8 +39,6 @@ from gpwb.reps import (
     RepSpec,
     Slot,
     act,
-    action_matrix,
-    infinitesimal_act,
     moment_block,
     mu_factor,
 )
@@ -514,6 +511,3 @@ def test_lattice_actions_match_point_actions_sitewise(rng):
             assert np.allclose(gauged[s, t], act(k, x, rep), atol=1e-12)
             for i in range(2):
                 assert np.allclose(mus[i][s, t], mu_factor(x, rep, i), atol=1e-12)
-    a = random_compact(spec, rng)
-    cols = np.stack([infinitesimal_act(a, e, rep) for e in np.eye(rep.dim)], axis=1)
-    assert np.allclose(action_matrix(a, rep), cols, atol=1e-13)
