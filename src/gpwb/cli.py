@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import suite
 from .fixtures import KINDS, CurveFixture, load_fixture, ssc_reduction_equiv, verdict
 from .flows import FlowOpts, assemble_example, heat_flow, newton_abelian
 from .groups import CONSTANT, ProductGroupSpec, SubgroupSetting
@@ -273,16 +274,8 @@ def run_example_mode(mode, cfg, rng_seed, out_dir, tol):
 # invariant suite
 
 
-def _suite_checks():
-    from . import suite
-
-    return suite.CHECKS
-
-
 def _suite_single(args):
     name, seed = args
-    from . import suite
-
     fn = dict(suite.CHECKS)[name]
     try:
         ok, detail = fn(np.random.default_rng(seed))
@@ -292,7 +285,7 @@ def _suite_single(args):
 
 
 def run_invariant_suite(cfg, rng_seed, workers):
-    names = [n for n, _ in _suite_checks()]
+    names = [n for n, _ in suite.CHECKS]
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(rng_seed).spawn(len(names))]
     rows = _map(_suite_single, list(zip(names, seeds)), workers)
     return {"mode": "invariant_suite", "checks": rows,

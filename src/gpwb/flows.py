@@ -29,13 +29,14 @@ from .lattice import (
     LatticePairState,
     TWO_PI,
     build_torus,
+    corrected_links,
     curvature_field,
     curvature_response_matrix,
     direct_sum_bundle,
     holomorphic_sections,
     lattice_degree,
-    link_frame,
     pointwise_residual,
+    require_unitary,
     section_transport,
 )
 from .reps import ADJOINT, STANDARD, RepSpec, Slot, moment_block, summand_weights
@@ -102,12 +103,9 @@ def _semi_implicit_scalar(d, step, n):
     return out
 
 
-def unfrozen_degrees(state: LatticePairState, frames=None):
-    out = {}
-    for i, f in enumerate(state.factors):
-        if f.mode == FULL:
-            out[i] = lattice_degree(state.corrected_links(i, frames[i] if frames else None))
-    return out
+def unfrozen_degrees(state: LatticePairState):
+    return {i: lattice_degree(corrected_links(f.bundle.links, state.u[i]))
+            for i, f in enumerate(state.factors) if f.mode == FULL}
 
 
 def _constraint_slack(state: LatticePairState, sign):
@@ -169,10 +167,12 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
     """
     opts = opts or FlowOpts()
     work = state.copy()
-    # the raw links never change during the flow: check and invert them once
-    frames = {i: link_frame(f.bundle.links) for i, f in enumerate(work.factors)
-              if f.mode == FULL}
-    deg_before = unfrozen_degrees(work, frames)
+    # the raw links never change during the flow: check them once, and let
+    # every residual invert them by their adjoint
+    for f in work.factors:
+        if f.mode == FULL:
+            require_unitary(f.bundle.links)
+    deg_before = unfrozen_degrees(work)
     responses = {}  # factor -> L_A of a rank > 1 FULL factor
     # factor -> {step: LU of I + step L_A} for the current and the previous
     # step value, least recently used first.  Steps only halve and double,
@@ -198,7 +198,7 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
         return _herm(lu.solve(d.reshape(-1)).reshape(d.shape))
 
     def residual(u):
-        blocks, l2, linf = pointwise_residual(replace(work, u=u), frames)
+        blocks, l2, linf = pointwise_residual(replace(work, u=u))
         return blocks, (l2, linf)
 
     def move(u, blocks, step):
@@ -222,7 +222,7 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
         trajectory=d.rows,
         sup_log_metric=d.sup_log,
         degrees_before=deg_before,
-        degrees_after=unfrozen_degrees(work, frames),
+        degrees_after=unfrozen_degrees(work),
         constraint=constraint_diagnostics(work, d.r),
         rejections=d.rejections,
         reason=d.reason,

@@ -71,12 +71,12 @@ class WeightedFiltration:
         return len(self.chain)
 
     def graded_projectors(self):
-        prev = None
+        prev = 0
         out = []
         for q in self.chain:
             p = q @ q.conj().T
-            out.append(p - prev if prev is not None else p)
-            prev = q @ q.conj().T
+            out.append(p - prev)
+            prev = p
         return out
 
     def element(self, spec: ProductGroupSpec) -> AlgebraElement:
@@ -124,14 +124,23 @@ def maximal_weight(x, s: AlgebraElement, rep: RepSpec) -> float:
     One ``eigh`` of the Hermitian i*s_f per factor gives an eigenbasis of
     i*rho(s) on V: rotated into it by the adjoint eigenvector blocks, i*rho(s)
     is diagonal with the ``summand_weights`` of the eigenvalues, so V^- is
-    a set of coordinates.
+    a set of coordinates.  A factor with s_f = 0 takes no ``eigh`` and no
+    rotation: its weights are 0.
     """
     x = np.asarray(x, dtype=complex)
     nx = np.linalg.norm(x)
     if nx == 0.0:
         return 0.0
-    ws, vs = zip(*(np.linalg.eigh(0.5j * (b - b.conj().T)) for b in s.blocks))
-    y = apply_slots(slot_matrices([v.conj().T for v in vs], rep), x.reshape(-1), rep)
+    ws, rotations = [], []
+    for b in s.blocks:
+        if b.any():
+            w, v = np.linalg.eigh(0.5j * (b - b.conj().T))
+            ws.append(w)
+            rotations.append(v.conj().T)
+        else:  # weights 0 in every basis: no eigh, and its slots are not rotated
+            ws.append(np.zeros(len(b)))
+            rotations.append(None)
+    y = apply_slots(slot_matrices(rotations, rep), x.reshape(-1), rep)
     outside = y.reshape(rep.shape)[summand_weights(ws, rep) > 1e-9]
     if np.linalg.norm(outside) <= MEMBERSHIP_TOL * nx:
         return 0.0

@@ -8,7 +8,12 @@ Conventions fixed here and relied on everywhere else:
 * ``U[mu][s, t]`` transports fiber(x) -> fiber(x + mu_hat); covariant
   forward difference is U^-1 s(x + mu_hat) - s(x).
 * links are unitary, and their inverse is taken as their adjoint
-  (``require_unitary`` checks a link field once per flow and on loading).
+  (``require_unitary`` checks the raw links once per flow, at a rank > 1
+  curvature response and on loading); only ``dbar_matrix`` inverts its
+  transports by ``np.linalg.inv``.
+* a transport along an axis is the product of the links crossed
+  (``_axis_transport``), and the dbar operator and the curvature
+  response are block stencils of such transports (``_stencil_operator``).
 * plaquette P(x) = U1(x)^-1 U0(x+t)^-1 U1(x+s) U0(x); the Hermitian
   curvature block is i N^2 log P(x), and the constant-curvature bundle
   with d holomorphic sections has i*Lambda F = +2 pi d.
@@ -89,18 +94,6 @@ def require_unitary(links: np.ndarray, what="links"):
     if not defect <= UNITARY_TOL:
         raise ValueError(f"{what} are not unitary: max |U Uᴴ - I| = {defect:.3e} "
                          f"> {UNITARY_TOL:g}")
-
-
-def link_frame(links: np.ndarray):
-    """The raw-link data every metric correction reuses: (the links, their
-    inverses, the links shifted back one site along their own axis, and the
-    inverses of those), each of shape (2, N, N, r, r).  The links must be
-    unitary (``require_unitary``); their inverses are their adjoints."""
-    require_unitary(links)
-    inv = np.swapaxes(links, -1, -2).conj()
-    back = np.stack([np.roll(links[mu], 1, axis=mu) for mu in (0, 1)])
-    back_inv = np.stack([np.roll(inv[mu], 1, axis=mu) for mu in (0, 1)])
-    return links, inv, back, back_inv
 
 
 def trivial_bundle(lat: TorusLattice, rank=1) -> LatticeBundle:
@@ -188,7 +181,7 @@ def lattice_degree(bundle_or_links) -> float:
 
 
 # ---------------------------------------------------------------------------
-# induced transports on V
+# transports and block stencils
 
 
 def section_transport(rep: RepSpec, factor_links) -> np.ndarray:
@@ -197,6 +190,37 @@ def section_transport(rep: RepSpec, factor_links) -> np.ndarray:
     ``factor_links[i]`` is the (2,N,N,n_i,n_i) link field of factor i.
     """
     return slot_operator(slot_matrices(factor_links, rep), rep, lead=factor_links[0].shape[:3])
+
+
+def _axis_transport(links: np.ndarray, mu: int, hops: int) -> np.ndarray:
+    """Transport of fiber(x) to fiber(x + hops mu_hat) along axis mu, shape
+    (N, N, r, r): the product of the links crossed on the way, or for
+    hops < 0 of the adjoints of the links crossed backwards.  Its inverse
+    is the transport back from the far end, ``np.roll(_axis_transport(links,
+    mu, -hops), -hops, axis=mu)``, exact for unitary links."""
+    step = links[mu] if hops > 0 else np.roll(np.swapaxes(links[mu], -1, -2).conj(), 1, axis=mu)
+    out = step
+    for j in range(1, abs(hops)):
+        out = np.roll(step, -j if hops > 0 else j, axis=mu) @ out
+    return out
+
+
+def _stencil_operator(n: int, terms) -> sp.csr_matrix:
+    """CSR matrix of the block stencil (A f)(x) = sum over the terms (mu,
+    hops, block) of block(x) f(x + hops mu_hat), on fields flattened over
+    (site, component); each block broadcasts to (N, N, d, d)."""
+    site = np.arange(n * n).reshape(n, n, 1, 1)
+    rows, cols, vals = [], [], []
+    for mu, hops, block in terms:
+        d = block.shape[-1]
+        comp = np.arange(d)
+        shape = (n, n, d, d)
+        rows.append(np.broadcast_to(site * d + comp[:, None], shape).ravel())
+        cols.append(np.broadcast_to(np.roll(site, -hops, axis=mu) * d + comp, shape).ravel())
+        vals.append(np.broadcast_to(block, shape).ravel())
+    size = n * n * d
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(size, size)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -209,40 +233,17 @@ def dbar_matrix(lat: TorusLattice, vlinks: np.ndarray, order=DEFAULT_STENCIL) ->
 
     ``order=1`` is the plain two-point forward difference
     (U^-1 s(x+mu) - s(x)) * N; ``order=3`` uses the four-point one-sided
-    stencil with multi-step transports.
+    stencil, whose j-hop term takes s(x + j mu) back to x by the
+    ``np.linalg.inv`` of the ``_axis_transport`` of ``vlinks``.
     """
-    coef = STENCILS[order]
     n = lat.n
-    dimv = vlinks.shape[-1]
-    nsite = n * n
-    rows, cols, vals = [], [], []
-    eye = np.eye(dimv, dtype=complex)
-    site_index = np.arange(nsite).reshape(n, n)
-
+    eye = np.eye(vlinks.shape[-1], dtype=complex)
+    terms = []
     for mu, weight in ((0, 1.0), (1, 1j)):
-        # cumulative transports along direction mu: T[j] maps fiber(x) -> fiber(x+j mu)
-        transport = np.broadcast_to(eye, (n, n, dimv, dimv)).copy()
-        shifted = vlinks[mu].copy()
-        for j, cj in enumerate(coef):
-            if j == 0:
-                blocks = (weight * cj * n) * np.broadcast_to(eye, (n, n, dimv, dimv))
-                tgt = site_index
-            else:
-                transport = shifted @ transport if j > 1 else vlinks[mu].copy()
-                blocks = (weight * cj * n) * np.linalg.inv(transport)
-                tgt = np.roll(site_index, -j, axis=mu)
-                shifted = np.roll(vlinks[mu], -j, axis=mu)
-            src = site_index
-            for a in range(dimv):
-                for b in range(dimv):
-                    rows.append((src * dimv + a).ravel())
-                    cols.append((tgt * dimv + b).ravel())
-                    vals.append(blocks[:, :, a, b].ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    out = sp.coo_matrix((vals, (rows, cols)), shape=(nsite * dimv, nsite * dimv))
-    return out.tocsr()
+        for j, cj in enumerate(STENCILS[order]):
+            back = eye if j == 0 else np.linalg.inv(_axis_transport(vlinks, mu, j))
+            terms.append((mu, j, (weight * cj * n) * back))
+    return _stencil_operator(n, terms)
 
 
 # shift of the shift-invert solve: DᴴD + SECTION_SHIFT is positive definite,
@@ -383,16 +384,6 @@ class LatticePairState:
         )
         return st
 
-    def corrected_links(self, i, frame=None):
-        """Metric-corrected unitary links of factor i (transverse-gradient
-        phase correction; exact curvature response for abelian factors).
-        ``frame`` is the ``link_frame`` of its raw links, if the caller
-        keeps one."""
-        f = self.factors[i]
-        if f.mode != FULL:
-            return f.bundle.links
-        return corrected_links(f.bundle.links, self.u[i], frame)
-
     def metric_frame_section(self):
         """Section in the metric-orthonormal frame: act(e^{u(x)}, Phi(x))."""
         return apply_metric_exponents(self.section, self.rep, self.u, self.factors)
@@ -412,24 +403,25 @@ class LatticePairState:
         return worst
 
 
-def corrected_links(links: np.ndarray, u: np.ndarray, frame=None) -> np.ndarray:
+def corrected_links(links: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Multiply links by exp(-i * kappa * transverse centered difference of u).
 
     kappa = -1: the s-links pick up the centered t-difference and the
     t-links minus the centered s-difference, transported to the base site.
     The induced change of i N^2 log P is, to first order where the
     plaquettes are trivial, the operator ``curvature_response_matrix(lat,
-    links)`` (exactly, for abelian factors).  ``frame`` is the
-    ``link_frame`` of ``links``, when the caller keeps one; at rank 1 the
-    transports cancel (G^-1 u G = u) and neither is needed.
+    links)`` (exactly, for abelian factors).  The links must be unitary: a
+    transport is inverted by the adjoint ``adj`` of the links, unchecked
+    here (``heat_flow`` checks its raw links once).  At rank 1 the
+    transports cancel (G^-1 u G = u) and are skipped.
     """
     if links.shape[-1] == 1:
         diff = [0.5 * (np.roll(u, -1, axis=nu) - np.roll(u, 1, axis=nu)) for nu in (0, 1)]
     else:
-        _, inv, back, back_inv = link_frame(links) if frame is None else frame
+        adj = np.swapaxes(links, -1, -2).conj()
         # neighbour values of u along direction nu, transported to the base site
-        diff = [0.5 * (inv[nu] @ np.roll(u, -1, axis=nu) @ links[nu]
-                       - back[nu] @ np.roll(u, 1, axis=nu) @ back_inv[nu]) for nu in (0, 1)]
+        diff = [0.5 * (adj[nu] @ np.roll(u, -1, axis=nu) @ links[nu]
+                       - np.roll(links[nu] @ u @ adj[nu], 1, axis=nu)) for nu in (0, 1)]
 
     # both directions through one exponential
     return links @ _expm_herm(np.stack((-1j * diff[1], 1j * diff[0])))
@@ -445,61 +437,40 @@ def _expm_herm(a):
     return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
-def _response_transports(frame, mu, hops):
-    """(G^-1, G) per site for the transport G of fiber(x) to fiber(x + hops
-    mu) along axis mu, for hops in {-1, 1, 2}; ``frame`` is a ``link_frame``."""
-    links, inv, back, back_inv = frame
-    if hops == 1:
-        return inv[mu], links[mu]
-    if hops == -1:
-        return back[mu], back_inv[mu]
-    return (inv[mu] @ np.roll(inv[mu], -1, axis=mu),
-            np.roll(links[mu], -1, axis=mu) @ links[mu])
-
-
 def curvature_response_matrix(lat: TorusLattice, links=None) -> sp.csr_matrix:
     """Linear response L_A of the curvature i N^2 log P to the metric
     exponent u under ``corrected_links``, on fields flattened over (site,
     a, b).
 
     Each neighbour value u(x+o) enters transported to the base site,
-    G^-1 u(x+o) G with G the product of the raw links along the axis, so
-    its block is kron(G^-1, G^T) times the stencil weight; L_A is gauge
-    covariant and, for unitary links, its Hermitian part is positive
-    semidefinite.  It is the exact response where the plaquettes are
-    trivial.  Without ``links``, or at rank 1, the transports cancel and
-    this is the real, translation-invariant stencil of the abelian
-    response, exact at every curvature.
+    G^-1 u(x+o) G with G the ``_axis_transport`` of the raw links, so its
+    block is kron(G^-1, G^T) times the stencil weight; the links must be
+    unitary (checked at rank > 1), and G^-1 is the transport back, the
+    product of the link adjoints in reverse order.  L_A is gauge covariant
+    and its Hermitian part is positive semidefinite.  It is the exact
+    response where the plaquettes are trivial.  Without ``links``, or at
+    rank 1, the transports cancel and this is the real,
+    translation-invariant stencil of the abelian response, exact at every
+    curvature.
     """
     n = lat.n
-    n2 = n * n
     r = 1 if links is None else links.shape[-1]
-    r2 = r * r
-    shape = (n2, r2, r2)
-    idx = np.arange(n2).reshape(n, n)
-    comp = np.arange(r2)
-    frame = link_frame(links) if r > 1 else None
-    row = np.broadcast_to(idx.reshape(n2, 1, 1) * r2 + comp[:, None], shape).ravel()
+    if r > 1:
+        require_unitary(links)
     # stencil of -N^2 * gamma * circ with gamma = -1 (see corrected_links):
     # (axis, signed number of hops along it) -> weight; zero hops is the centre
     offsets = {(0, 0): 1.0, (0, 1): 0.5, (1, 1): 0.5, (0, -1): -0.5,
                (1, -1): -0.5, (0, 2): -0.5, (1, 2): -0.5}
-    rows, cols, vals = [], [], []
+    terms = []
     for (mu, hops), w in offsets.items():
-        tgt = np.roll(idx, -hops, axis=mu)
         if r == 1 or hops == 0:
-            block = np.eye(r2)
+            block = np.eye(r * r)
         else:
-            ginv, g = _response_transports(frame, mu, hops)
-            block = _batched_kron(ginv, np.swapaxes(g, -1, -2)).reshape(shape)
-        rows.append(row)
-        cols.append(np.broadcast_to(tgt.reshape(n2, 1, 1) * r2 + comp, shape).ravel())
-        vals.append(np.broadcast_to(w * n * n * block, shape).ravel())
-    L = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n2 * r2, n2 * r2),
-    )
-    return L.tocsr()
+            g = _axis_transport(links, mu, hops)
+            ginv = np.roll(_axis_transport(links, mu, -hops), -hops, axis=mu)
+            block = _batched_kron(ginv, np.swapaxes(g, -1, -2))
+        terms.append((mu, hops, w * n * n * block))
+    return _stencil_operator(n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +524,14 @@ def gauge_transform(state: LatticePairState, kfields) -> LatticePairState:
     return new
 
 
-def pointwise_residual(state: LatticePairState, frames=None):
+def pointwise_residual(state: LatticePairState):
     """Skew-Hermitian residual blocks of the shifted subgroup moment map.
 
     Per site and unfrozen factor: N^2 log P + mu_f(Psi) + i c_f I, with the
     constant-mode blocks replaced by their site average.  Returns
     (blocks dict, l2 norm, linf norm); norms use the volume-1 weighting.
-    ``frames`` maps each FULL factor to the ``link_frame`` of its raw
-    links, for callers that evaluate the residual many times.
+    The FULL factors' links go through ``corrected_links``, which takes
+    them to be unitary without checking.
     """
     n = state.lattice.n
     psi = state.metric_frame_section()
@@ -575,7 +546,7 @@ def pointwise_residual(state: LatticePairState, frames=None):
             r = np.mean(mu, axis=(0, 1)) + 1j * c_i * np.eye(ni)
             blocks[i] = np.broadcast_to(r, (n, n, ni, ni)).copy()
         else:
-            links = state.corrected_links(i, frames[i] if frames else None)
+            links = corrected_links(f.bundle.links, state.u[i])
             lam = _log_unitary(plaquette_field(links)) * (n * n)
             r = lam + mu + 1j * c_i * np.eye(ni)
             blocks[i] = r

@@ -185,8 +185,8 @@ def test_single_exact_tie_does_not_stop_the_flow(monkeypatch):
     calls = []
     real = flows.pointwise_residual
 
-    def first_trial_ties(state, frames=None):
-        blocks, l2, linf = real(state, frames)
+    def first_trial_ties(state):
+        blocks, l2, linf = real(state)
         calls.append(l2)
         if len(calls) == 2:  # the first trial reports the current residual
             return blocks, calls[0], linf

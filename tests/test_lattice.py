@@ -3,13 +3,16 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
 
+from gpwb.flows import heat_flow
 from gpwb.groups import (
     GroupElement,
     ProductGroupSpec,
     SubgroupSetting,
 )
 from gpwb.lattice import (
+    STENCILS,
     TWO_PI,
     FactorState,
     LatticeBundle,
@@ -24,10 +27,10 @@ from gpwb.lattice import (
     gauge_transform,
     holomorphic_sections,
     lattice_degree,
-    link_frame,
     make_constant_curvature_line_bundle,
     plaquette_field,
     random_unitary_gauge,
+    require_unitary,
     section_transport,
     trivial_bundle,
 )
@@ -376,6 +379,89 @@ def test_rank1_response_operator_is_the_abelian_stencil(n):
         assert np.array_equal(L.data, ref.data)
 
 
+def _dbar_blockwise(lat, vlinks, order):
+    """``dbar_matrix`` assembled one block entry (a, b) at a time, with
+    running products of the transports."""
+    coef = STENCILS[order]
+    n = lat.n
+    dimv = vlinks.shape[-1]
+    nsite = n * n
+    rows, cols, vals = [], [], []
+    eye = np.eye(dimv, dtype=complex)
+    site_index = np.arange(nsite).reshape(n, n)
+    for mu, weight in ((0, 1.0), (1, 1j)):
+        transport = np.broadcast_to(eye, (n, n, dimv, dimv)).copy()
+        shifted = vlinks[mu].copy()
+        for j, cj in enumerate(coef):
+            if j == 0:
+                blocks = (weight * cj * n) * np.broadcast_to(eye, (n, n, dimv, dimv))
+                tgt = site_index
+            else:
+                transport = shifted @ transport if j > 1 else vlinks[mu].copy()
+                blocks = (weight * cj * n) * np.linalg.inv(transport)
+                tgt = np.roll(site_index, -j, axis=mu)
+                shifted = np.roll(vlinks[mu], -j, axis=mu)
+            for a in range(dimv):
+                for b in range(dimv):
+                    rows.append((site_index * dimv + a).ravel())
+                    cols.append((tgt * dimv + b).ravel())
+                    vals.append(blocks[:, :, a, b].ravel())
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(nsite * dimv, nsite * dimv)).tocsr()
+
+
+def _response_blockwise(lat, links):
+    """``curvature_response_matrix`` with the transport of each hop count,
+    and its inverse, written out from the links and their adjoints."""
+    n = lat.n
+    n2 = n * n
+    r = links.shape[-1]
+    r2 = r * r
+    shape = (n2, r2, r2)
+    idx = np.arange(n2).reshape(n, n)
+    comp = np.arange(r2)
+    inv = np.swapaxes(links, -1, -2).conj()
+    back = np.stack([np.roll(links[mu], 1, axis=mu) for mu in (0, 1)])
+    back_inv = np.stack([np.roll(inv[mu], 1, axis=mu) for mu in (0, 1)])
+    row = np.broadcast_to(idx.reshape(n2, 1, 1) * r2 + comp[:, None], shape).ravel()
+    offsets = {(0, 0): 1.0, (0, 1): 0.5, (1, 1): 0.5, (0, -1): -0.5,
+               (1, -1): -0.5, (0, 2): -0.5, (1, 2): -0.5}
+    rows, cols, vals = [], [], []
+    for (mu, hops), w in offsets.items():
+        tgt = np.roll(idx, -hops, axis=mu)
+        if r == 1 or hops == 0:
+            block = np.eye(r2)
+        else:
+            ginv, g = {1: (inv[mu], links[mu]), -1: (back[mu], back_inv[mu]),
+                       2: (inv[mu] @ np.roll(inv[mu], -1, axis=mu),
+                           np.roll(links[mu], -1, axis=mu) @ links[mu])}[hops]
+            gt = np.swapaxes(g, -1, -2)
+            block = (ginv[..., :, None, :, None] * gt[..., None, :, None, :]).reshape(shape)
+        rows.append(row)
+        cols.append(np.broadcast_to(tgt.reshape(n2, 1, 1) * r2 + comp, shape).ravel())
+        vals.append(np.broadcast_to(w * n * n * block, shape).ravel())
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n2 * r2, n2 * r2)).tocsr()
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_stencil_operators_match_the_blockwise_assembly(n, r, rng):
+    # bit for bit, on raw and on randomly gauged links of L2 (+ L1 (+ L-1))
+    lat = build_torus(n)
+    links = direct_sum_bundle(lat, [2, 1, -1][:r]).links
+    k = random_unitary_gauge(ProductGroupSpec((r,)), lat, rng)[0]
+    for lk in (links, _gauged_links(links, k)):
+        pairs = [(dbar_matrix(lat, lk, order), _dbar_blockwise(lat, lk, order))
+                 for order in (1, 3)]
+        pairs.append((curvature_response_matrix(lat, lk), _response_blockwise(lat, lk)))
+        for got, ref in pairs:
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.data, ref.data)
+
+
 def test_rank2_response_operator_is_covariant_and_accretive(rng):
     # L_A of the gauge-transformed links is L_A conjugated by the gauge, and
     # its Hermitian part is positive semidefinite
@@ -392,16 +478,6 @@ def test_rank2_response_operator_is_covariant_and_accretive(rng):
     assert np.linalg.eigvalsh(0.5 * (L + L.conj().T)).min() > -1e-9
 
 
-def test_link_frame_matches_the_links(rng):
-    k = random_unitary_gauge(ProductGroupSpec((2,)), LAT, rng)[0]
-    links = _gauged_links(direct_sum_bundle(LAT, [1, 0]).links, k)
-    _, inv, back, back_inv = link_frame(links)
-    assert np.allclose(inv @ links, np.eye(2), atol=1e-12)
-    for mu in (0, 1):
-        assert np.array_equal(back[mu], np.roll(links[mu], 1, axis=mu))
-    assert np.allclose(back_inv @ back, np.eye(2), atol=1e-12)
-
-
 def _unitary_link_fields(rng):
     """Rank-1 and rank-2 link fields, each also after a random unitary gauge."""
     out = []
@@ -412,29 +488,34 @@ def _unitary_link_fields(rng):
 
 
 def test_adjoint_inverses_match_the_matrix_inverse(rng):
-    # plaquette_field and link_frame invert unitary links by their adjoint
+    # plaquette_field inverts unitary links by their adjoint
     for links in _unitary_link_fields(rng):
         inv = np.linalg.inv(links)
         ref = inv[1] @ np.roll(inv[0], -1, axis=1) @ np.roll(links[1], -1, axis=0) @ links[0]
         assert np.max(np.abs(plaquette_field(links) - ref)) < 1e-13
-        _, frame_inv, _, back_inv = link_frame(links)
-        ref_back_inv = np.stack([np.roll(inv[mu], 1, axis=mu) for mu in (0, 1)])
-        assert np.max(np.abs(frame_inv - inv)) < 1e-13
-        assert np.max(np.abs(back_inv - ref_back_inv)) < 1e-13
 
 
-def test_link_frame_rejects_non_unitary_links(rng):
+def test_non_unitary_full_links_are_rejected(rng):
+    # a flow checks the raw links of its FULL factors before the first residual
     for links in _unitary_link_fields(rng):
+        r = links.shape[-1]
+        spec = ProductGroupSpec((r,))
         bent = links.copy()
         bent[1, 3, 5] *= 1.0 + 1e-8
-        with pytest.raises(ValueError, match="not unitary"):
-            link_frame(bent)
-        with pytest.raises(ValueError, match="not unitary"):
-            link_frame(2 * links)
+        for bad in (bent, 2 * links):
+            with pytest.raises(ValueError, match="not unitary"):
+                require_unitary(bad)
+            state = LatticePairState(LAT, spec, RepSpec(spec, (Slot(r, STANDARD, 0),)),
+                                     SubgroupSetting(spec, ("full",), (0.0,)),
+                                     [FactorState(LatticeBundle(LAT, r, bad), "full")],
+                                     np.ones((LAT.n, LAT.n, r), complex))
+            with pytest.raises(ValueError, match="not unitary"):
+                heat_flow(state)
 
 
 def _transported_corrected_links(links, u):
-    """Rank-1 ``corrected_links`` with the transports written out."""
+    """``corrected_links`` with the transports written out and the links
+    inverted by ``np.linalg.inv``."""
     inv = np.linalg.inv(links)
 
     def transported_diff(nu):
@@ -444,7 +525,8 @@ def _transported_corrected_links(links, u):
         um = back @ np.roll(u, 1, axis=nu) @ back_inv
         return 0.5 * (up - um)
 
-    return links @ np.exp(np.stack((-1j * transported_diff(1), 1j * transported_diff(0))))
+    a = np.stack((-1j * transported_diff(1), 1j * transported_diff(0)))
+    return links @ (np.exp(a) if a.shape[-1] == 1 else expm(a))
 
 
 @pytest.mark.parametrize("n", [8, 32])
@@ -457,7 +539,12 @@ def test_rank1_corrected_links_match_the_transported_formula(n, d, rng):
     for lk in (links, _gauged_links(links, k)):
         ref = _transported_corrected_links(lk, u)
         assert np.max(np.abs(corrected_links(lk, u) - ref)) < 1e-14
-        assert np.max(np.abs(corrected_links(lk, u, link_frame(lk)) - ref)) < 1e-14
+    # and a gauged rank-2 L2 + L1, whose transports are inverted by the adjoint
+    k2 = random_unitary_gauge(ProductGroupSpec((2,)), lat, rng)[0]
+    lk = _gauged_links(direct_sum_bundle(lat, [2, 1]).links, k2)
+    u2 = 0.3 * (rng.standard_normal((n, n, 2, 2)) + 1j * rng.standard_normal((n, n, 2, 2)))
+    u2 = 0.5 * (u2 + np.swapaxes(u2, -1, -2).conj())
+    assert np.max(np.abs(corrected_links(lk, u2) - _transported_corrected_links(lk, u2))) < 1e-13
 
 
 def test_rank1_sup_log_metric_is_the_eigenvalue_reference(rng):
