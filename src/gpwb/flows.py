@@ -249,7 +249,7 @@ def newton_abelian(state: LatticePairState, tol=1e-12, max_iter=60) -> LatticeFl
     i0 = full[0]
     if state.spec.factor_dims[i0] != 1:
         raise ValueError(f"factor {i0} is non-abelian (rank {state.spec.factor_dims[i0]})")
-    for axis in state.rep.factor_slots(i0):
+    for axis in state.rep.factor_slots[i0]:
         if state.rep.slots[axis].action != STANDARD:
             raise ValueError("scalar reduction assumes the gauge factor acts standardly")
     work = state.copy()

@@ -244,7 +244,7 @@ def default_subspace_lattice(x, rep: RepSpec, factor=0):
     coordinate subspaces plus the column space of x along the factor slot.
     The factor must act on V through exactly one standard slot."""
     n = rep.spec.factor_dims[factor]
-    axes = rep.factor_slots(factor)
+    axes = rep.factor_slots[factor]
     actions = [rep.slots[k].action for k in axes]
     if actions != [STANDARD]:
         raise ValueError(f"factor {factor} must act through exactly one standard slot, "
@@ -344,9 +344,9 @@ def kn_functional(x, s: AlgebraElement, rep: RepSpec, spec: ProductGroupSpec,
 
     Composite Simpson quadrature with at least ``quadrature_steps`` panels
     is the definition.  One ``eigh`` of the Hermitian i*s_f per factor gives
-    e^{i t s_f} at every node as one stacked array; ``act`` runs once per
-    node on those blocks, and the moment maps and pairings of all nodes are
-    taken on the stacked images, one ``moment_block`` per unfrozen factor.
+    e^{i t s_f} at every node as one stacked array; one ``act`` per node
+    fills a preallocated (nodes, D) array, and the moment maps and pairings
+    of all nodes are taken on it, one ``moment_block`` per unfrozen factor.
     """
     if s.flavor != "compact":
         raise ValueError("kn_functional needs a compact (skew-Hermitian) direction s")
@@ -359,7 +359,9 @@ def kn_functional(x, s: AlgebraElement, rep: RepSpec, spec: ProductGroupSpec,
     for b in s.blocks:
         w, v = np.linalg.eigh(0.5j * (b - b.conj().T))  # i*s_f
         exps.append((v * np.exp(np.outer(ts, w))[:, None, :]) @ v.conj().T)
-    ys = np.stack([act(GroupElement(tuple(e[k] for e in exps)), x, rep) for k in range(m + 1)])
+    ys = np.empty((m + 1, rep.dim), dtype=complex)
+    for k, blocks in enumerate(zip(*exps)):
+        ys[k] = act(GroupElement(blocks), x, rep)
     unfrozen = setting.unfrozen()
     # mu_h - c_h per node, c_h = -i c_f I, flattened side by side over the unfrozen factors
     mh = np.concatenate([

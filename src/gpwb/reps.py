@@ -58,22 +58,26 @@ class RepSpec:
             if sl.action not in (STANDARD, DUAL, ADJOINT, TRIVIAL):
                 raise ValueError(f"unknown slot action {sl.action!r}")
             if sl.action != TRIVIAL:
+                if sl.factor not in range(self.spec.num_factors):
+                    raise ValueError(f"slot {sl} points at no factor of {self.spec.factor_dims}")
                 n = self.spec.factor_dims[sl.factor]
                 want = n * n if sl.action == ADJOINT else n
                 if sl.dim != want:
                     raise DimensionMismatchError(sl.factor, want, sl.dim)
         object.__setattr__(self, "slots", slots)
 
-    @property
+    @functools.cached_property
     def shape(self):
         return tuple(sl.dim for sl in self.slots)
 
-    @property
+    @functools.cached_property
     def dim(self):
         return int(np.prod(self.shape))
 
-    def factor_slots(self, i):
-        return [k for k, sl in enumerate(self.slots) if sl.action != TRIVIAL and sl.factor == i]
+    @functools.cached_property
+    def factor_slots(self):  # per factor, the indices of the slots it acts on
+        return tuple(tuple(k for k, sl in enumerate(self.slots) if sl.action != TRIVIAL
+                           and sl.factor == i) for i in range(self.spec.num_factors))
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +143,10 @@ def apply_slots(mats, x, rep: RepSpec):
         if m is None:
             continue
         perm, inv = _slot_first(k0, len(mats), axis)
-        t = t.transpose(perm)
+        t = t.transpose(perm) if axis else t  # slot 0 is already in front
         shp = t.shape
-        t = _matmul(m, t.reshape(lead + (shp[k0], -1))).reshape(shp).transpose(inv)
+        t = _matmul(m, t.reshape(lead + (shp[k0], -1))).reshape(shp)
+        t = t.transpose(inv) if axis else t
     return t.reshape(x.shape)
 
 
@@ -175,9 +180,10 @@ def moment_block(x, rep: RepSpec, i: int):
     t = x.reshape(lead + rep.shape)
     n = rep.spec.factor_dims[i]
     out = np.zeros(lead + (n, n), dtype=complex)
-    for axis in rep.factor_slots(i):
+    for axis in rep.factor_slots[i]:
         sl = rep.slots[axis]
-        m = t.transpose(_slot_first(k0, len(rep.slots), axis)[0]).reshape(lead + (sl.dim, -1))
+        m = t.transpose(_slot_first(k0, len(rep.slots), axis)[0]) if axis else t
+        m = m.reshape(lead + (sl.dim, -1))
         if sl.action == STANDARD:
             out += -1j * _gram(m)
         elif sl.action == DUAL:
@@ -206,10 +212,10 @@ def summand_weights(diags, rep: RepSpec):
 
 
 def _flat_v(x, rep: RepSpec):
-    x = np.asarray(x, dtype=complex)
+    x = np.ravel(x)
     if x.size != rep.dim:
         raise DimensionMismatchError("V", rep.dim, x.size)
-    return x.reshape(-1)
+    return x
 
 
 def act(g: GroupElement, x, rep: RepSpec):
@@ -231,7 +237,7 @@ def infinitesimal_act(s: AlgebraElement, x, rep: RepSpec):
 
 def mu_factor(x, rep: RepSpec, factor_i: int):
     """Moment-map block of one factor, summed over the slots it acts on."""
-    if not rep.factor_slots(factor_i):
+    if not rep.factor_slots[factor_i]:
         raise ValueError(f"factor {factor_i} acts trivially on V")
     return moment_block(np.asarray(x, dtype=complex).reshape(-1), rep, factor_i)
 

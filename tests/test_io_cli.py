@@ -82,6 +82,21 @@ def test_snapshot_refuses_pickled_arrays(tmp_path):
     assert UNPICKLED == []
 
 
+@pytest.mark.parametrize("factor", [-1, 5])
+def test_snapshot_rejects_a_slot_that_points_at_no_factor(tmp_path, factor):
+    # -1 once indexed the last factor in the slot check, 5 raised a bare IndexError
+    st = assemble_example("pair_tensor", {"deg1": [1], "deg2": [0], "c": 2 * TWO_PI},
+                          lattice_n=4, seed=3)
+    path = tmp_path / "state.npz"
+    save_state(path, st)
+    with np.load(path) as z:
+        arrays = {key: z[key] for key in z.files}
+    arrays["slot_factors"] = np.array([factor] + list(arrays["slot_factors"][1:]))
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="points at no factor"):
+        load_state(path)
+
+
 def test_snapshot_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.npz"
     np.savez(path, header=np.array("NOPE"))

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gpwb.groups import (
     AlgebraElement,
+    DimensionMismatchError,
     GroupElement,
     ProductGroupSpec,
     SubgroupSetting,
@@ -259,3 +262,38 @@ def test_mu_basis_independence_of_slicing(rng):
     # dual slot transforms with (C^-1)^t; choosing C = q^-T acts by q on coefficients
     y = act(g, x, rep)
     assert np.linalg.norm(mu_factor(y, rep, 0) - mu_factor(x, rep, 0)) < 1e-11
+
+
+def test_slot_must_point_at_a_factor():
+    spec = ProductGroupSpec((2, 3))
+    with pytest.raises(ValueError, match="points at no factor"):
+        RepSpec(spec, (Slot(2, STANDARD, 0), Slot(3, STANDARD)))  # default factor -1
+    with pytest.raises(ValueError, match="points at no factor"):
+        RepSpec(spec, (Slot(2, STANDARD, 0), Slot(3, STANDARD, 5)))
+    assert RepSpec(spec, (Slot(2, STANDARD, 0), Slot(4, TRIVIAL))).dim == 8
+
+
+@pytest.mark.parametrize("rep", ALL_REPS)
+def test_act_rejects_a_vector_of_the_wrong_size(rep, rng):
+    g = random_unitary(rep.spec, rng)
+    s = random_compact(rep.spec, rng)
+    for size in (rep.dim - 1, rep.dim + 1):
+        x = np.ones(size, complex)
+        with pytest.raises(DimensionMismatchError):
+            act(g, x, rep)
+        with pytest.raises(DimensionMismatchError):
+            infinitesimal_act(s, x, rep)
+    x = random_vector(rep, rng)
+    assert np.array_equal(act(g, x.reshape(rep.shape), rep), act(g, x, rep))
+
+
+def test_cached_shape_leaves_repspec_unchanged():
+    fresh, read = tensor_rep(2, 3), tensor_rep(2, 3)
+    assert (read.shape, read.dim, read.factor_slots) == ((2, 3), 6, ((0,), (1,)))
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    assert dataclasses.replace(read) == fresh
+    wider = dataclasses.replace(read, spec=ProductGroupSpec((2, 4)),
+                                slots=(Slot(2, STANDARD, 0), Slot(4, STANDARD, 1)))
+    assert (wider.shape, wider.dim) == ((2, 4), 8) and wider != read
+    assert (read.shape, read.dim) == ((2, 3), 6)
