@@ -81,16 +81,23 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _check_values(cfg):
-    """Value ranges the key and type schema cannot express."""
+def _check_values(cfg, seed):
+    """Value ranges the key and type schema cannot express; ``seed`` is the
+    run seed after the command line has overridden the config."""
     for k, v in cfg.get("flow", {}).items():
         if not v > 0:
             raise ConfigError(f"flow.{k}: must be positive, got {v!r}")
-    if cfg.get("kempf_ness", {}).get("max_iter", 1) < 1:
-        raise ConfigError("kempf_ness.max_iter: must be at least 1")
+    for key, v in (("seed", seed), ("fixture.seed", cfg.get("fixture", {}).get("seed", 0))):
+        if v < 0:
+            raise ConfigError(f"{key}: must be non-negative, got {v!r}")
+    for k, v in cfg.get("kempf_ness", {}).items():
+        if k in ("count", "n2", "max_iter") and v < 1:
+            raise ConfigError(f"kempf_ness.{k}: must be at least 1, got {v!r}")
     if cfg.get("lattice_n", 4) < 4:
         raise ConfigError(f"lattice_n: needs at least 4 sites per side, got {cfg['lattice_n']!r}")
     th = cfg.get("threshold", {})
+    if th.get("d", 1) < 1:
+        raise ConfigError(f"threshold.d: must be a positive Chern number, got {th['d']!r}")
     scan = th.get("scan", [0.0, 1.0])
     if (len(scan) != 2 or any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in scan)
             or not scan[0] < scan[1]):
@@ -200,7 +207,7 @@ def _fixture_from_cfg(fx, kind):
                                    tuple(Fraction(str(x)) for x in fx["c"]))
     except KeyError as err:
         raise ConfigError(f"fixture: missing field {err}") from err
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, ZeroDivisionError) as err:
         raise ConfigError(f"fixture: {err}") from err
     if fixture.kind != kind:
         raise ConfigError(f"fixture.path: kind {fixture.kind!r} does not match mode")
@@ -307,8 +314,8 @@ def run(config: dict, out_dir=None, workers=1, seed=None, tol=None) -> dict:
     mode = config.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode: unknown mode {mode!r}")
-    _check_values(config)
     rng_seed = int(seed if seed is not None else config.get("seed", 0))
+    _check_values(config, rng_seed)
     workers = int(workers or config.get("workers", 1))
     tol = tol if tol is not None else config.get("tol")
     if out_dir:

@@ -157,12 +157,6 @@ class CurveFixture:
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "c", cs)
 
-    def total_degree(self, factor):
-        return sum(self.degrees[factor])
-
-    def slope(self, factor):
-        return Fraction(self.total_degree(factor), len(self.degrees[factor]))
-
 
 @dataclass
 class FixtureVerdict:
@@ -189,12 +183,19 @@ def _subsets(n):
 
 
 def verdict(fixture: CurveFixture) -> FixtureVerdict:
-    """Exact verdict: the kind's trace constraint, then the least weight of
-    the two-eigenvalue generators of every single-step joint chain
-    S < everything, S running over the summand subsets of the gauge factors.
+    """Exact verdict: the kind's trace constraint, then the least weight
+    over the summand subsets S of the gauge factors of the two generators
+    of the single step S < everything: weight -1 on S and 0 off it
+    (lowering S), and 0 on S and 1 off it (raising everything over S).
 
-    The minimising generator names the witness: the summands its lowering
-    (or raising) step keeps at the lower weight."""
+    This decides the sign over every joint chain of summand subsets: the
+    admissible weights of a chain form the cone of its two-eigenvalue
+    generators (``chain_generator_weights``), the weight is additive on
+    it, and each generator is the lowering or the raising of one member
+    of the chain.  The central
+    directions are the lowering of S = everything and the raising over
+    S = empty.  The minimising generator names the witness: S, labelled
+    by the kind's lowering or raising label."""
     entry = KINDS[fixture.kind]
     if entry.constraint:
         _, sign, note = entry.constraint
@@ -206,14 +207,13 @@ def verdict(fixture: CurveFixture) -> FixtureVerdict:
     everything = {f: frozenset(range(len(fixture.degrees[f]))) for f in entry.gauge}
     best = None
     for parts in itertools.product(*(_subsets(len(fixture.degrees[f])) for f in entry.gauge)):
-        step = dict(zip(entry.gauge, parts))
-        chain = [step, everything] if step != everything else [everything]
-        for alpha, w in chain_generators(fixture, chain):
-            if best is None or w < best[0]:
-                low = -1 if alpha[0] < 0 else 0
-                sub = [s for s, a in zip(chain, alpha) if a == low]
-                best = (w, (entry.witness_labels[low + 1],) + tuple(
-                    tuple(sorted(sub[-1][f])) if sub else () for f in entry.gauge))
+        chain = [dict(zip(entry.gauge, parts)), everything]
+        for label, alpha in zip(entry.witness_labels, ([-1, 0], [0, 1])):
+            if _acts_trivially(fixture, chain, alpha):
+                continue
+            w = _filtration_weight(fixture, chain, alpha)
+            if w is not None and (best is None or w < best[0]):
+                best = (w, (label,) + tuple(tuple(sorted(p)) for p in parts))
     if best is None:
         return FixtureVerdict(stable=True, slack=None, note=entry.vacuous_note)
     slack, witness = best

@@ -313,18 +313,9 @@ def newton_abelian(state: LatticePairState, tol=1e-12, max_iter=60) -> LatticeFl
 # example assembly
 
 
-def _normalize_support(support, shape):
-    out = []
-    for s in support:
-        idx = tuple(int(v) for v in (s if isinstance(s, (tuple, list)) else (s,)))
-        if len(idx) != len(shape):
-            raise ValueError(f"support index {idx} does not match slot shape {shape}")
-        out.append(idx)
-    return out
-
-
 def build_section(rep: RepSpec, bundles, support, rng, scale=1.0):
-    """Holomorphic section supported on the given V-summands.
+    """Holomorphic section supported on the given V-summands, each a
+    multi-index into V with one index per slot.
 
     Per supported summand the scalar dbar kernel is extracted and a seeded
     unit combination of its canonical basis is placed there; the summand
@@ -335,11 +326,10 @@ def build_section(rep: RepSpec, bundles, support, rng, scale=1.0):
     dimv = rep.dim
     out = np.zeros((n, n, dimv), complex)
     shape = rep.shape
-    support = _normalize_support(support, shape)
     total_res = 0.0
     degrees = summand_weights([b.summand_degrees for b in bundles], rep)
     vlinks = section_transport(rep, [b.links for b in bundles])
-    for idx in support:
+    for idx in map(tuple, support):
         deg = int(round(degrees[idx]))
         if deg < 0:
             raise ValueError(f"summand {idx} has negative degree {deg}: no sections")

@@ -204,45 +204,12 @@ def ssc_generators(filt_chain, factor=0):
     return gens
 
 
-def _nested_chains(subspaces, dim_full):
-    """All strictly increasing chains of the supplied subspaces, each chain
-    closed off with the full space."""
-    full = np.eye(dim_full, dtype=complex)
-    items = []
-    seen_proj = []
-    for q in subspaces:
-        q = np.asarray(q, dtype=complex)
-        if q.ndim != 2 or q.shape[1] == 0 or q.shape[1] >= dim_full:
-            continue
-        p = q @ q.conj().T
-        if any(np.linalg.norm(p - p0) < 1e-10 for p0 in seen_proj):
-            continue
-        seen_proj.append(p)
-        items.append(q)
-    items.sort(key=lambda q: q.shape[1])
-
-    def contains(big, small):
-        proj = big @ (big.conj().T @ small)
-        return np.linalg.norm(proj - small) < 1e-10
-
-    out = []
-
-    def grow(prefix, start):
-        out.append(prefix + [full])
-        for k in range(start, len(items)):
-            if not prefix or (
-                items[k].shape[1] > prefix[-1].shape[1] and contains(items[k], prefix[-1])
-            ):
-                grow(prefix + [items[k]], k + 1)
-
-    grow([], 0)
-    return out
-
-
 def default_subspace_lattice(x, rep: RepSpec, factor=0):
     """Invariant-subspace candidates on one factor for desk-scale fixtures:
-    coordinate subspaces plus the column space of x along the factor slot.
-    The factor must act on V through exactly one standard slot."""
+    the proper coordinate subspaces, plus the column space of x along the
+    factor slot when it is proper and no coordinate subspace (projectors
+    within 1e-10).  The factor must act on V through exactly one standard
+    slot."""
     n = rep.spec.factor_dims[factor]
     axes = rep.factor_slots[factor]
     actions = [rep.slots[k].action for k in axes]
@@ -256,7 +223,9 @@ def default_subspace_lattice(x, rep: RepSpec, factor=0):
     u, sv, _ = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(sv > 1e-10 * (sv[0] if sv.size and sv[0] > 0 else 1.0)))
     if 0 < rank < n:
-        subspaces.append(u[:, :rank])
+        q = u[:, :rank]
+        if np.linalg.norm(q @ q.conj().T - eye[:, :rank] @ eye[:rank]) >= 1e-10:
+            subspaces.append(q)
     return subspaces
 
 
@@ -264,24 +233,30 @@ def stability_test(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSet
                    factor=None) -> StabilityVerdict:
     """Algebraic stability of x for the subgroup action (base = point).
 
-    Enumerates chains over ``default_subspace_lattice`` on the designated
-    unfrozen factor, reduces each chain to its ``ssc_generators``,
-    evaluates the total weight of every generator, and returns the
-    minimal-slack verdict.  A generator whose V^- does not contain x has
-    total weight +inf and so never wins.  Chains run over one factor only,
-    so ``factor`` may be left out only when a single factor is unfrozen.
+    The admissible weights of a chain form the cone spanned by its
+    ``ssc_generators`` and the total weight is additive on that cone, so
+    the generators decide its sign.  Each generator is a single step
+    W < full with weights (-1, 0) or (0, 1), W one member of the chain, or
+    the full space with weight -1 or 1.  So the least weight over every
+    chain of the candidates is the least over single candidates: the test
+    evaluates the generators of [full] and of [W, full] for each W of
+    ``default_subspace_lattice`` on the designated unfrozen factor, and
+    returns the minimal-slack verdict.  A generator whose V^- does not
+    contain x has total weight +inf and so never wins.  The candidates lie
+    in one factor, so ``factor`` may be left out only when a single factor
+    is unfrozen.
     """
     if factor is None:
         nf = [i for i, m in enumerate(setting.modes) if m != FROZEN]
         if len(nf) > 1:
             raise ValueError(f"factors {nf} are unfrozen: stability_test examines the "
-                             f"chains of one factor, so name it with factor=")
+                             f"subspaces of one factor, so name it with factor=")
         factor = nf[0]
-    n = spec.factor_dims[factor]
+    full = np.eye(spec.factor_dims[factor], dtype=complex)
     c = setting.central_shift
     best = np.inf
     witness = None
-    for chain in _nested_chains(default_subspace_lattice(x, rep, factor), n):
+    for chain in [[full]] + [[q, full] for q in default_subspace_lattice(x, rep, factor)]:
         for gen in ssc_generators(chain, factor):
             w = total_weight(x, gen, c, rep)
             if w < best:

@@ -290,7 +290,11 @@ def holomorphic_sections(lat: TorusLattice, vlinks: np.ndarray, count: int,
     (count, N, N, D), ``residuals`` are the ``count`` smallest singular
     values of D and ``gap_ratio`` is the next one over the largest residual.
     With ``strict`` the call fails when the requested count exceeds the
-    numerical kernel (gap test at ``gap_tol``).
+    numerical kernel (gap test at ``gap_tol``).  D is square, so its
+    near-kernel has the size of its near-cokernel: on each line-bundle
+    summand the count of small singular values is the larger of h0 and h1.
+    So a count is h0 only where h1 = 0: L_-1 shows one, like L_1, and
+    L_0 + L_-1 two, although h0 = 1.
 
     Sparse path: shift-invert ARPACK on DᴴD (sparse LU of DᴴD +
     SECTION_SHIFT, fixed start vector) gives the ``count + 1`` lowest modes;

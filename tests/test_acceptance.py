@@ -32,7 +32,6 @@ from gpwb.groups import (
 )
 from gpwb.kempf_ness import (
     WeightedFiltration,
-    _nested_chains,
     default_subspace_lattice,
     gradient_flow,
     is_simple,
@@ -62,6 +61,8 @@ from gpwb.reps import (
     mu_full,
     symplectic_form,
 )
+
+from chains import nested_chains
 
 RNG = np.random.default_rng(987654321)
 
@@ -131,7 +132,7 @@ def _brute_force_stable(x, rep, spec, setting, rng, n_grid=5, n_rand=25):
     c = setting.central_shift
     worst = np.inf
     grid = np.linspace(-2, 2, n_grid)
-    for chain in _nested_chains(subs, n):
+    for chain in nested_chains(subs, n):
         r = len(chain)
         for alpha in np.stack(np.meshgrid(*([grid] * r)), axis=-1).reshape(-1, r):
             if np.any(np.diff(alpha) <= 1e-12) or np.linalg.norm(alpha) < 1e-9:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpwb.fixtures import (
     KINDS,
@@ -344,6 +346,33 @@ def test_ssc_reduction_all_kinds(kind, rng):
         f = random_fixture(kind, rng)
         ok, v = ssc_reduction_equiv(f, trials=120, rng=rng)
         assert ok
+
+
+@st.composite
+def permuted_fixtures(draw):
+    """A random fixture of any kind, and the same fixture with the summands
+    of one gauge factor reordered: every support entry whose position is
+    on that factor (both entries of an adjoint slot) follows its summand."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    f = random_fixture(kind, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    entry = KINDS[kind]
+    g = draw(st.sampled_from(entry.gauge))
+    perm = draw(st.permutations(range(len(f.degrees[g]))))  # new summand j is old perm[j]
+    new_of = {old: new for new, old in enumerate(perm)}
+    degrees = list(f.degrees)
+    degrees[g] = tuple(f.degrees[g][i] for i in perm)
+    support = tuple(tuple(new_of[i] if pos == g else i for (pos, _), i in zip(entry.positions, s))
+                    for s in f.support)
+    return f, CurveFixture(kind, tuple(degrees), support, f.c)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(permuted_fixtures())
+def test_verdict_does_not_depend_on_summand_order(pair_of_fixtures):
+    f, g = pair_of_fixtures
+    v, w = verdict(f), verdict(g)
+    assert (v.stable, v.slack, v.marginal, v.unsolvable, v.note) == (
+        w.stable, w.slack, w.marginal, w.unsolvable, w.note), (f, g)
 
 
 # ---------------------------------------------------------------------------

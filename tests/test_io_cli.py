@@ -213,12 +213,26 @@ def test_cli_exit_codes(tmp_path):
     {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[0, 0]], "c": ["x"]}},
     {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[3, 0]], "c": ["2", "0"]}},
     {"mode": "higgs", "fixture": {"degrees": [[0, 0], [1, 2]], "support": [], "c": ["0", "0"]}},
+    {"mode": "kempf_ness", "seed": -1},
+    {"mode": "invariant_suite", "seed": -1},
+    {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[0, 0]], "c": ["2", "0"],
+                                 "seed": -1}},
+    {"mode": "kempf_ness", "kempf_ness": {"n2": 0}},
+    {"mode": "kempf_ness", "kempf_ness": {"count": -1}},
+    {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[0, 0]], "c": ["1/0", "0"]}},
+    {"mode": "vortex_threshold", "threshold": {"d": 0}},
 ], ids=["negative_step", "small_lattice", "short_scan", "text_scan", "degree_arity",
-        "bad_c", "support_index", "higgs_cotangent_row"])
+        "bad_c", "support_index", "higgs_cotangent_row", "kempf_ness_seed", "suite_seed",
+        "fixture_seed", "zero_n2", "negative_count", "zero_denominator_c", "zero_degree"])
 def test_config_value_errors_exit_2(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main([cfg["mode"], "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("mode", ["kempf_ness", "invariant_suite"])
+def test_negative_seed_flag_exits_2(mode):
+    assert main([mode, "--seed", "-1"]) == 2
 
 
 def test_negative_degree_summand_is_an_outcome(tmp_path):

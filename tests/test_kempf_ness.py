@@ -43,6 +43,8 @@ from gpwb.reps import (
     summand_weights,
 )
 
+from chains import nested_chains
+
 U1 = ProductGroupSpec((1,))
 REP_U1 = RepSpec(U1, (Slot(1, STANDARD, 0),))
 
@@ -317,8 +319,6 @@ def test_stability_needs_the_factor_when_two_are_unfrozen(rng):
 def brute_force_verdict(x, rep, spec, setting, rng, n_grid=7, n_rand=40):
     """Dense alpha-grid over chains built from coordinate and random
     subspaces; direct total-weight evaluation."""
-    from gpwb.kempf_ness import _nested_chains
-
     n = spec.factor_dims[0]
     subs = list(default_subspace_lattice(x, rep, 0))
     for _ in range(n_rand):
@@ -328,7 +328,7 @@ def brute_force_verdict(x, rep, spec, setting, rng, n_grid=7, n_rand=40):
     c = setting.central_shift
     worst = np.inf
     grid = np.linspace(-2, 2, n_grid)
-    for chain in _nested_chains(subs, n):
+    for chain in nested_chains(subs, n):
         r = len(chain)
         for alpha in np.stack(np.meshgrid(*([grid] * r)), axis=-1).reshape(-1, r):
             alpha = np.round(alpha, 9)
@@ -354,6 +354,29 @@ def test_stability_matches_brute_force(rng):
         assert v.stable == bf
         agree += 1
     assert agree > 20
+
+
+@pytest.mark.parametrize("n1", [3, 4])
+def test_single_subspaces_give_the_least_weight_over_all_chains(n1, rng):
+    """At n1 >= 3 chains have two or more proper members: the slack over
+    single subspaces equals the least total weight of every generator of
+    every chain of the same candidates."""
+    spec = ProductGroupSpec((n1, n1))
+    rep = RepSpec(spec, (Slot(n1, STANDARD, 0), Slot(n1, STANDARD, 1)))
+    for case in ("generic", "low rank", "coordinate"):
+        for c1 in (0.7, -0.7):
+            x = rng.standard_normal((n1, n1)) + 1j * rng.standard_normal((n1, n1))
+            if case == "low rank":
+                x = np.outer(x[:, 0], x[0])
+            elif case == "coordinate":  # column space span(e1, e2), a lattice member
+                x[2:] = 0.0
+            setting = central(spec, c1)
+            subs = default_subspace_lattice(x.reshape(-1), rep, 0)
+            chains = nested_chains(subs, n1)
+            assert max(len(ch) for ch in chains) >= 3
+            ref = min(total_weight(x.reshape(-1), gen, setting.central_shift, rep)
+                      for ch in chains for gen in ssc_generators(ch, 0))
+            assert stability_test(x.reshape(-1), rep, spec, setting).slack == ref, (case, c1)
 
 
 def test_stability_basis_invariance(rng):

@@ -255,6 +255,22 @@ def test_sparse_sections_match_dense_reference(n, case):
         holomorphic_sections(lat, vl, d + 1, strict=True)
 
 
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("degrees,count", [
+    ([-2], 2), ([-1], 1), ([0], 1), ([1], 1), ([2], 2), ([0, -1], 2)])
+def test_dense_dbar_counts_h1_as_well_as_h0(n, degrees, count):
+    """The square lattice dbar has as many near-zero singular values as
+    near-cokernel directions: L_-d shows d like L_d, although h0(L_-d) = 0,
+    and L_0 + L_-1 shows 2, although h0 = 1.  So a count is h0 only where
+    h1 = 0."""
+    lat = build_torus(n)
+    r = len(degrees)
+    rep = RepSpec(ProductGroupSpec((r,)), (Slot(r, STANDARD, 0),))
+    vl = section_transport(rep, [direct_sum_bundle(lat, degrees).links])
+    svals = np.linalg.svd(dbar_matrix(lat, vl).toarray(), compute_uv=False)
+    assert int(np.sum(svals < 1e-4)) == count
+
+
 def test_sections_at_n64_exact_count_orthonormal():
     lat = build_torus(64)
     d = 3
