@@ -158,7 +158,7 @@ def run_kempf_ness(cfg, rng_seed, workers):
 # threshold bisection
 
 
-def run_threshold(cfg, rng_seed, workers, tol):
+def run_threshold(cfg, rng_seed, tol):
     p = cfg.get("threshold", {})
     d = p.get("d", 1)
     scan = p.get("scan", [0.1, 3.0])
@@ -321,7 +321,7 @@ def run(config: dict, out_dir=None, workers=1, seed=None, tol=None) -> dict:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     runners = {"kempf_ness": lambda: run_kempf_ness(config, rng_seed, workers),
-               "vortex_threshold": lambda: run_threshold(config, rng_seed, workers, tol),
+               "vortex_threshold": lambda: run_threshold(config, rng_seed, tol),
                "invariant_suite": lambda: run_invariant_suite(config, rng_seed, workers)}
     payload = runners.get(mode, lambda: run_example_mode(mode, config, rng_seed, out_dir, tol))()
     payload["seed"] = rng_seed

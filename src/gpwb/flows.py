@@ -25,7 +25,6 @@ from .fixtures import KINDS
 from .groups import CONSTANT, FROZEN, FULL, ProductGroupSpec, SubgroupSetting
 from .kempf_ness import descend
 from .lattice import (
-    FactorState,
     LatticePairState,
     TWO_PI,
     build_torus,
@@ -73,17 +72,6 @@ def _herm(b):
     return 0.5 * (b + np.swapaxes(b, -1, -2).conj())
 
 
-def _descent_blocks(blocks, factors):
-    """Hermitian descent directions i*R per unfrozen factor."""
-    out = {}
-    for i, r in blocks.items():
-        if factors[i].mode == CONSTANT:
-            out[i] = _herm(1j * r[0, 0])
-        else:
-            out[i] = _herm(1j * r)
-    return out
-
-
 _RESPONSE_SYMBOL_CACHE = {}
 
 
@@ -104,16 +92,17 @@ def _semi_implicit_scalar(d, step, n):
 
 
 def unfrozen_degrees(state: LatticePairState):
-    return {i: lattice_degree(corrected_links(f.bundle.links, state.u[i]))
-            for i, f in enumerate(state.factors) if f.mode == FULL}
+    return {i: lattice_degree(corrected_links(b.links, state.u[i]))
+            for i, (b, mode) in enumerate(zip(state.bundles, state.setting.modes))
+            if mode == FULL}
 
 
 def _constraint_slack(state: LatticePairState, sign):
     """sign * (deg - sum_f c_f rk_f) over the gauge-varying factors, in
     physical units (degree 2 pi per Chern unit)."""
-    gauge = [i for i, f in enumerate(state.factors) if f.mode != FROZEN]
+    gauge = state.setting.unfrozen()
     terms = [state.setting.central_scalars[i] * state.spec.factor_dims[i] for i in gauge]
-    deg = sum(sum(state.factors[i].bundle.summand_degrees) for i in gauge) * TWO_PI
+    deg = sum(sum(state.bundles[i].summand_degrees) for i in gauge) * TWO_PI
     # the two signs keep the summation order of the reported diagnostics
     return deg - terms[0] - sum(terms[1:]) if sign > 0 else sum(terms) - deg
 
@@ -126,19 +115,16 @@ def constraint_diagnostics(state: LatticePairState, blocks=None):
     if blocks is None:
         blocks, _, _ = pointwise_residual(state)
     trace_sum = 0.0
-    for i, r in blocks.items():
-        if state.factors[i].mode == CONSTANT:
-            trace_sum += float(np.trace(_herm(1j * r[0, 0])).real)
-        else:
-            trace_sum += float(np.mean(np.trace(_herm(1j * r), axis1=2, axis2=3).real))
+    for r in blocks.values():
+        trace_sum += float(np.mean(np.trace(_herm(1j * r), axis1=-2, axis2=-1).real))
     diag["integrated_trace"] = trace_sum
-    modes = [f.mode for f in state.factors]
+    modes = state.setting.modes
     if CONSTANT in modes:
         i_full, i_const = modes.index(FULL), modes.index(CONSTANT)
         diag["eq_bundle_residual"] = float(
             np.sqrt(np.mean(np.sum(np.abs(_herm(1j * blocks[i_full])) ** 2, axis=(2, 3))))
         )
-        diag["eq_sections_residual"] = float(np.linalg.norm(_herm(1j * blocks[i_const][0, 0])))
+        diag["eq_sections_residual"] = float(np.linalg.norm(_herm(1j * blocks[i_const])))
     entry = KINDS.get(state.kind)
     if entry is not None and entry.constraint:
         diag[entry.constraint[0]] = _constraint_slack(state, entry.constraint[1])
@@ -169,9 +155,9 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
     work = state.copy()
     # the raw links never change during the flow: check them once, and let
     # every residual invert them by their adjoint
-    for f in work.factors:
-        if f.mode == FULL:
-            require_unitary(f.bundle.links)
+    for b, mode in zip(work.bundles, work.setting.modes):
+        if mode == FULL:
+            require_unitary(b.links)
     deg_before = unfrozen_degrees(work)
     responses = {}  # factor -> L_A of a rank > 1 FULL factor
     # factor -> {step: LU of I + step L_A} for the current and the previous
@@ -190,8 +176,7 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
             if len(lus) > 1:
                 del lus[next(iter(lus))]  # release the older LU first
             if i not in responses:
-                responses[i] = curvature_response_matrix(work.lattice,
-                                                         work.factors[i].bundle.links)
+                responses[i] = curvature_response_matrix(work.lattice, work.bundles[i].links)
             op = sp.identity(responses[i].shape[0], format="csc") + step * responses[i]
             lu = spla.splu(op.tocsc())
         lus[step] = lu
@@ -203,10 +188,11 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
 
     def move(u, blocks, step):
         trial = dict(u)
-        for i, d in _descent_blocks(blocks, work.factors).items():
+        for i, r in blocks.items():
+            d = _herm(1j * r)  # the Hermitian descent direction
             # implicit in the stiff linear curvature response only, so the
             # fixed points are those of the explicit step
-            if work.factors[i].mode == FULL:
+            if work.setting.modes[i] == FULL:
                 d = implicit(i, d, step)
             trial[i] = u[i] - step * d
         return trial
@@ -243,8 +229,8 @@ def newton_abelian(state: LatticePairState, tol=1e-12, max_iter=60) -> LatticeFl
     correction.  Reports the integral obstruction when the equation is
     insolvable instead of iterating.
     """
-    full = [i for i, f in enumerate(state.factors) if f.mode != FROZEN]
-    if len(full) != 1 or state.factors[full[0]].mode != FULL:
+    full = state.setting.unfrozen()
+    if len(full) != 1 or state.setting.modes[full[0]] != FULL:
         raise ValueError("newton_abelian needs exactly one gauge-varying factor")
     i0 = full[0]
     if state.spec.factor_dims[i0] != 1:
@@ -256,7 +242,7 @@ def newton_abelian(state: LatticePairState, tol=1e-12, max_iter=60) -> LatticeFl
     n = work.lattice.n
     lat = work.lattice
     c = work.setting.central_scalars[i0]
-    f0 = curvature_field(work.factors[i0].bundle.links, n)[:, :, 0, 0].real
+    f0 = curvature_field(work.bundles[i0].links, n)[:, :, 0, 0].real
     rho = np.sum(np.abs(work.section) ** 2, axis=-1)
     obstruction = float(np.mean(c - f0))
     deg = float(np.mean(f0))
@@ -313,15 +299,14 @@ def newton_abelian(state: LatticePairState, tol=1e-12, max_iter=60) -> LatticeFl
 # example assembly
 
 
-def build_section(rep: RepSpec, bundles, support, rng, scale=1.0):
-    """Holomorphic section supported on the given V-summands, each a
-    multi-index into V with one index per slot.
+def build_section(lat, rep: RepSpec, bundles, support, rng, scale=1.0):
+    """Holomorphic section on the lattice ``lat`` supported on the given
+    V-summands, each a multi-index into V with one index per slot.
 
     Per supported summand the scalar dbar kernel is extracted and a seeded
     unit combination of its canonical basis is placed there; the summand
     must have non-negative degree.
     """
-    lat = bundles[0].lattice
     n = lat.n
     dimv = rep.dim
     out = np.zeros((n, n, dimv), complex)
@@ -378,7 +363,6 @@ def assemble_example(kind: str, params: dict, lattice_n=16, seed=0) -> LatticePa
                               for action, f in entry.slots))
     setting = SubgroupSetting(spec, entry.factor_modes, tuple(scalars))
     bundles = [direct_sum_bundle(lat, r) for r in rows]
-    factors = [FactorState(b, m) for b, m in zip(bundles, entry.factor_modes)]
     weights = summand_weights([b.summand_degrees for b in bundles], rep)
     theta = params.get("theta")
     if theta is not None:
@@ -397,8 +381,9 @@ def assemble_example(kind: str, params: dict, lattice_n=16, seed=0) -> LatticePa
             support = np.argwhere(weights >= 0).tolist() if entry.default_support else []
         else:
             support = [entry.slot_index(s, spec.factor_dims) for s in support]
-        phi, res = build_section(rep, bundles, support, rng, scale=params.get("scale", 1.0))
-    st = LatticePairState(lat, spec, rep, setting, factors, phi,
+        phi, res = build_section(lat, rep, bundles, support, rng,
+                                 scale=params.get("scale", 1.0))
+    st = LatticePairState(lat, rep, setting, bundles, phi,
                           construction_residual=res, kind=kind, params=params)
     if entry.constraint:
         _, sign, note = entry.constraint

@@ -12,8 +12,7 @@ import json
 import numpy as np
 
 from .groups import ProductGroupSpec, SubgroupSetting
-from .lattice import (FactorState, LatticeBundle, LatticePairState, TorusLattice,
-                      require_unitary)
+from .lattice import LatticeBundle, LatticePairState, TorusLattice, require_unitary
 from .reps import RepSpec, Slot
 
 SNAPSHOT_HEADER = "GPWB1"
@@ -28,9 +27,9 @@ def save_state(path, state: LatticePairState):
         "header": np.array(SNAPSHOT_HEADER),
         "lattice_n": np.array(state.lattice.n),
         "kind": np.array(state.kind),
-        "num_factors": np.array(len(state.factors)),
+        "num_factors": np.array(len(state.bundles)),
         "central_scalars": np.array(state.setting.central_scalars),
-        "modes": np.array([f.mode for f in state.factors]),
+        "modes": np.array(state.setting.modes),
         "slot_dims": np.array([sl.dim for sl in state.rep.slots], dtype=np.int64),
         "slot_actions": np.array([sl.action for sl in state.rep.slots], dtype=str),
         "slot_factors": np.array([sl.factor for sl in state.rep.slots], dtype=np.int64),
@@ -38,9 +37,9 @@ def save_state(path, state: LatticePairState):
         "construction_residual": np.array(state.construction_residual),
         "params": np.array(json.dumps(state.params, sort_keys=True, default=str)),
     }
-    for i, f in enumerate(state.factors):
-        payload[f"links_{i}"] = f.bundle.links
-        payload[f"degrees_{i}"] = np.array(f.bundle.summand_degrees)
+    for i, b in enumerate(state.bundles):
+        payload[f"links_{i}"] = b.links
+        payload[f"degrees_{i}"] = np.array(b.summand_degrees)
         if i in state.u:
             payload[f"metric_exp_{i}"] = state.u[i]
     np.savez(path, **payload)
@@ -48,41 +47,31 @@ def save_state(path, state: LatticePairState):
 
 def load_state(path) -> LatticePairState:
     """Read a GPWB1 snapshot; ``ValueError`` on another header, on an array
-    that needs pickle (unpickling a file can run arbitrary code) or on link
+    that needs pickle (unpickling a file can run arbitrary code), on link
     fields that are not unitary (the lattice inverts links by their
-    adjoint)."""
+    adjoint) or on parts that disagree (``LatticePairState`` checks the
+    shapes of the links, the section and the metric exponents against
+    ``lattice_n``, the slots and the modes)."""
     with np.load(path, allow_pickle=False) as npz:
         z = {key: npz[key] for key in npz.files}  # an object array raises here
     header = str(z["header"])
     if header != SNAPSHOT_HEADER:
         raise ValueError(f"not a {SNAPSHOT_HEADER} snapshot (header {header!r})")
-    n = int(z["lattice_n"])
-    lat = TorusLattice(n)
     nf = int(z["num_factors"])
-    modes = [str(m) for m in z["modes"]]
-    factors = []
-    dims = []
+    bundles = []
     for i in range(nf):
         links = z[f"links_{i}"]
         require_unitary(links, f"snapshot links_{i}")
-        degs = tuple(int(d) for d in z[f"degrees_{i}"])
-        rank = links.shape[-1]
-        dims.append(rank)
-        factors.append(FactorState(LatticeBundle(lat, rank, links, degs), modes[i]))
-    spec = ProductGroupSpec(tuple(dims))
+        bundles.append(LatticeBundle(links, tuple(int(d) for d in z[f"degrees_{i}"])))
+    spec = ProductGroupSpec(tuple(b.links.shape[-1] for b in bundles))
     slots = tuple(Slot(int(d), str(a), int(f)) for d, a, f in
                   zip(z["slot_dims"], z["slot_actions"], z["slot_factors"]))
-    rep = RepSpec(spec, slots)
-    setting = SubgroupSetting(spec, tuple(modes),
+    setting = SubgroupSetting(spec, tuple(str(m) for m in z["modes"]),
                               tuple(float(c) for c in z["central_scalars"]))
-    state = LatticePairState(lat, spec, rep, setting, factors, z["section"],
-                             float(z["construction_residual"]), str(z["kind"]),
-                             json.loads(str(z["params"])))
-    for i in range(nf):
-        key = f"metric_exp_{i}"
-        if key in z:
-            state.u[i] = z[key]
-    return state
+    u = {i: z[f"metric_exp_{i}"] for i in range(nf) if f"metric_exp_{i}" in z}
+    return LatticePairState(TorusLattice(int(z["lattice_n"])), RepSpec(spec, slots), setting,
+                            bundles, z["section"], float(z["construction_residual"]),
+                            str(z["kind"]), json.loads(str(z["params"])), u)
 
 
 def format_float(x) -> str:

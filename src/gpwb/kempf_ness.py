@@ -147,29 +147,15 @@ def maximal_weight(x, s: AlgebraElement, rep: RepSpec) -> float:
     return np.inf
 
 
-def total_weight(x, filt: WeightedFiltration, c: AlgebraElement, rep: RepSpec,
-                 degrees=None) -> float:
-    """deg(chi) + lambda(x; chi) - <chi, c>.
-
-    ``degrees``: optional per-step degree data (deg W^1, ..., deg W^r); the
-    degree of chi is alpha_r*deg(W^r) + sum_{k<r}(alpha_k - alpha_{k+1})*deg(W^k).
-    Defaults to zero (base = point).
-    """
-    spec = rep.spec
-    chi = filt.element(spec)
-    alphas = filt.weights
-    r = filt.length
-    deg = 0.0
-    if degrees is not None:
-        if len(degrees) != r:
-            raise ValueError("one degree per chain step required")
-        deg = alphas[-1] * degrees[-1]
-        for k in range(r - 1):
-            deg += (alphas[k] - alphas[k + 1]) * degrees[k]
+def total_weight(x, filt: WeightedFiltration, c: AlgebraElement, rep: RepSpec) -> float:
+    """lambda(x; chi) - <chi, c>: the total weight over a point, where the
+    degree term is zero (the curve's degree term lives in the exact weights
+    of ``fixtures``)."""
+    chi = filt.element(rep.spec)
     lam = maximal_weight(x, chi, rep)
     if np.isinf(lam):
         return np.inf
-    return deg + lam - inner_product(chi, c, spec)
+    return lam - inner_product(chi, c, rep.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +225,8 @@ def stability_test(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSet
     W < full with weights (-1, 0) or (0, 1), W one member of the chain, or
     the full space with weight -1 or 1.  So the least weight over every
     chain of the candidates is the least over single candidates: the test
-    evaluates the generators of [full] and of [W, full] for each W of
+    evaluates the central pair (the full space with weight -1 or 1) once
+    and the lowering and the raising of W < full for each W of
     ``default_subspace_lattice`` on the designated unfrozen factor, and
     returns the minimal-slack verdict.  A generator whose V^- does not
     contain x has total weight +inf and so never wins.  The candidates lie
@@ -256,12 +243,16 @@ def stability_test(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSet
     c = setting.central_shift
     best = np.inf
     witness = None
-    for chain in [[full]] + [[q, full] for q in default_subspace_lattice(x, rep, factor)]:
-        for gen in ssc_generators(chain, factor):
-            w = total_weight(x, gen, c, rep)
-            if w < best:
-                best = w
-                witness = gen
+    # the central pair once, then the lowering (-1, 0) and the raising (0, 1)
+    # of each W < full; the other two generators of [W, full] are the central pair
+    gens = ssc_generators([full], factor)
+    for q in default_subspace_lattice(x, rep, factor):
+        gens += [WeightedFiltration(factor, (q, full), alpha) for alpha in ((-1, 0), (0, 1))]
+    for gen in gens:
+        w = total_weight(x, gen, c, rep)
+        if w < best:
+            best = w
+            witness = gen
     stable = bool(best > 0.0)
     marginal = bool(abs(best) <= 1e-9) if np.isfinite(best) else False
     return StabilityVerdict(stable=stable, slack=float(best), witness=witness,

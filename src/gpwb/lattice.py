@@ -19,6 +19,12 @@ Conventions fixed here and relied on everywhere else:
   with d holomorphic sections has i*Lambda F = +2 pi d.
 * degrees are reported in units where a Chern-number-d line bundle has
   degree 2 pi d.
+* a ``LatticePairState`` holds each fact once: the lattice, the
+  representation (whose ``spec`` is the group), the subgroup setting
+  (the mode of each factor), one ``LatticeBundle`` (links and summand
+  degrees) per factor, the section and the metric exponents; it refuses
+  parts that disagree.  A constant-mode factor's exponent and residual are
+  single (n, n) blocks, not per-site copies.
 
 Transports, gauge and metric actions on V and the sitewise moment maps
 all come from the slot kernel of ``gpwb.reps``, batched over the sites.
@@ -72,13 +78,11 @@ def build_torus(n: int) -> TorusLattice:
 class LatticeBundle:
     """Rank-r bundle: links[mu, s, t] is the r x r transport matrix."""
 
-    lattice: TorusLattice
-    rank: int
     links: np.ndarray  # (2, N, N, r, r) complex
     summand_degrees: tuple = ()  # intended Chern numbers when decomposable
 
     def copy(self):
-        return LatticeBundle(self.lattice, self.rank, self.links.copy(), self.summand_degrees)
+        return LatticeBundle(self.links.copy(), self.summand_degrees)
 
 
 # largest entry of U Uᴴ - I accepted of a link field; the links are
@@ -99,7 +103,7 @@ def require_unitary(links: np.ndarray, what="links"):
 def trivial_bundle(lat: TorusLattice, rank=1) -> LatticeBundle:
     n = lat.n
     links = np.broadcast_to(np.eye(rank, dtype=complex), (2, n, n, rank, rank)).copy()
-    return LatticeBundle(lat, rank, links, (0,) * rank)
+    return LatticeBundle(links, (0,) * rank)
 
 
 def make_constant_curvature_line_bundle(lat: TorusLattice, d: int) -> LatticeBundle:
@@ -121,7 +125,7 @@ def make_constant_curvature_line_bundle(lat: TorusLattice, d: int) -> LatticeBun
     links = np.zeros((2, n, n, 1, 1), dtype=complex)
     links[0, :, :, 0, 0] = u0
     links[1, :, :, 0, 0] = u1
-    return LatticeBundle(lat, 1, links, (d,))
+    return LatticeBundle(links, (d,))
 
 
 def direct_sum_bundle(lat: TorusLattice, degrees) -> LatticeBundle:
@@ -132,7 +136,7 @@ def direct_sum_bundle(lat: TorusLattice, degrees) -> LatticeBundle:
     links = np.zeros((2, n, n, r, r), dtype=complex)
     for k, p in enumerate(parts):
         links[:, :, :, k, k] = p.links[:, :, :, 0, 0]
-    return LatticeBundle(lat, r, links, tuple(int(d) for d in degrees))
+    return LatticeBundle(links, tuple(int(d) for d in degrees))
 
 
 def plaquette_field(links: np.ndarray) -> np.ndarray:
@@ -340,29 +344,31 @@ def holomorphic_sections(lat: TorusLattice, vlinks: np.ndarray, count: int,
 # pair state
 
 
-@dataclass
-class FactorState:
-    bundle: LatticeBundle
-    mode: str  # full / frozen / constant
-
-    def copy(self):
-        return FactorState(self.bundle.copy(), self.mode)
+def _require_shape(array, shape, what):
+    if np.shape(array) != shape:
+        raise ValueError(f"{what} has shape {np.shape(array)}, expected {shape}")
 
 
 @dataclass
 class LatticePairState:
-    """Holomorphic data (links + section) with per-factor metric exponents.
+    """Holomorphic data (one bundle per factor and a section) with
+    per-factor metric exponents.
 
-    The holomorphic pair never changes; flows act on the metric exponents
-    ``u`` (Hermitian per site for mode "full", one global Hermitian matrix
-    for mode "constant", absent for frozen factors).
+    Each fact is held once: the group is ``rep.spec`` (read as ``spec``),
+    a factor's mode is ``setting.modes[i]`` and its rank is
+    ``spec.factor_dims[i]``.  The holomorphic pair never changes; flows act
+    on the metric exponents ``u`` (Hermitian per site, (N, N, n, n), for
+    mode "full", one global Hermitian (n, n) matrix for mode "constant",
+    absent for frozen factors; missing ones start at zero).  Construction
+    raises ``ValueError`` when the parts disagree: a setting of another
+    group, one bundle too few or too many, a links, section or exponent
+    array of the wrong shape, or an exponent of a frozen or absent factor.
     """
 
     lattice: TorusLattice
-    spec: ProductGroupSpec
     rep: RepSpec
     setting: SubgroupSetting
-    factors: list
+    bundles: list
     section: np.ndarray  # (N, N, D)
     construction_residual: float = 0.0
     kind: str = ""
@@ -370,34 +376,44 @@ class LatticePairState:
     u: dict = field(default_factory=dict)  # factor index -> exponent array
 
     def __post_init__(self):
-        for i, f in enumerate(self.factors):
-            if i in self.u:
-                continue
-            n = self.spec.factor_dims[i]
-            if f.mode == FULL:
-                self.u[i] = np.zeros((self.lattice.n, self.lattice.n, n, n), complex)
-            elif f.mode == CONSTANT:
-                self.u[i] = np.zeros((n, n), complex)
+        spec, n = self.rep.spec, self.lattice.n
+        if self.setting.spec != spec:
+            raise ValueError(f"setting is for factors {self.setting.spec.factor_dims}, "
+                             f"the representation for {spec.factor_dims}")
+        if len(self.bundles) != spec.num_factors:
+            raise ValueError(f"{len(self.bundles)} bundles for {spec.num_factors} factors")
+        _require_shape(self.section, (n, n, self.rep.dim), "section")
+        shapes = {}
+        for i, (b, r, mode) in enumerate(zip(self.bundles, spec.factor_dims, self.setting.modes)):
+            _require_shape(b.links, (2, n, n, r, r), f"links of factor {i}")
+            if mode != FROZEN:
+                shapes[i] = (n, n, r, r) if mode == FULL else (r, r)
+        if not set(self.u) <= set(shapes):
+            raise ValueError(f"metric exponents for factors {sorted(set(self.u) - set(shapes))}, "
+                             f"which are frozen or absent")
+        for i, shape in shapes.items():
+            if i not in self.u:
+                self.u[i] = np.zeros(shape, complex)
+            _require_shape(self.u[i], shape, f"metric exponent of factor {i}")
+
+    @property
+    def spec(self) -> ProductGroupSpec:
+        return self.rep.spec
 
     def copy(self):
-        st = LatticePairState(
-            self.lattice, self.spec, self.rep, self.setting,
-            [f.copy() for f in self.factors], self.section.copy(),
-            self.construction_residual, self.kind, dict(self.params),
+        return LatticePairState(
+            self.lattice, self.rep, self.setting, [b.copy() for b in self.bundles],
+            self.section.copy(), self.construction_residual, self.kind, dict(self.params),
             {k: v.copy() for k, v in self.u.items()},
         )
-        return st
 
     def metric_frame_section(self):
         """Section in the metric-orthonormal frame: act(e^{u(x)}, Phi(x))."""
-        return apply_metric_exponents(self.section, self.rep, self.u, self.factors)
+        return apply_metric_exponents(self.section, self.rep, self.u)
 
     def sup_log_metric(self):
         worst = 0.0
-        for i, f in enumerate(self.factors):
-            if f.mode == FROZEN:
-                continue
-            uu = self.u[i]
+        for uu in self.u.values():
             if uu.shape[-1] == 1:
                 ev = uu.real  # the eigenvalue of the Hermitian part of a 1 x 1 block
             else:
@@ -481,10 +497,10 @@ def curvature_response_matrix(lat: TorusLattice, links=None) -> sp.csr_matrix:
 # metric-frame section and batched moment maps
 
 
-def apply_metric_exponents(section, rep: RepSpec, u: dict, factors) -> np.ndarray:
-    """act(e^{u(x)}, Phi(x)) sitewise, for the tuple of metric exponents;
+def apply_metric_exponents(section, rep: RepSpec, u: dict) -> np.ndarray:
+    """act(e^{u(x)}, Phi(x)) sitewise, for the dict of metric exponents;
     constant-mode exponents broadcast over the sites."""
-    blocks = [_expm_pos(u[i]) if i in u else None for i in range(len(factors))]
+    blocks = [_expm_pos(u[i]) if i in u else None for i in range(rep.spec.num_factors)]
     return apply_slots(slot_matrices(blocks, rep), section, rep)
 
 
@@ -515,15 +531,20 @@ def random_unitary_gauge(spec: ProductGroupSpec, lat: TorusLattice, rng):
 def gauge_transform(state: LatticePairState, kfields) -> LatticePairState:
     """Apply a sitewise unitary gauge transformation to the whole state:
     links conjugate, the section transforms through the representation and
-    metric exponents conjugate."""
+    metric exponents conjugate.  The gauge group of a constant-mode factor
+    is constant, so its field must not vary over the sites (``ValueError``)."""
     new = state.copy()
-    for i, f in enumerate(new.factors):
-        k = kfields[i]
+    for i, (b, k, mode) in enumerate(zip(new.bundles, kfields, new.setting.modes)):
+        kh = np.swapaxes(k, -1, -2).conj()
         for mu in (0, 1):
-            kf = np.roll(k, -1, axis=mu)
-            f.bundle.links[mu] = kf @ f.bundle.links[mu] @ np.swapaxes(k, -1, -2).conj()
-        if f.mode == FULL:
-            new.u[i] = k @ new.u[i] @ np.swapaxes(k, -1, -2).conj()
+            b.links[mu] = np.roll(k, -1, axis=mu) @ b.links[mu] @ kh
+        if mode == CONSTANT:
+            if np.any(k != k[0, 0]):
+                raise ValueError(f"factor {i} is in constant mode: its gauge must be "
+                                 f"the same at every site")
+            new.u[i] = k[0, 0] @ new.u[i] @ kh[0, 0]
+        elif mode == FULL:
+            new.u[i] = k @ new.u[i] @ kh
     new.section = apply_slots(slot_matrices(kfields, new.rep), new.section, new.rep)
     return new
 
@@ -531,37 +552,30 @@ def gauge_transform(state: LatticePairState, kfields) -> LatticePairState:
 def pointwise_residual(state: LatticePairState):
     """Skew-Hermitian residual blocks of the shifted subgroup moment map.
 
-    Per site and unfrozen factor: N^2 log P + mu_f(Psi) + i c_f I, with the
-    constant-mode blocks replaced by their site average.  Returns
-    (blocks dict, l2 norm, linf norm); norms use the volume-1 weighting.
-    The FULL factors' links go through ``corrected_links``, which takes
-    them to be unitary without checking.
+    Per unfrozen factor: N^2 log P + mu_f(Psi) + i c_f I at every site,
+    shape (N, N, n, n), or for a constant-mode factor the site average
+    mean(mu_f(Psi)) + i c_f I, one (n, n) block like its exponent.
+    Returns (blocks dict, l2 norm, linf norm); norms use the volume-1
+    weighting.  The FULL factors' links go through ``corrected_links``,
+    which takes them to be unitary without checking.
     """
     n = state.lattice.n
     psi = state.metric_frame_section()
     blocks = {}
-    for i, f in enumerate(state.factors):
-        if f.mode == FROZEN:
+    for i, mode in enumerate(state.setting.modes):
+        if mode == FROZEN:
             continue
-        ni = state.spec.factor_dims[i]
-        c_i = state.setting.central_scalars[i]
+        shift = 1j * state.setting.central_scalars[i] * np.eye(state.spec.factor_dims[i])
         mu = moment_block(psi, state.rep, i)
-        if f.mode == CONSTANT:
-            r = np.mean(mu, axis=(0, 1)) + 1j * c_i * np.eye(ni)
-            blocks[i] = np.broadcast_to(r, (n, n, ni, ni)).copy()
+        if mode == CONSTANT:
+            blocks[i] = np.mean(mu, axis=(0, 1)) + shift
         else:
-            links = corrected_links(f.bundle.links, state.u[i])
-            lam = _log_unitary(plaquette_field(links)) * (n * n)
-            r = lam + mu + 1j * c_i * np.eye(ni)
-            blocks[i] = r
+            links = corrected_links(state.bundles[i].links, state.u[i])
+            blocks[i] = _log_unitary(plaquette_field(links)) * (n * n) + mu + shift
     sq = 0.0
     linf = 0.0
-    for i, r in blocks.items():
-        if state.factors[i].mode == CONSTANT:
-            sq += float(np.sum(np.abs(r[0, 0]) ** 2))
-            linf = max(linf, float(np.linalg.norm(r[0, 0])))
-        else:
-            persite = np.sum(np.abs(r) ** 2, axis=(2, 3))
-            sq += float(np.mean(persite))
-            linf = max(linf, float(np.sqrt(np.max(persite))))
+    for r in blocks.values():
+        persite = np.sum(np.abs(r) ** 2, axis=(-2, -1))
+        sq += float(np.mean(persite))
+        linf = max(linf, float(np.sqrt(np.max(persite))))
     return blocks, float(np.sqrt(sq)), linf

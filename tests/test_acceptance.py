@@ -359,10 +359,10 @@ def test_criterion_09_flow_hygiene(tmp_path):
     t0 = time.time()
     st = assemble_example("pair_tensor", {"deg1": [1], "deg2": [1], "c": 3 * TWO_PI},
                           lattice_n=16, seed=4)
-    frozen = st.factors[1].bundle.links.copy()
+    frozen = st.bundles[1].links.copy()
     rep = heat_flow(st, FlowOpts(max_iter=20000, tol=1e-8))
     assert rep.converged
-    assert np.array_equal(rep.state.factors[1].bundle.links, frozen)
+    assert np.array_equal(rep.state.bundles[1].links, frozen)
     for i in rep.degrees_before:
         assert abs(rep.degrees_before[i] - rep.degrees_after[i]) <= 1e-9
     # gauge covariance of the final residual

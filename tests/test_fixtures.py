@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gpwb.fixtures import (
@@ -366,7 +366,6 @@ def permuted_fixtures(draw):
     return f, CurveFixture(kind, tuple(degrees), support, f.c)
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(permuted_fixtures())
 def test_verdict_does_not_depend_on_summand_order(pair_of_fixtures):
     f, g = pair_of_fixtures

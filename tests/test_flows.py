@@ -36,7 +36,7 @@ def test_assembled_state_is_holomorphic():
 
 def test_state_level_dbar_and_sections():
     st = vortex_state(2.0)
-    vlinks = section_transport(st.rep, [f.bundle.links for f in st.factors])
+    vlinks = section_transport(st.rep, [b.links for b in st.bundles])
     D = dbar_matrix(st.lattice, vlinks)
     res = np.linalg.norm(D @ st.section.reshape(-1)) / st.lattice.n
     assert res < 1e-10
@@ -90,9 +90,9 @@ def test_degree_conservation_along_flow():
 
 def test_frozen_factor_untouched_bytes():
     st = vortex_state(2.0)
-    frozen_links = st.factors[1].bundle.links.copy()
+    frozen_links = st.bundles[1].links.copy()
     rep = heat_flow(st, FlowOpts(max_iter=2000, tol=1e-8))
-    assert np.array_equal(rep.state.factors[1].bundle.links, frozen_links)
+    assert np.array_equal(rep.state.bundles[1].links, frozen_links)
     assert 1 not in rep.state.u  # no metric on the frozen factor
 
 
@@ -153,11 +153,29 @@ def test_gauge_covariance_of_rank2_flow(rng):
     st = stable_rank2_pair(8)
     rep1 = heat_flow(st, RANK2_OPTS)
     st2 = gauge_transform(st, random_unitary_gauge(st.spec, st.lattice, rng))
-    assert np.max(np.abs(st2.factors[0].bundle.links - st.factors[0].bundle.links)) > 0.1
+    assert np.max(np.abs(st2.bundles[0].links - st.bundles[0].links)) > 0.1
     rep2 = heat_flow(st2, RANK2_OPTS)
     assert rep1.converged and rep2.converged
     assert rep1.iterations == rep2.iterations
     assert abs(rep1.final_residual - rep2.final_residual) < 1e-10
+
+
+def test_constant_unitary_gauge_keeps_the_residual(rng):
+    # a constant unitary gauge is a symmetry of the constant-mode group, so it
+    # keeps the residual also where the constant exponent is not zero; a
+    # gauge that varies over the sites is not in that group
+    st = assemble_example("coherent_system", {"deg": [2, 1], "k": 2}, lattice_n=8, seed=1)
+    h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    st.u[1] = 0.3 * (h + h.conj().T)
+    k = random_unitary_gauge(st.spec, st.lattice, rng)
+    with pytest.raises(ValueError, match="constant mode"):
+        gauge_transform(st, k)
+    k[1] = np.broadcast_to(k[1][0, 0], k[1].shape).copy()
+    gauged = gauge_transform(st, k)
+    _, l2a, _ = pointwise_residual(st)
+    _, l2b, _ = pointwise_residual(gauged)
+    assert abs(l2a - l2b) < 1e-12 * l2a
+    assert np.max(np.abs(gauged.u[1] - st.u[1])) > 0.01
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -430,7 +448,7 @@ def test_reduces_to_plain_vortex_when_second_factor_trivial():
     blocks, l2, _ = pointwise_residual(st)
     from gpwb.lattice import curvature_field
 
-    f0 = curvature_field(st.factors[0].bundle.links, 8)[:, :, 0, 0]
+    f0 = curvature_field(st.bundles[0].links, 8)[:, :, 0, 0]
     manual = f0.real + np.sum(np.abs(st.section) ** 2, axis=-1) - st.setting.central_scalars[0]
     got = (1j * blocks[0][:, :, 0, 0]).real
     assert np.max(np.abs(got - manual)) < 1e-12

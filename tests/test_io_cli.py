@@ -21,9 +21,9 @@ def test_snapshot_roundtrip(tmp_path):
     assert back.lattice.n == 8
     assert back.kind == "pair_tensor"
     assert np.array_equal(back.section, st.section)
-    for i, f in enumerate(st.factors):
-        assert np.array_equal(back.factors[i].bundle.links, f.bundle.links)
-        assert back.factors[i].mode == f.mode
+    for b, b0 in zip(back.bundles, st.bundles):
+        assert np.array_equal(b.links, b0.links) and b.summand_degrees == b0.summand_degrees
+    assert back.setting == st.setting
     assert np.array_equal(back.u[0], st.u[0])
     _, l2a, _ = pointwise_residual(st)
     _, l2b, _ = pointwise_residual(back)
@@ -34,10 +34,30 @@ def test_snapshot_rejects_non_unitary_links(tmp_path):
     # the lattice inverts links by their adjoint, so a snapshot must hold unitaries
     st = assemble_example("pair_tensor", {"deg1": [1], "deg2": [0], "c": 2 * TWO_PI},
                           lattice_n=8, seed=3)
-    st.factors[0].bundle.links = 2 * st.factors[0].bundle.links
+    st.bundles[0].links = 2 * st.bundles[0].links
     path = tmp_path / "state.npz"
     save_state(path, st)
     with pytest.raises(ValueError, match="not unitary"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("section", np.ones((4, 8, 1), complex), "section has shape"),
+    ("metric_exp_0", np.zeros((1, 1), complex), "metric exponent of factor 0"),
+    ("links_0", np.ones((2, 4, 4, 1, 1), complex), "links of factor 0"),
+    ("num_factors", np.array(1), "one mode per factor"),
+])
+def test_snapshot_refuses_parts_that_disagree(tmp_path, field, value, match):
+    # lattice_n 8, slots of size (1, 1), modes (full, frozen)
+    st = assemble_example("pair_tensor", {"deg1": [1], "deg2": [0], "c": 2 * TWO_PI},
+                          lattice_n=8, seed=3)
+    path = tmp_path / "state.npz"
+    save_state(path, st)
+    with np.load(path) as z:
+        payload = {key: z[key] for key in z.files}
+    payload[field] = value
+    np.savez(path, **payload)
+    with pytest.raises(ValueError, match=match):
         load_state(path)
 
 
@@ -278,8 +298,9 @@ def _float_text(v):
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
 def test_report_matches_golden(tmp_path, name):
     """Reports of the example modes (default fixtures, and two rank-2
-    fixtures at section seed 1) against reports kept in tests/data:
-    non-float lines exactly, floats to 1e-9 relative."""
+    fixtures at section seed 1) and of a rank-1 vortex_threshold bisection
+    at N = 8 against reports kept in tests/data: non-float lines exactly,
+    floats to 1e-9 relative."""
     cfg = json.loads((GOLDEN / name / "config.json").read_text())
     run(cfg, out_dir=str(tmp_path), seed=5)
     got = (tmp_path / "report.txt").read_text().splitlines()

@@ -173,27 +173,6 @@ def test_maximal_weight_unitary_invariance(rng):
 # total weight and generators
 
 
-def test_total_weight_single_step_degree():
-    spec, rep = u2_tensor(2)
-    full = np.eye(2, dtype=complex)
-    filt = WeightedFiltration(0, (full,), (-1.0,))
-    x = np.zeros(rep.dim)  # inside every V^-
-    c = AlgebraElement.zero(spec)
-    w = total_weight(x, filt, c, rep, degrees=[3.0])
-    assert w == pytest.approx(-3.0)
-
-
-def test_total_weight_two_step_plugin():
-    spec, rep = u2_tensor(2)
-    q1 = np.eye(2, dtype=complex)[:, :1]
-    full = np.eye(2, dtype=complex)
-    filt = WeightedFiltration(0, (q1, full), (0.0, 1.0))
-    x = np.zeros(rep.dim)
-    c = AlgebraElement.zero(spec)
-    w = total_weight(x, filt, c, rep, degrees=[1.0, 3.0])
-    assert w == pytest.approx(1.0 * 3.0 + (0.0 - 1.0) * 1.0)
-
-
 def test_total_weight_matches_direct_formula(rng):
     spec, rep = u2_tensor(2)
     q1 = np.linalg.qr(rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)))[0]
@@ -201,15 +180,13 @@ def test_total_weight_matches_direct_formula(rng):
     alphas = np.sort(rng.uniform(-2, 2, size=2))
     alphas[1] = alphas[0] + abs(alphas[1] - alphas[0]) + 0.1
     filt = WeightedFiltration(0, (q1, full), tuple(alphas))
-    degs = rng.standard_normal(2)
     c0 = rng.standard_normal()
     setting = SubgroupSetting(spec, ("full", "frozen"), (c0, 0.0))
-    x = np.zeros(rep.dim)
-    got = total_weight(x, filt, setting.central_shift, rep, degrees=degs)
-    # independent evaluation of the degree sum and the central pairing
-    deg = alphas[1] * degs[1] + (alphas[0] - alphas[1]) * degs[0]
+    x = np.zeros(rep.dim)  # inside every V^-: lambda = 0, and the degree is zero at a point
+    got = total_weight(x, filt, setting.central_shift, rep)
+    # independent evaluation of the central pairing
     pairing = c0 * (alphas[0] * 1 + alphas[1] * 1)  # trace over graded pieces
-    assert got == pytest.approx(deg - pairing, abs=1e-10)
+    assert got == pytest.approx(-pairing, abs=1e-10)
 
 
 def test_ssc_generator_counts():

@@ -14,7 +14,6 @@ from gpwb.groups import (
 from gpwb.lattice import (
     STENCILS,
     TWO_PI,
-    FactorState,
     LatticeBundle,
     LatticePairState,
     build_torus,
@@ -98,7 +97,7 @@ def test_branch_ambiguity_warning():
     t = np.arange(4)[None, :, None, None]
     links[0] = links[0] * np.exp(0.95j * np.pi * t)  # plaquette phases at 0.95 pi
     with pytest.warns(UserWarning):
-        lattice_degree(LatticeBundle(lat, 1, links))
+        lattice_degree(LatticeBundle(links))
 
 
 @pytest.mark.parametrize("degrees", [[1], [1, 0]])
@@ -119,13 +118,13 @@ def test_curvature_field_warns_near_branch_cut(degrees):
 def test_degree_additive_under_tensor():
     b1 = make_constant_curvature_line_bundle(LAT, 1)
     b2 = make_constant_curvature_line_bundle(LAT, 2)
-    prod = LatticeBundle(LAT, 1, b1.links * b2.links, (3,))
+    prod = LatticeBundle(b1.links * b2.links, (3,))
     assert lattice_degree(prod) == pytest.approx(lattice_degree(b1) + lattice_degree(b2), abs=1e-10)
 
 
 def test_direct_sum_degrees():
     b = direct_sum_bundle(LAT, [1, -1])
-    assert b.rank == 2
+    assert b.links.shape[-1] == 2 and b.summand_degrees == (1, -1)
     assert lattice_degree(b) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -306,7 +305,7 @@ def test_curvature_response_psd():
 def test_degree_invariant_under_metric(rng):
     b = make_constant_curvature_line_bundle(LAT, 2)
     u = 0.2 * rng.standard_normal((LAT.n, LAT.n, 1, 1))
-    b2 = LatticeBundle(LAT, 1, corrected_links(b.links, u))
+    b2 = LatticeBundle(corrected_links(b.links, u))
     assert abs(lattice_degree(b2) - lattice_degree(b)) < 1e-9
 
 
@@ -498,7 +497,7 @@ def _unitary_link_fields(rng):
     """Rank-1 and rank-2 link fields, each also after a random unitary gauge."""
     out = []
     for bundle in (make_constant_curvature_line_bundle(LAT, 3), direct_sum_bundle(LAT, [2, -1])):
-        k = random_unitary_gauge(ProductGroupSpec((bundle.rank,)), LAT, rng)[0]
+        k = random_unitary_gauge(ProductGroupSpec((bundle.links.shape[-1],)), LAT, rng)[0]
         out += [bundle.links, _gauged_links(bundle.links, k)]
     return out
 
@@ -521,12 +520,40 @@ def test_non_unitary_full_links_are_rejected(rng):
         for bad in (bent, 2 * links):
             with pytest.raises(ValueError, match="not unitary"):
                 require_unitary(bad)
-            state = LatticePairState(LAT, spec, RepSpec(spec, (Slot(r, STANDARD, 0),)),
+            state = LatticePairState(LAT, RepSpec(spec, (Slot(r, STANDARD, 0),)),
                                      SubgroupSetting(spec, ("full",), (0.0,)),
-                                     [FactorState(LatticeBundle(LAT, r, bad), "full")],
-                                     np.ones((LAT.n, LAT.n, r), complex))
+                                     [LatticeBundle(bad)], np.ones((LAT.n, LAT.n, r), complex))
             with pytest.raises(ValueError, match="not unitary"):
                 heat_flow(state)
+
+
+def _pair_parts(n=8):
+    """Keyword parts of a consistent rank-2 pair state with a frozen line."""
+    lat = build_torus(n)
+    spec = ProductGroupSpec((2, 1))
+    return dict(lattice=lat, rep=RepSpec(spec, (Slot(2, STANDARD, 0), Slot(1, STANDARD, 1))),
+                setting=SubgroupSetting(spec, ("full", "frozen"), (1.0, 0.0)),
+                bundles=[direct_sum_bundle(lat, [2, 1]), trivial_bundle(lat)],
+                section=np.ones((n, n, 2), complex))
+
+
+@pytest.mark.parametrize("fault,match", [
+    ({"setting": SubgroupSetting(ProductGroupSpec((2, 2)), ("full", "frozen"), (1.0, 0.0))},
+     "setting is for factors"),
+    ({"bundles": [direct_sum_bundle(build_torus(8), [2, 1])]}, "1 bundles for 2 factors"),
+    ({"bundles": [make_constant_curvature_line_bundle(build_torus(8), 1),
+                  trivial_bundle(build_torus(8))]}, "links of factor 0"),
+    ({"bundles": [direct_sum_bundle(build_torus(4), [2, 1]), trivial_bundle(build_torus(8))]},
+     "links of factor 0"),
+    ({"section": np.ones((4, 8, 2), complex)}, "section has shape"),
+    ({"section": np.ones((8, 8, 3), complex)}, "section has shape"),
+    ({"u": {0: np.zeros((2, 2), complex)}}, "metric exponent of factor 0"),
+    ({"u": {1: np.zeros((8, 8, 1, 1), complex)}}, "frozen or absent"),
+])
+def test_state_refuses_parts_that_disagree(fault, match):
+    LatticePairState(**_pair_parts())
+    with pytest.raises(ValueError, match=match):
+        LatticePairState(**dict(_pair_parts(), **fault))
 
 
 def _transported_corrected_links(links, u):
@@ -568,10 +595,9 @@ def test_rank1_sup_log_metric_is_the_eigenvalue_reference(rng):
     lat = build_torus(8)
     spec = ProductGroupSpec((1, 1))
     rep = RepSpec(spec, (Slot(1, STANDARD, 0), Slot(1, DUAL, 1)))
-    factors = [FactorState(make_constant_curvature_line_bundle(lat, 1), "full"),
-               FactorState(trivial_bundle(lat), "constant")]
-    state = LatticePairState(lat, spec, rep, SubgroupSetting(spec, ("full", "constant"), (0, 0)),
-                             factors, np.ones((8, 8, 1), complex))
+    bundles = [make_constant_curvature_line_bundle(lat, 1), trivial_bundle(lat)]
+    state = LatticePairState(lat, rep, SubgroupSetting(spec, ("full", "constant"), (0, 0)),
+                             bundles, np.ones((8, 8, 1), complex))
     state.u[0] = rng.standard_normal((8, 8, 1, 1)) + 1j * rng.standard_normal((8, 8, 1, 1))
     for scale in (0.1, 10.0):
         state.u[1] = scale * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
@@ -598,10 +624,8 @@ def test_lattice_actions_match_point_actions_sitewise(rng):
     field = cplx(n, n, rep.dim)
     vlinks = section_transport(rep, links)
     kfields = random_unitary_gauge(spec, lat, rng)
-    factors = [FactorState(LatticeBundle(lat, k, lk), "full")
-               for k, lk in zip(spec.factor_dims, links)]
-    state = LatticePairState(lat, spec, rep, SubgroupSetting(spec, ("full", "full"), (0.0, 0.0)),
-                             factors, field)
+    state = LatticePairState(lat, rep, SubgroupSetting(spec, ("full", "full"), (0.0, 0.0)),
+                             [LatticeBundle(lk) for lk in links], field)
     gauged = gauge_transform(state, kfields).section
     mus = [moment_block(field, rep, i) for i in range(2)]
     for s in range(n):

@@ -2,10 +2,11 @@
 
 Layouts have 1-3 slots with standard, dual, adjoint or trivial actions on
 factors of dimension 1-3; stacked inputs carry leading shapes (), (3,) or
-(2, 2).  Examples are derandomized, so the suite stays deterministic.
+(2, 2).  Examples are derandomized (the hypothesis profile of conftest.py),
+so the suite stays deterministic.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -13,7 +14,6 @@ from gpwb.groups import GroupElement, ProductGroupSpec
 from gpwb.reps import (ADJOINT, DUAL, STANDARD, TRIVIAL, RepSpec, Slot, act, apply_slots,
                        slot_matrices, slot_operator)
 
-KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 LEADS = [(), (3,), (2, 2)]
 
 
@@ -46,7 +46,6 @@ def _scale(mats):
     return float(np.prod([np.linalg.norm(m) for m in mats if m is not None]))
 
 
-@KERNEL
 @given(rep=layouts(), lead=st.sampled_from(LEADS), generator=st.booleans(),
        acting=st.lists(st.booleans(), min_size=3, max_size=3),
        seed=st.integers(0, 2**32 - 1))
@@ -62,7 +61,6 @@ def test_apply_slots_matches_the_kronecker_fold(rep, lead, generator, acting, se
     assert np.linalg.norm(got - want) <= 1e-12 * _scale(mats) * np.linalg.norm(x)
 
 
-@KERNEL
 @given(rep=layouts(), seed=st.integers(0, 2**32 - 1))
 def test_act_is_a_group_action(rep, seed):
     rng = np.random.default_rng(seed)
