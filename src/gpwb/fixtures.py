@@ -325,7 +325,7 @@ def ssc_reduction_equiv(fixture: CurveFixture, trials=1000, rng=None, chains=12)
         if not finite:
             continue
         for _ in range(per_chain):
-            lam = [_frac(round(float(x), 6)) for x in rng.random(len(finite))]
+            lam = [Fraction(round(x * 10**6), 10**6) for x in rng.random(len(finite))]
             if all(l == 0 for l in lam):
                 continue
             alpha = [sum(l * a[k] for l, (a, _) in zip(lam, finite)) for k in range(r)]

@@ -12,7 +12,8 @@ import json
 import numpy as np
 
 from .groups import ProductGroupSpec, SubgroupSetting
-from .lattice import LatticeBundle, LatticePairState, TorusLattice, require_unitary
+from .lattice import (TWO_PI, LatticeBundle, LatticePairState, TorusLattice, lattice_degree,
+                      require_unitary)
 from .reps import RepSpec, Slot
 
 SNAPSHOT_HEADER = "GPWB1"
@@ -49,9 +50,10 @@ def load_state(path) -> LatticePairState:
     """Read a GPWB1 snapshot; ``ValueError`` on another header, on an array
     that needs pickle (unpickling a file can run arbitrary code), on link
     fields that are not unitary (the lattice inverts links by their
-    adjoint) or on parts that disagree (``LatticePairState`` checks the
+    adjoint), on parts that disagree (``LatticePairState`` checks the
     shapes of the links, the section and the metric exponents against
-    ``lattice_n``, the slots and the modes)."""
+    ``lattice_n``, the slots and the modes) or on a ``degrees_i`` without one
+    entry per summand or with 2 pi * sum off ``lattice_degree`` by > 1e-6."""
     with np.load(path, allow_pickle=False) as npz:
         z = {key: npz[key] for key in npz.files}  # an object array raises here
     header = str(z["header"])
@@ -69,9 +71,15 @@ def load_state(path) -> LatticePairState:
     setting = SubgroupSetting(spec, tuple(str(m) for m in z["modes"]),
                               tuple(float(c) for c in z["central_scalars"]))
     u = {i: z[f"metric_exp_{i}"] for i in range(nf) if f"metric_exp_{i}" in z}
-    return LatticePairState(TorusLattice(int(z["lattice_n"])), RepSpec(spec, slots), setting,
-                            bundles, z["section"], float(z["construction_residual"]),
-                            str(z["kind"]), json.loads(str(z["params"])), u)
+    state = LatticePairState(TorusLattice(int(z["lattice_n"])), RepSpec(spec, slots), setting,
+                             bundles, z["section"], float(z["construction_residual"]),
+                             str(z["kind"]), json.loads(str(z["params"])), u)
+    for i, b in enumerate(bundles):
+        degrees, rank, linked = b.summand_degrees, b.links.shape[-1], lattice_degree(b.links)
+        if len(degrees) != rank or abs(TWO_PI * sum(degrees) - linked) > 1e-6:
+            raise ValueError(f"snapshot degrees_{i} {list(degrees)} do not fit links_{i} of rank "
+                             f"{rank} and degree 2 pi * {linked / TWO_PI:.6g}")
+    return state
 
 
 def format_float(x) -> str:

@@ -11,6 +11,9 @@ Conventions fixed here and relied on everywhere else:
   (``require_unitary`` checks the raw links once per flow, at a rank > 1
   curvature response and on loading); only ``dbar_matrix`` inverts its
   transports by ``np.linalg.inv``.
+* at rank 2 the exponentials, the plaquette log and the eigenvalue bound
+  of ``sup_log_metric`` are closed forms of h = a I + b (``_pauli``), and
+  stacks multiply elementwise (``_matmul``); rank >= 3 takes eig / eigh.
 * a transport along an axis is the product of the links crossed
   (``_axis_transport``), and the dbar operator and the curvature
   response are block stencils of such transports (``_stencil_operator``).
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -142,14 +146,59 @@ def direct_sum_bundle(lat: TorusLattice, degrees) -> LatticeBundle:
 def plaquette_field(links: np.ndarray) -> np.ndarray:
     """P(x) = U1(x)^-1 U0(x+t)^-1 U1(x+s) U0(x), shape (N, N, r, r)."""
     inv = np.swapaxes(links, -1, -2).conj()  # unitary links: inverse = adjoint
-    return inv[1] @ np.roll(inv[0], -1, axis=1) @ np.roll(links[1], -1, axis=0) @ links[0]
+    return reduce(_matmul, (inv[1], np.roll(inv[0], -1, axis=1), np.roll(links[1], -1, axis=0),
+                            links[0]))
+
+
+def _matmul(a, b):
+    """a @ b over stacks of r x r matrices; at rank 1 and 2 elementwise (a
+    sum of outer products), which beats numpy's per-matrix ``@`` there."""
+    r = a.shape[-1]
+    if r == 1:
+        return a * b
+    if r == 2:
+        return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+    return a @ b
+
+
+def _hermitian_part(x):
+    return 0.5 * (x + np.swapaxes(x, -1, -2).conj())
+
+
+def _pauli(h):
+    """Split a stack of Hermitian 2 x 2 matrices as h = a I + b with b
+    traceless: returns (a, b, r), where the eigenvalues of h are a ± r."""
+    a = 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real
+    b = h - a[..., None, None] * np.eye(2)
+    return a, b, np.sqrt(np.abs(b[..., 0, 0]) ** 2 + np.abs(b[..., 0, 1]) ** 2)
+
+
+def _rebuild(c0, c1, b, r):
+    """c0 I + (c1 / r) b over a stack: the function of h = a I + b with
+    values c0 ± c1 at the eigenvalues a ± r (c1 must vanish where r does)."""
+    c1 = c1 / np.where(r > 0, r, 1.0)
+    return c0[..., None, None] * np.eye(2) + c1[..., None, None] * b
 
 
 def _log_unitary(p: np.ndarray) -> np.ndarray:
-    """Principal log of a stack of (nearly) unitary matrices."""
+    """Principal log of a stack of (nearly) unitary matrices.
+
+    Rank 2 in closed form: P = e^{i phi} Q with phi = arg det P / 2, and Q
+    has eigenvalues e^{± i theta} on the eigenlines of the Hermitian part of
+    -iQ; phi ± theta are wrapped into (-pi, pi].  No inverse is taken.
+    """
     r = p.shape[-1]
     if r == 1:
         return 1j * np.angle(p)
+    if r == 2:
+        phi = 0.5 * np.angle(p[..., 0, 0] * p[..., 1, 1] - p[..., 0, 1] * p[..., 1, 0])
+        q = np.exp(-1j * phi)[..., None, None] * p
+        _, k, rk = _pauli(_hermitian_part(-1j * q))
+        theta = np.arctan2(rk, 0.5 * (q[..., 0, 0] + q[..., 1, 1]).real)
+        wrap_p = np.ceil((phi + theta - np.pi) / TWO_PI)  # phi ± theta - 2 pi wrap_±
+        wrap_m = np.ceil((phi - theta - np.pi) / TWO_PI)
+        return _rebuild(1j * (phi - np.pi * (wrap_p + wrap_m)),
+                        1j * (theta - np.pi * (wrap_p - wrap_m)), k, rk)
     w, v = np.linalg.eig(p)
     lw = 1j * np.angle(w)
     out = v @ (lw[..., None] * np.linalg.inv(v))
@@ -416,8 +465,11 @@ class LatticePairState:
         for uu in self.u.values():
             if uu.shape[-1] == 1:
                 ev = uu.real  # the eigenvalue of the Hermitian part of a 1 x 1 block
+            elif uu.shape[-1] == 2:
+                mean, _, rad = _pauli(_hermitian_part(uu))
+                ev = np.abs(mean) + rad
             else:
-                ev = np.linalg.eigvalsh(0.5 * (uu + np.swapaxes(uu, -1, -2).conj()))
+                ev = np.linalg.eigvalsh(_hermitian_part(uu))
             if ev.size:
                 worst = max(worst, 2.0 * float(np.max(np.abs(ev))))
         return worst
@@ -435,26 +487,38 @@ def corrected_links(links: np.ndarray, u: np.ndarray) -> np.ndarray:
     here (``heat_flow`` checks its raw links once).  At rank 1 the
     transports cancel (G^-1 u G = u) and are skipped.
     """
-    if links.shape[-1] == 1:
+    r = links.shape[-1]
+    if r == 1:
         diff = [0.5 * (np.roll(u, -1, axis=nu) - np.roll(u, 1, axis=nu)) for nu in (0, 1)]
     else:
-        adj = np.swapaxes(links, -1, -2).conj()
-        # neighbour values of u along direction nu, transported to the base site
-        diff = [0.5 * (adj[nu] @ np.roll(u, -1, axis=nu) @ links[nu]
-                       - np.roll(links[nu] @ u @ adj[nu], 1, axis=nu)) for nu in (0, 1)]
+        # F u' Fᴴ, F = (U0ᴴ, U1ᴴ, U0, U1), u' = (u(x + s), u(x + t), u, u): the
+        # neighbour values taken back to the base site, the base value forward
+        frame = np.concatenate((np.swapaxes(links, -1, -2).conj(), links))
+        vals = np.stack((np.roll(u, -1, axis=0), np.roll(u, -1, axis=1), u, u))
+        moved = _matmul(_matmul(frame, vals), np.swapaxes(frame, -1, -2).conj())
+        diff = [0.5 * (moved[nu] - np.roll(moved[2 + nu], 1, axis=nu)) for nu in (0, 1)]
 
     # both directions through one exponential
-    return links @ _expm_herm(np.stack((-1j * diff[1], 1j * diff[0])))
+    return _matmul(links, _expm_herm(np.stack((-1j * diff[1], 1j * diff[0]))))
 
 
 def _expm_herm(a):
     """exp of a stack of anti-Hermitian matrices i*H (returns unitaries)."""
-    r = a.shape[-1]
-    if r == 1:
+    if a.shape[-1] == 1:
         return np.exp(a)
-    h = 0.5 * (a - np.swapaxes(a, -1, -2).conj()) / 1j
+    return _hermitian_function(_hermitian_part(-1j * a), lambda w: np.exp(1j * w))
+
+
+def _hermitian_function(h, f):
+    """f(h) for a stack of Hermitian matrices, f acting on the eigenvalues:
+    at rank 2 in closed form from h = a I + b, whose eigenvalues are a ± r;
+    at higher rank by ``eigh``."""
+    if h.shape[-1] == 2:
+        mean, b, rad = _pauli(h)
+        hi, lo = f(mean + rad), f(mean - rad)
+        return _rebuild(0.5 * (hi + lo), 0.5 * (hi - lo), b, rad)
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+    return (v * f(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
 def curvature_response_matrix(lat: TorusLattice, links=None) -> sp.csr_matrix:
@@ -506,12 +570,9 @@ def apply_metric_exponents(section, rep: RepSpec, u: dict) -> np.ndarray:
 
 def _expm_pos(u):
     """exp of a stack of Hermitian matrices (positive result)."""
-    r = u.shape[-1]
-    if r == 1:
+    if u.shape[-1] == 1:
         return np.exp(u.real)
-    h = 0.5 * (u + np.swapaxes(u, -1, -2).conj())
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+    return _hermitian_function(_hermitian_part(u), np.exp)
 
 
 def random_unitary_gauge(spec: ProductGroupSpec, lat: TorusLattice, rng):

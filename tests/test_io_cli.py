@@ -61,6 +61,23 @@ def test_snapshot_refuses_parts_that_disagree(tmp_path, field, value, match):
         load_state(path)
 
 
+@pytest.mark.parametrize("degrees", [[5, 1], [3]])
+def test_snapshot_refuses_degrees_that_disagree_with_links(tmp_path, degrees):
+    # a rank-2 coherent system: the constraint slack is read from the degrees
+    # (0 for [2, 1], 3 * 2 pi for [5, 1]), so they must be those of the links
+    st = assemble_example("coherent_system", {"deg": [2, 1], "k": 2, "c1": 2.5 * TWO_PI,
+                                              "c2": -TWO_PI}, lattice_n=8, seed=1)
+    path = tmp_path / "state.npz"
+    save_state(path, st)
+    assert load_state(path).bundles[0].summand_degrees == (2, 1)
+    with np.load(path) as z:
+        payload = {key: z[key] for key in z.files}
+    payload["degrees_0"] = np.array(degrees)
+    np.savez(path, **payload)
+    with pytest.raises(ValueError, match="degrees_0 .* do not fit links_0 of rank 2 and degree"):
+        load_state(path)
+
+
 @pytest.mark.parametrize("kind,params", [
     ("higgs", {"deg": [0, 0], "theta": [[0, 2.0], [0.5, 0]]}),
     ("twisted_triple", {"deg1": [1], "deg2": [0], "deg3": [0],
