@@ -98,12 +98,15 @@ def _check_values(cfg, seed):
     th = cfg.get("threshold", {})
     if th.get("d", 1) < 1:
         raise ConfigError(f"threshold.d: must be a positive Chern number, got {th['d']!r}")
-    scan = th.get("scan", [0.0, 1.0])
+    scan = th.get("scan", [0.1, 3.0])
     if (len(scan) != 2 or any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in scan)
             or not scan[0] < scan[1]):
         raise ConfigError(f"threshold.scan: expected two numbers lo < hi, got {scan!r}")
-    if not th.get("target_width", 1.0) > 0:
-        raise ConfigError(f"threshold.target_width: must be positive, got {th['target_width']!r}")
+    # at two float spacings or less, a bisection midpoint can round onto an end of the bracket
+    floor = 2 * np.spacing(max(abs(scan[0]), abs(scan[1])))
+    if not th.get("target_width", 0.05) > floor:
+        raise ConfigError(f"threshold.target_width: must exceed {floor:.3g}, twice the float "
+                          f"spacing at the scan ends, got {th['target_width']!r}")
 
 
 def flow_opts_from(cfg, tol=None):
@@ -168,9 +171,12 @@ def run_threshold(cfg, rng_seed, tol):
     unit = TWO_PI * d
 
     def converges(mult):
-        st = assemble_example("pair_tensor",
-                              {"deg1": [d], "deg2": [0], "c": mult * unit},
-                              lattice_n=n, seed=rng_seed)
+        try:
+            st = assemble_example("pair_tensor",
+                                  {"deg1": [d], "deg2": [0], "c": mult * unit},
+                                  lattice_n=n, seed=rng_seed)
+        except ValueError as err:  # a degree the lattice cannot hold
+            raise ConfigError(f"threshold: {err}") from err
         return heat_flow(st, opts)
 
     lo, hi = float(scan[0]), float(scan[1])

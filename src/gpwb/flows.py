@@ -15,6 +15,7 @@ tolerance.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,7 +39,8 @@ from .lattice import (
     require_unitary,
     section_transport,
 )
-from .reps import ADJOINT, STANDARD, RepSpec, Slot, moment_block, summand_weights
+from .reps import (ADJOINT, STANDARD, RepSpec, Slot, _hermitian_part, moment_block,
+                   summand_weights)
 
 
 @dataclass
@@ -68,20 +70,11 @@ class LatticeFlowReport:
     obstruction: float = None
 
 
-def _herm(b):
-    return 0.5 * (b + np.swapaxes(b, -1, -2).conj())
-
-
-_RESPONSE_SYMBOL_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _response_symbol(n: int):
     """2-D Fourier symbol of the abelian curvature response operator."""
-    if n not in _RESPONSE_SYMBOL_CACHE:
-        L = curvature_response_matrix(build_torus(n))
-        col0 = np.asarray(L[:, 0].todense()).reshape(n, n)
-        _RESPONSE_SYMBOL_CACHE[n] = np.fft.fft2(col0)
-    return _RESPONSE_SYMBOL_CACHE[n]
+    L = curvature_response_matrix(build_torus(n))
+    return np.fft.fft2(np.asarray(L[:, 0].todense()).reshape(n, n))
 
 
 def _semi_implicit_scalar(d, step, n):
@@ -116,15 +109,15 @@ def constraint_diagnostics(state: LatticePairState, blocks=None):
         blocks, _, _ = pointwise_residual(state)
     trace_sum = 0.0
     for r in blocks.values():
-        trace_sum += float(np.mean(np.trace(_herm(1j * r), axis1=-2, axis2=-1).real))
+        trace_sum += float(np.mean(np.trace(_hermitian_part(1j * r), axis1=-2, axis2=-1).real))
     diag["integrated_trace"] = trace_sum
     modes = state.setting.modes
     if CONSTANT in modes:
         i_full, i_const = modes.index(FULL), modes.index(CONSTANT)
         diag["eq_bundle_residual"] = float(
-            np.sqrt(np.mean(np.sum(np.abs(_herm(1j * blocks[i_full])) ** 2, axis=(2, 3))))
+            np.sqrt(np.mean(np.sum(np.abs(_hermitian_part(1j * blocks[i_full])) ** 2, axis=(2, 3))))
         )
-        diag["eq_sections_residual"] = float(np.linalg.norm(_herm(1j * blocks[i_const])))
+        diag["eq_sections_residual"] = float(np.linalg.norm(_hermitian_part(1j * blocks[i_const])))
     entry = KINDS.get(state.kind)
     if entry is not None and entry.constraint:
         diag[entry.constraint[0]] = _constraint_slack(state, entry.constraint[1])
@@ -180,7 +173,7 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
             op = sp.identity(responses[i].shape[0], format="csc") + step * responses[i]
             lu = spla.splu(op.tocsc())
         lus[step] = lu
-        return _herm(lu.solve(d.reshape(-1)).reshape(d.shape))
+        return _hermitian_part(lu.solve(d.reshape(-1)).reshape(d.shape))
 
     def residual(u):
         blocks, l2, linf = pointwise_residual(replace(work, u=u))
@@ -189,7 +182,7 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
     def move(u, blocks, step):
         trial = dict(u)
         for i, r in blocks.items():
-            d = _herm(1j * r)  # the Hermitian descent direction
+            d = _hermitian_part(1j * r)  # the Hermitian descent direction
             # implicit in the stiff linear curvature response only, so the
             # fixed points are those of the explicit step
             if work.setting.modes[i] == FULL:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 SKEW_TOL = 1e-12
-UNITARY_TOL = 1e-10
+UNITARY_TOL = 1e-10  # defect of Uᴴ U - I: norm of a block, largest entry of a link field
 
 FULL = "full"
 FROZEN = "frozen"
@@ -244,11 +244,14 @@ def random_compact(spec: ProductGroupSpec, rng, scale=1.0) -> AlgebraElement:
     return AlgebraElement(tuple(blocks), "compact")
 
 
+def haar_unitary(rng, n: int, lead=()):
+    """Haar-random n x n unitaries of shape lead + (n, n): the Q of a complex
+    Gaussian's QR with the phases of the diagonal of R moved into it."""
+    shape = tuple(lead) + (n, n)
+    q, r = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def random_unitary(spec: ProductGroupSpec, rng) -> GroupElement:
-    blocks = []
-    for n in spec.factor_dims:
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, r = np.linalg.qr(a)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        blocks.append(q)
-    return GroupElement(tuple(blocks), "unitary")
+    return GroupElement(tuple(haar_unitary(rng, n) for n in spec.factor_dims), "unitary")

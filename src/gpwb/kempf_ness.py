@@ -24,11 +24,13 @@ from .groups import (
 from .reps import (
     STANDARD,
     RepSpec,
+    _hermitian_part,
+    _matmul,
     act,
     apply_slots,
     infinitesimal_act,
-    moment_block,
     mu_shifted,
+    shifted_moment_blocks,
     slot_matrices,
     summand_weights,
 )
@@ -134,7 +136,7 @@ def maximal_weight(x, s: AlgebraElement, rep: RepSpec) -> float:
     ws, rotations = [], []
     for b in s.blocks:
         if b.any():
-            w, v = np.linalg.eigh(0.5j * (b - b.conj().T))
+            w, v = np.linalg.eigh(_hermitian_part(1j * b))
             ws.append(w)
             rotations.append(v.conj().T)
         else:  # weights 0 in every basis: no eigh, and its slots are not rotated
@@ -311,8 +313,8 @@ def kn_functional(x, s: AlgebraElement, rep: RepSpec, spec: ProductGroupSpec,
     Composite Simpson quadrature with at least ``quadrature_steps`` panels
     is the definition.  One ``eigh`` of the Hermitian i*s_f per factor gives
     e^{i t s_f} at every node as one stacked array; one ``act`` per node
-    fills a preallocated (nodes, D) array, and the moment maps and pairings
-    of all nodes are taken on it, one ``moment_block`` per unfrozen factor.
+    fills a preallocated (nodes, D) array, and the shifted moment maps
+    (``shifted_moment_blocks``) and pairings of all nodes are taken on it.
     """
     if s.flavor != "compact":
         raise ValueError("kn_functional needs a compact (skew-Hermitian) direction s")
@@ -323,18 +325,14 @@ def kn_functional(x, s: AlgebraElement, rep: RepSpec, spec: ProductGroupSpec,
     ts = np.linspace(0.0, 1.0, m + 1)
     exps = []
     for b in s.blocks:
-        w, v = np.linalg.eigh(0.5j * (b - b.conj().T))  # i*s_f
-        exps.append((v * np.exp(np.outer(ts, w))[:, None, :]) @ v.conj().T)
+        w, v = np.linalg.eigh(_hermitian_part(1j * b))  # i*s_f
+        exps.append(_matmul(v * np.exp(np.outer(ts, w))[:, None, :], v.conj().T))
     ys = np.empty((m + 1, rep.dim), dtype=complex)
     for k, blocks in enumerate(zip(*exps)):
         ys[k] = act(GroupElement(blocks), x, rep)
-    unfrozen = setting.unfrozen()
-    # mu_h - c_h per node, c_h = -i c_f I, flattened side by side over the unfrozen factors
-    mh = np.concatenate([
-        (moment_block(ys, rep, i) + 1j * setting.central_scalars[i] * np.eye(spec.factor_dims[i]))
-        .reshape(m + 1, -1) for i in unfrozen], axis=1)
-    sv = np.concatenate([s.blocks[i].reshape(-1) for i in unfrozen])
-    vals = np.einsum("tk,k->t", mh, sv.conj()).real
+    # <mu_h - c_h, s> per node, summed over the unfrozen factors
+    vals = sum(np.einsum("tij,ij->t", b, s.blocks[i].conj())
+               for i, b in shifted_moment_blocks(ys, rep, setting).items()).real
     h = 1.0 / m
     return float(h / 3.0 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-1:2].sum()))
 

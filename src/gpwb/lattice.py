@@ -12,8 +12,8 @@ Conventions fixed here and relied on everywhere else:
   curvature response and on loading); only ``dbar_matrix`` inverts its
   transports by ``np.linalg.inv``.
 * at rank 2 the exponentials, the plaquette log and the eigenvalue bound
-  of ``sup_log_metric`` are closed forms of h = a I + b (``_pauli``), and
-  stacks multiply elementwise (``_matmul``); rank >= 3 takes eig / eigh.
+  of ``sup_log_metric`` are closed forms of h = a I + b (``_pauli``);
+  rank >= 3 takes eig / eigh.
 * a transport along an axis is the product of the links crossed
   (``_axis_transport``), and the dbar operator and the curvature
   response are block stencils of such transports (``_stencil_operator``).
@@ -29,8 +29,9 @@ Conventions fixed here and relied on everywhere else:
   parts that disagree.  A constant-mode factor's exponent and residual are
   single (n, n) blocks, not per-site copies.
 
-Transports, gauge and metric actions on V and the sitewise moment maps
-all come from the slot kernel of ``gpwb.reps``, batched over the sites.
+Transports, gauge and metric actions on V, the sitewise shifted moment
+maps, stacked products (``_matmul``) and Hermitian parts all come from
+``gpwb.reps``, the slot kernel and its helpers, batched over the sites.
 """
 from __future__ import annotations
 
@@ -42,9 +43,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .groups import CONSTANT, FROZEN, FULL, ProductGroupSpec, SubgroupSetting
-from .reps import (RepSpec, _batched_kron, apply_slots, moment_block, slot_matrices,
-                   slot_operator)
+from .groups import (CONSTANT, FROZEN, FULL, UNITARY_TOL, ProductGroupSpec, SubgroupSetting,
+                     haar_unitary)
+from .reps import (RepSpec, _batched_kron, _gram, _hermitian_part, _matmul, apply_slots,
+                   shifted_moment_blocks, slot_matrices, slot_operator)
 
 TWO_PI = 2.0 * np.pi
 
@@ -89,16 +91,10 @@ class LatticeBundle:
         return LatticeBundle(self.links.copy(), self.summand_degrees)
 
 
-# largest entry of U Uᴴ - I accepted of a link field; the links are
-# inverted by their adjoint, so a larger defect would be a wrong inverse
-UNITARY_TOL = 1e-10
-
-
 def require_unitary(links: np.ndarray, what="links"):
     """Raise ``ValueError`` unless every matrix of the stack is unitary to
     ``UNITARY_TOL`` (max |U Uᴴ - I|)."""
-    eye = np.eye(links.shape[-1])
-    defect = float(np.max(np.abs(links @ np.swapaxes(links, -1, -2).conj() - eye)))
+    defect = float(np.max(np.abs(_gram(links) - np.eye(links.shape[-1]))))
     if not defect <= UNITARY_TOL:
         raise ValueError(f"{what} are not unitary: max |U Uᴴ - I| = {defect:.3e} "
                          f"> {UNITARY_TOL:g}")
@@ -150,21 +146,6 @@ def plaquette_field(links: np.ndarray) -> np.ndarray:
                             links[0]))
 
 
-def _matmul(a, b):
-    """a @ b over stacks of r x r matrices; at rank 1 and 2 elementwise (a
-    sum of outer products), which beats numpy's per-matrix ``@`` there."""
-    r = a.shape[-1]
-    if r == 1:
-        return a * b
-    if r == 2:
-        return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
-    return a @ b
-
-
-def _hermitian_part(x):
-    return 0.5 * (x + np.swapaxes(x, -1, -2).conj())
-
-
 def _pauli(h):
     """Split a stack of Hermitian 2 x 2 matrices as h = a I + b with b
     traceless: returns (a, b, r), where the eigenvalues of h are a ± r."""
@@ -201,7 +182,7 @@ def _log_unitary(p: np.ndarray) -> np.ndarray:
                         1j * (theta - np.pi * (wrap_p - wrap_m)), k, rk)
     w, v = np.linalg.eig(p)
     lw = 1j * np.angle(w)
-    out = v @ (lw[..., None] * np.linalg.inv(v))
+    out = _matmul(v, lw[..., None] * np.linalg.inv(v))
     return 0.5 * (out - np.swapaxes(out, -1, -2).conj())
 
 
@@ -254,6 +235,7 @@ def _axis_transport(links: np.ndarray, mu: int, hops: int) -> np.ndarray:
     step = links[mu] if hops > 0 else np.roll(np.swapaxes(links[mu], -1, -2).conj(), 1, axis=mu)
     out = step
     for j in range(1, abs(hops)):
+        # ``@``: the stencil operators match their blockwise assembly bit for bit
         out = np.roll(step, -j if hops > 0 else j, axis=mu) @ out
     return out
 
@@ -518,7 +500,7 @@ def _hermitian_function(h, f):
         hi, lo = f(mean + rad), f(mean - rad)
         return _rebuild(0.5 * (hi + lo), 0.5 * (hi - lo), b, rad)
     w, v = np.linalg.eigh(h)
-    return (v * f(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+    return _matmul(v * f(w)[..., None, :], np.swapaxes(v, -1, -2).conj())
 
 
 def curvature_response_matrix(lat: TorusLattice, links=None) -> sp.csr_matrix:
@@ -577,16 +559,7 @@ def _expm_pos(u):
 
 def random_unitary_gauge(spec: ProductGroupSpec, lat: TorusLattice, rng):
     """Site-dependent unitary gauge transformation, one field per factor."""
-    out = []
-    for n in spec.factor_dims:
-        a = rng.standard_normal((lat.n, lat.n, n, n)) + 1j * rng.standard_normal(
-            (lat.n, lat.n, n, n)
-        )
-        q, r = np.linalg.qr(a)
-        d = np.einsum("xyii->xyi", r)
-        q = q * (d / np.abs(d))[..., None, :]
-        out.append(q)
-    return out
+    return [haar_unitary(rng, n, (lat.n, lat.n)) for n in spec.factor_dims]
 
 
 def gauge_transform(state: LatticePairState, kfields) -> LatticePairState:
@@ -598,14 +571,14 @@ def gauge_transform(state: LatticePairState, kfields) -> LatticePairState:
     for i, (b, k, mode) in enumerate(zip(new.bundles, kfields, new.setting.modes)):
         kh = np.swapaxes(k, -1, -2).conj()
         for mu in (0, 1):
-            b.links[mu] = np.roll(k, -1, axis=mu) @ b.links[mu] @ kh
+            b.links[mu] = _matmul(_matmul(np.roll(k, -1, axis=mu), b.links[mu]), kh)
         if mode == CONSTANT:
             if np.any(k != k[0, 0]):
                 raise ValueError(f"factor {i} is in constant mode: its gauge must be "
                                  f"the same at every site")
-            new.u[i] = k[0, 0] @ new.u[i] @ kh[0, 0]
+            new.u[i] = _matmul(_matmul(k[0, 0], new.u[i]), kh[0, 0])
         elif mode == FULL:
-            new.u[i] = k @ new.u[i] @ kh
+            new.u[i] = _matmul(_matmul(k, new.u[i]), kh)
     new.section = apply_slots(slot_matrices(kfields, new.rep), new.section, new.rep)
     return new
 
@@ -613,26 +586,20 @@ def gauge_transform(state: LatticePairState, kfields) -> LatticePairState:
 def pointwise_residual(state: LatticePairState):
     """Skew-Hermitian residual blocks of the shifted subgroup moment map.
 
-    Per unfrozen factor: N^2 log P + mu_f(Psi) + i c_f I at every site,
-    shape (N, N, n, n), or for a constant-mode factor the site average
-    mean(mu_f(Psi)) + i c_f I, one (n, n) block like its exponent.
+    Per unfrozen factor: N^2 log P plus the shifted moment map mu_f(Psi) +
+    i c_f I at every site, shape (N, N, n, n), or for a constant-mode factor
+    the site average of the shifted map, one (n, n) block like its exponent.
     Returns (blocks dict, l2 norm, linf norm); norms use the volume-1
     weighting.  The FULL factors' links go through ``corrected_links``,
     which takes them to be unitary without checking.
     """
-    n = state.lattice.n
-    psi = state.metric_frame_section()
-    blocks = {}
-    for i, mode in enumerate(state.setting.modes):
-        if mode == FROZEN:
-            continue
-        shift = 1j * state.setting.central_scalars[i] * np.eye(state.spec.factor_dims[i])
-        mu = moment_block(psi, state.rep, i)
-        if mode == CONSTANT:
-            blocks[i] = np.mean(mu, axis=(0, 1)) + shift
+    blocks = shifted_moment_blocks(state.metric_frame_section(), state.rep, state.setting)
+    for i, mu in blocks.items():
+        if state.setting.modes[i] == CONSTANT:
+            blocks[i] = np.mean(mu, axis=(0, 1))
         else:
             links = corrected_links(state.bundles[i].links, state.u[i])
-            blocks[i] = _log_unitary(plaquette_field(links)) * (n * n) + mu + shift
+            blocks[i] = _log_unitary(plaquette_field(links)) * state.lattice.sites + mu
     sq = 0.0
     linf = 0.0
     for r in blocks.values():

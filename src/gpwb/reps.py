@@ -91,12 +91,25 @@ def _batched_kron(a, b):
 
 
 def _matmul(a, b):
-    """a @ b; on stacks of tiny matrices einsum beats matmul, on one pair not."""
-    return a @ b if a.ndim == b.ndim == 2 else np.einsum("...ij,...jk->...ik", a, b)
+    """a @ b over (broadcast) stacks of small matrices: ``@`` on two plain
+    matrices; on stacks, which ``@`` takes matrix by matrix, the sum of outer
+    products at an inner dimension of 1 or 2 and einsum above."""
+    if a.ndim == b.ndim == 2:
+        return a @ b
+    inner = a.shape[-1]
+    if inner == 1:
+        return a * b
+    if inner == 2:
+        return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+    return np.einsum("...ij,...jk->...ik", a, b)
 
 
 def _gram(m):
     return _matmul(m, np.swapaxes(m, -1, -2).conj())
+
+
+def _hermitian_part(x):
+    return 0.5 * (x + np.swapaxes(x, -1, -2).conj())
 
 
 def slot_matrices(blocks, rep: RepSpec, generator=False):
@@ -188,12 +201,18 @@ def moment_block(x, rep: RepSpec, i: int):
             out += -1j * _gram(m)
         elif sl.action == DUAL:
             out += 1j * _gram(m).conj()
-        else:
-            b = m.reshape(lead + (n, n, -1))
-            bh = np.swapaxes(b, k0, k0 + 1).conj()
-            out += -1j * (np.einsum("...ijr,...jkr->...ik", b, bh)
-                          - np.einsum("...ijr,...jkr->...ik", bh, b))
+        else:  # [B, Bᴴ] as Gram matrices of the (n, n * rest) reshapes of B and Bᴴ
+            bh = np.swapaxes(m.reshape(lead + (n, n, -1)), k0, k0 + 1).conj()
+            out += -1j * (_gram(m.reshape(lead + (n, -1))) - _gram(bh.reshape(lead + (n, -1))))
     return out
+
+
+def shifted_moment_blocks(x, rep: RepSpec, setting: SubgroupSetting):
+    """The shifted moment map mu_f(x) - c_f = mu_f(x) + i c_f I of each
+    unfrozen factor f on x of shape (..., D), as a dict f -> (..., n_f, n_f)."""
+    return {i: moment_block(x, rep, i) + 1j * c * np.eye(rep.spec.factor_dims[i])
+            for i, (mode, c) in enumerate(zip(setting.modes, setting.central_scalars))
+            if mode != FROZEN}
 
 
 def summand_weights(diags, rep: RepSpec):
@@ -251,17 +270,11 @@ def mu_full(x, rep: RepSpec, spec: ProductGroupSpec = None) -> AlgebraElement:
 
 
 def mu_shifted(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSetting) -> AlgebraElement:
-    """Subgroup moment map pi_h(mu(x)) - c_h: the moment block minus -i c_i I
-    on each unfrozen factor, zero on the frozen ones."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    blocks = []
-    for i, (n, mode, c) in enumerate(zip(spec.factor_dims, setting.modes,
-                                         setting.central_scalars)):
-        if mode == FROZEN:
-            blocks.append(np.zeros((n, n), complex))
-        else:
-            blocks.append(moment_block(x, rep, i) - (-1j * c * np.eye(n)))
-    return AlgebraElement(tuple(blocks), "compact")
+    """Subgroup moment map pi_h(mu(x)) - c_h: the ``shifted_moment_blocks``
+    of the unfrozen factors, zero on the frozen ones."""
+    shifted = shifted_moment_blocks(np.asarray(x, dtype=complex).reshape(-1), rep, setting)
+    return AlgebraElement(tuple(shifted.get(i, np.zeros((n, n), complex))
+                                for i, n in enumerate(spec.factor_dims)), "compact")
 
 
 # ---------------------------------------------------------------------------

@@ -258,9 +258,12 @@ def test_cli_exit_codes(tmp_path):
     {"mode": "kempf_ness", "kempf_ness": {"count": -1}},
     {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[0, 0]], "c": ["1/0", "0"]}},
     {"mode": "vortex_threshold", "threshold": {"d": 0}},
+    {"mode": "vortex_threshold", "lattice_n": 4, "threshold": {"d": 5}},
+    {"mode": "vortex_threshold", "lattice_n": 4, "threshold": {"target_width": 1e-300}},
 ], ids=["negative_step", "small_lattice", "short_scan", "text_scan", "degree_arity",
         "bad_c", "support_index", "higgs_cotangent_row", "kempf_ness_seed", "suite_seed",
-        "fixture_seed", "zero_n2", "negative_count", "zero_denominator_c", "zero_degree"])
+        "fixture_seed", "zero_n2", "negative_count", "zero_denominator_c", "zero_degree",
+        "degree_above_lattice", "width_below_spacing"])
 def test_config_value_errors_exit_2(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

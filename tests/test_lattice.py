@@ -43,6 +43,8 @@ from gpwb.reps import (
     act,
     moment_block,
     mu_factor,
+    mu_shifted,
+    shifted_moment_blocks,
 )
 
 LAT = build_torus(16)
@@ -628,6 +630,10 @@ def test_lattice_actions_match_point_actions_sitewise(rng):
                              [LatticeBundle(lk) for lk in links], field)
     gauged = gauge_transform(state, kfields).section
     mus = [moment_block(field, rep, i) for i in range(2)]
+    # one frozen and one constant-mode factor, then the other way round
+    settings = [SubgroupSetting(spec, modes, c) for modes, c in
+                ((("frozen", "constant"), (0.0, -0.7)), (("constant", "frozen"), (1.3, 0.0)))]
+    shifted = [shifted_moment_blocks(field, rep, st) for st in settings]
     for s in range(n):
         for t in range(n):
             x = field[s, t]
@@ -638,3 +644,8 @@ def test_lattice_actions_match_point_actions_sitewise(rng):
             assert np.allclose(gauged[s, t], act(k, x, rep), atol=1e-12)
             for i in range(2):
                 assert np.allclose(mus[i][s, t], mu_factor(x, rep, i), atol=1e-12)
+            for st, blocks in zip(settings, shifted):
+                want = mu_shifted(x, rep, spec, st).blocks
+                assert set(blocks) == set(st.unfrozen())
+                for i, b in blocks.items():
+                    assert np.max(np.abs(b[s, t] - want[i])) <= 1e-12

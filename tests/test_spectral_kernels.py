@@ -7,8 +7,9 @@ from scipy.linalg import expm, logm
 from gpwb import lattice
 from gpwb.flows import assemble_example
 from gpwb.groups import ProductGroupSpec
-from gpwb.lattice import (_expm_herm, _expm_pos, _log_unitary, _matmul, build_torus,
-                          pointwise_residual, random_unitary_gauge)
+from gpwb.lattice import (_expm_herm, _expm_pos, _log_unitary, build_torus, pointwise_residual,
+                          random_unitary_gauge)
+from gpwb.reps import _matmul
 
 TOL = 1e-12
 
@@ -83,11 +84,17 @@ def test_rank2_log_unitary_matches_eig(n, case, rng):
     assert _close(_log_unitary(p), _eig_log(p))
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_matmul_is_the_matrix_product(r, rng):
-    a, b = (rng.standard_normal((4, 8, 8, r, r)) + 1j * rng.standard_normal((4, 8, 8, r, r))
-            for _ in range(2))
-    assert _close(_matmul(a, b), a @ b)
+    # inner dimension r: one pair, square stacks, a non-square right operand
+    # (..., r, k) as apply_slots passes it, and a stack times one matrix
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for a, b in ((cplx(3, r), cplx(r, 5)), (cplx(4, 8, 8, r, r), cplx(4, 8, 8, r, r)),
+                 (cplx(8, 8, 3, r), cplx(8, 8, r, 5)), (cplx(3, r), cplx(8, 8, r, 5)),
+                 (cplx(8, 8, 3, r), cplx(r, 5))):
+        assert _close(_matmul(a, b), a @ b)
 
 
 def _per_matrix(f):
