@@ -49,6 +49,10 @@ _SCHEMA = {
 }
 
 
+# vortex_threshold defaults: the value check and the run merge "threshold" over them
+THRESHOLD_DEFAULTS = {"d": 1, "scan": (0.1, 3.0), "target_width": 0.05}
+
+
 def _check_keys(obj, schema, path=""):
     if not isinstance(obj, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
@@ -81,30 +85,36 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _check_values(cfg, seed):
-    """Value ranges the key and type schema cannot express; ``seed`` is the
-    run seed after the command line has overridden the config."""
-    for k, v in cfg.get("flow", {}).items():
-        if not v > 0:
-            raise ConfigError(f"flow.{k}: must be positive, got {v!r}")
-    for key, v in (("seed", seed), ("fixture.seed", cfg.get("fixture", {}).get("seed", 0))):
+def _check_values(cfg):
+    """Value ranges the key and type schema cannot express, of the run
+    config after the command line has overridden its ``seed`` and ``tol``."""
+    positive = [(f"flow.{k}", v) for k, v in cfg.get("flow", {}).items()]
+    if cfg.get("tol") is not None:
+        positive.append(("tol", cfg["tol"]))
+    for key, v in positive:
+        if not 0 < v < np.inf:
+            raise ConfigError(f"{key}: must be finite and positive, got {v!r}")
+    for key, v in (("seed", cfg.get("seed", 0)),
+                   ("fixture.seed", cfg.get("fixture", {}).get("seed", 0))):
         if v < 0:
             raise ConfigError(f"{key}: must be non-negative, got {v!r}")
     for k, v in cfg.get("kempf_ness", {}).items():
         if k in ("count", "n2", "max_iter") and v < 1:
             raise ConfigError(f"kempf_ness.{k}: must be at least 1, got {v!r}")
+        if k in ("c_lo", "c_hi") and not -np.inf < v < np.inf:
+            raise ConfigError(f"kempf_ness.{k}: must be finite, got {v!r}")
     if cfg.get("lattice_n", 4) < 4:
         raise ConfigError(f"lattice_n: needs at least 4 sites per side, got {cfg['lattice_n']!r}")
-    th = cfg.get("threshold", {})
-    if th.get("d", 1) < 1:
+    th = {**THRESHOLD_DEFAULTS, **cfg.get("threshold", {})}
+    if th["d"] < 1:
         raise ConfigError(f"threshold.d: must be a positive Chern number, got {th['d']!r}")
-    scan = th.get("scan", [0.1, 3.0])
+    scan = th["scan"]
     if (len(scan) != 2 or any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in scan)
             or not scan[0] < scan[1]):
         raise ConfigError(f"threshold.scan: expected two numbers lo < hi, got {scan!r}")
     # at two float spacings or less, a bisection midpoint can round onto an end of the bracket
     floor = 2 * np.spacing(max(abs(scan[0]), abs(scan[1])))
-    if not th.get("target_width", 0.05) > floor:
+    if not th["target_width"] > floor:
         raise ConfigError(f"threshold.target_width: must exceed {floor:.3g}, twice the float "
                           f"spacing at the scan ends, got {th['target_width']!r}")
 
@@ -162,10 +172,8 @@ def run_kempf_ness(cfg, rng_seed, workers):
 
 
 def run_threshold(cfg, rng_seed, tol):
-    p = cfg.get("threshold", {})
-    d = p.get("d", 1)
-    scan = p.get("scan", [0.1, 3.0])
-    width = p.get("target_width", 0.05)
+    p = {**THRESHOLD_DEFAULTS, **cfg.get("threshold", {})}
+    d, scan, width = p["d"], p["scan"], p["target_width"]
     n = cfg.get("lattice_n", 32)
     opts = flow_opts_from(cfg, tol)
     unit = TWO_PI * d
@@ -321,9 +329,9 @@ def run(config: dict, out_dir=None, workers=1, seed=None, tol=None) -> dict:
     if mode not in MODES:
         raise ConfigError(f"mode: unknown mode {mode!r}")
     rng_seed = int(seed if seed is not None else config.get("seed", 0))
-    _check_values(config, rng_seed)
-    workers = int(workers or config.get("workers", 1))
     tol = tol if tol is not None else config.get("tol")
+    _check_values(dict(config, seed=rng_seed, tol=tol))
+    workers = int(workers or config.get("workers", 1))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     runners = {"kempf_ness": lambda: run_kempf_ness(config, rng_seed, workers),

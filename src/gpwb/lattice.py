@@ -4,7 +4,8 @@ holomorphic sections, and the pointwise moment-map residual.
 Conventions fixed here and relied on everywhere else:
 
 * N x N periodic grid, spacing 1/N, total volume 1; site (s, t), axis 0
-  hops s -> s+1, axis 1 hops t -> t+1.
+  hops s -> s+1, axis 1 hops t -> t+1.  Every neighbour read is
+  ``shift(a, mu, k)``, the field x -> a(x + k mu_hat).
 * ``U[mu][s, t]`` transports fiber(x) -> fiber(x + mu_hat); covariant
   forward difference is U^-1 s(x + mu_hat) - s(x).
 * links are unitary, and their inverse is taken as their adjoint
@@ -80,6 +81,11 @@ def build_torus(n: int) -> TorusLattice:
     return TorusLattice(int(n))
 
 
+def shift(a: np.ndarray, mu: int, k: int = 1) -> np.ndarray:
+    """The field x -> a(x + k mu_hat) on the periodic grid (axis ``mu`` of ``a``)."""
+    return a.take((np.arange(a.shape[mu]) + k) % a.shape[mu], axis=mu)
+
+
 @dataclass
 class LatticeBundle:
     """Rank-r bundle: links[mu, s, t] is the r x r transport matrix."""
@@ -142,8 +148,7 @@ def direct_sum_bundle(lat: TorusLattice, degrees) -> LatticeBundle:
 def plaquette_field(links: np.ndarray) -> np.ndarray:
     """P(x) = U1(x)^-1 U0(x+t)^-1 U1(x+s) U0(x), shape (N, N, r, r)."""
     inv = np.swapaxes(links, -1, -2).conj()  # unitary links: inverse = adjoint
-    return reduce(_matmul, (inv[1], np.roll(inv[0], -1, axis=1), np.roll(links[1], -1, axis=0),
-                            links[0]))
+    return reduce(_matmul, (inv[1], shift(inv[0], 1), shift(links[1], 0), links[0]))
 
 
 def _pauli(h):
@@ -230,13 +235,13 @@ def _axis_transport(links: np.ndarray, mu: int, hops: int) -> np.ndarray:
     """Transport of fiber(x) to fiber(x + hops mu_hat) along axis mu, shape
     (N, N, r, r): the product of the links crossed on the way, or for
     hops < 0 of the adjoints of the links crossed backwards.  Its inverse
-    is the transport back from the far end, ``np.roll(_axis_transport(links,
-    mu, -hops), -hops, axis=mu)``, exact for unitary links."""
-    step = links[mu] if hops > 0 else np.roll(np.swapaxes(links[mu], -1, -2).conj(), 1, axis=mu)
+    is the transport back from the far end, ``shift(_axis_transport(links,
+    mu, -hops), mu, hops)``, exact for unitary links."""
+    step = links[mu] if hops > 0 else shift(np.swapaxes(links[mu], -1, -2).conj(), mu, -1)
     out = step
     for j in range(1, abs(hops)):
         # ``@``: the stencil operators match their blockwise assembly bit for bit
-        out = np.roll(step, -j if hops > 0 else j, axis=mu) @ out
+        out = shift(step, mu, j if hops > 0 else -j) @ out
     return out
 
 
@@ -251,7 +256,7 @@ def _stencil_operator(n: int, terms) -> sp.csr_matrix:
         comp = np.arange(d)
         shape = (n, n, d, d)
         rows.append(np.broadcast_to(site * d + comp[:, None], shape).ravel())
-        cols.append(np.broadcast_to(np.roll(site, -hops, axis=mu) * d + comp, shape).ravel())
+        cols.append(np.broadcast_to(shift(site, mu, hops) * d + comp, shape).ravel())
         vals.append(np.broadcast_to(block, shape).ravel())
     size = n * n * d
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -469,17 +474,13 @@ def corrected_links(links: np.ndarray, u: np.ndarray) -> np.ndarray:
     here (``heat_flow`` checks its raw links once).  At rank 1 the
     transports cancel (G^-1 u G = u) and are skipped.
     """
-    r = links.shape[-1]
-    if r == 1:
-        diff = [0.5 * (np.roll(u, -1, axis=nu) - np.roll(u, 1, axis=nu)) for nu in (0, 1)]
-    else:
-        # F u' Fᴴ, F = (U0ᴴ, U1ᴴ, U0, U1), u' = (u(x + s), u(x + t), u, u): the
-        # neighbour values taken back to the base site, the base value forward
+    # F u' Fᴴ, F = (U0ᴴ, U1ᴴ, U0, U1), u' = (u(x + s), u(x + t), u, u): the
+    # neighbour values taken back to the base site, the base value forward
+    moved = np.stack((shift(u, 0), shift(u, 1), u, u))
+    if links.shape[-1] > 1:
         frame = np.concatenate((np.swapaxes(links, -1, -2).conj(), links))
-        vals = np.stack((np.roll(u, -1, axis=0), np.roll(u, -1, axis=1), u, u))
-        moved = _matmul(_matmul(frame, vals), np.swapaxes(frame, -1, -2).conj())
-        diff = [0.5 * (moved[nu] - np.roll(moved[2 + nu], 1, axis=nu)) for nu in (0, 1)]
-
+        moved = _matmul(_matmul(frame, moved), np.swapaxes(frame, -1, -2).conj())
+    diff = [0.5 * (moved[nu] - shift(moved[2 + nu], nu, -1)) for nu in (0, 1)]
     # both directions through one exponential
     return _matmul(links, _expm_herm(np.stack((-1j * diff[1], 1j * diff[0]))))
 
@@ -533,7 +534,7 @@ def curvature_response_matrix(lat: TorusLattice, links=None) -> sp.csr_matrix:
             block = np.eye(r * r)
         else:
             g = _axis_transport(links, mu, hops)
-            ginv = np.roll(_axis_transport(links, mu, -hops), -hops, axis=mu)
+            ginv = shift(_axis_transport(links, mu, -hops), mu, hops)
             block = _batched_kron(ginv, np.swapaxes(g, -1, -2))
         terms.append((mu, hops, w * n * n * block))
     return _stencil_operator(n, terms)
@@ -571,7 +572,7 @@ def gauge_transform(state: LatticePairState, kfields) -> LatticePairState:
     for i, (b, k, mode) in enumerate(zip(new.bundles, kfields, new.setting.modes)):
         kh = np.swapaxes(k, -1, -2).conj()
         for mu in (0, 1):
-            b.links[mu] = _matmul(_matmul(np.roll(k, -1, axis=mu), b.links[mu]), kh)
+            b.links[mu] = _matmul(_matmul(shift(k, mu), b.links[mu]), kh)
         if mode == CONSTANT:
             if np.any(k != k[0, 0]):
                 raise ValueError(f"factor {i} is in constant mode: its gauge must be "

@@ -260,10 +260,15 @@ def test_cli_exit_codes(tmp_path):
     {"mode": "vortex_threshold", "threshold": {"d": 0}},
     {"mode": "vortex_threshold", "lattice_n": 4, "threshold": {"d": 5}},
     {"mode": "vortex_threshold", "lattice_n": 4, "threshold": {"target_width": 1e-300}},
+    {"mode": "pair", "tol": float("nan")},
+    {"mode": "pair", "tol": -1},
+    {"mode": "pair", "flow": {"step": float("inf")}},
+    {"mode": "kempf_ness", "kempf_ness": {"c_lo": float("nan"), "c_hi": float("nan")}},
 ], ids=["negative_step", "small_lattice", "short_scan", "text_scan", "degree_arity",
         "bad_c", "support_index", "higgs_cotangent_row", "kempf_ness_seed", "suite_seed",
         "fixture_seed", "zero_n2", "negative_count", "zero_denominator_c", "zero_degree",
-        "degree_above_lattice", "width_below_spacing"])
+        "degree_above_lattice", "width_below_spacing", "nan_tol", "negative_tol",
+        "infinite_step", "nan_c_range"])
 def test_config_value_errors_exit_2(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -273,6 +278,11 @@ def test_config_value_errors_exit_2(tmp_path, cfg):
 @pytest.mark.parametrize("mode", ["kempf_ness", "invariant_suite"])
 def test_negative_seed_flag_exits_2(mode):
     assert main([mode, "--seed", "-1"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tol_flag_exits_2(tol):
+    assert main(["pair", "--tol", tol]) == 2
 
 
 def test_negative_degree_summand_is_an_outcome(tmp_path):

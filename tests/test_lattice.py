@@ -31,6 +31,7 @@ from gpwb.lattice import (
     random_unitary_gauge,
     require_unitary,
     section_transport,
+    shift,
     trivial_bundle,
 )
 from gpwb.reps import (
@@ -73,6 +74,20 @@ def test_periodic_wrap():
     b = make_constant_curvature_line_bundle(lat, 1)
     # rolling the link field by a full period is the identity
     assert np.array_equal(np.roll(b.links, 8, axis=1), b.links)
+
+
+@pytest.mark.parametrize("mu", [0, 1])
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2, 6, -6])  # 6 = n + 1 at n = 5
+def test_shift_reads_the_value_k_sites_along_mu(rng, mu, k):
+    """shift(a, mu, k) is x -> a(x + k mu_hat): bit for bit the independent
+    spelling np.roll(a, -k, axis=mu), on a complex (n, n, r, r) stack and on
+    an integer (n, n, 1, 1) site array."""
+    n = 5
+    stack = rng.standard_normal((n, n, 2, 2)) + 1j * rng.standard_normal((n, n, 2, 2))
+    for a in (stack, np.arange(n * n).reshape(n, n, 1, 1)):
+        got, want = shift(a, mu, k), np.roll(a, -k, axis=mu)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_trivial_bundle_degree_zero():
