@@ -5,6 +5,10 @@ report file (plus trajectory CSVs) under --out.  Solver divergence is a
 reported outcome with exit code 0; only configuration and IO problems
 exit nonzero.  Wall-clock goes to stdout, never into the report, so the
 report bytes depend only on the config and seed.
+
+A run reads one resolved config: ``DEFAULTS``, the config over them and
+the flags over both.  The flow tolerance, also that of the kempf_ness
+mode, is --tol, else ``flow.tol``, else ``tol``, else FlowOpts' 1e-8.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,8 +52,14 @@ _SCHEMA = {
 }
 
 
-# vortex_threshold defaults: the value check and the run merge "threshold" over them
-THRESHOLD_DEFAULTS = {"d": 1, "scan": (0.1, 3.0), "target_width": 0.05}
+# Every run default but lattice_n (32 for vortex_threshold, else 16), the
+# flow options (FlowOpts') and fixture.seed (the run seed)
+DEFAULTS = {
+    "seed": 0, "workers": 1, "out": None, "tol": None,
+    "kempf_ness": {"count": 20, "n2": 2, "c_lo": 0.2, "c_hi": 1.5, "max_iter": 6000},
+    "threshold": {"d": 1, "scan": (0.1, 3.0), "target_width": 0.05},
+    "fixture": {"scale": 1.0},
+}
 
 
 def _check_keys(obj, schema, path=""):
@@ -85,27 +94,48 @@ def load_config(path) -> dict:
     return cfg
 
 
+def resolve(config, out_dir=None, workers=None, seed=None, tol=None) -> dict:
+    """The checked run config: ``DEFAULTS``, then ``config`` over them, then
+    every flag that is not None over both.  ``flow`` becomes one FlowOpts,
+    whose tol is the first set of the flag, ``flow.tol`` and ``tol``."""
+    mode = config.get("mode")
+    if mode not in MODES:
+        raise ConfigError(f"mode: unknown mode {mode!r}")
+    cfg = {**DEFAULTS, "lattice_n": 32 if mode == "vortex_threshold" else 16, **config}
+    flags = {"out": out_dir, "workers": workers, "seed": seed, "tol": tol}
+    cfg.update({k: v for k, v in flags.items() if v is not None})
+    for block in ("kempf_ness", "threshold", "fixture"):
+        cfg[block] = {**DEFAULTS[block], **config.get(block, {})}
+    cfg["fixture"].setdefault("seed", cfg["seed"])
+    flow = dict(config.get("flow", {}))
+    flow["tol"] = next(t for t in (tol, flow.get("tol"), cfg["tol"], FlowOpts.tol) if t is not None)
+    cfg["flow"] = FlowOpts(**flow)
+    _check_values(cfg)
+    return cfg
+
+
 def _check_values(cfg):
-    """Value ranges the key and type schema cannot express, of the run
-    config after the command line has overridden its ``seed`` and ``tol``."""
-    positive = [(f"flow.{k}", v) for k, v in cfg.get("flow", {}).items()]
-    if cfg.get("tol") is not None:
-        positive.append(("tol", cfg["tol"]))
+    """Value ranges the key and type schema cannot express, of a resolved
+    run config."""
+    positive = [("tol", cfg["tol"])] if cfg["tol"] is not None else []
+    positive += [(f"flow.{k}", getattr(cfg["flow"], k)) for k in _SCHEMA["flow"]]
     for key, v in positive:
         if not 0 < v < np.inf:
             raise ConfigError(f"{key}: must be finite and positive, got {v!r}")
-    for key, v in (("seed", cfg.get("seed", 0)),
-                   ("fixture.seed", cfg.get("fixture", {}).get("seed", 0))):
+    for key, v in (("seed", cfg["seed"]), ("fixture.seed", cfg["fixture"]["seed"])):
         if v < 0:
             raise ConfigError(f"{key}: must be non-negative, got {v!r}")
-    for k, v in cfg.get("kempf_ness", {}).items():
-        if k in ("count", "n2", "max_iter") and v < 1:
-            raise ConfigError(f"kempf_ness.{k}: must be at least 1, got {v!r}")
-        if k in ("c_lo", "c_hi") and not -np.inf < v < np.inf:
-            raise ConfigError(f"kempf_ness.{k}: must be finite, got {v!r}")
-    if cfg.get("lattice_n", 4) < 4:
+    finite = [(f"kempf_ness.{k}", cfg["kempf_ness"][k]) for k in ("c_lo", "c_hi")]
+    for key, v in finite + [("fixture.scale", cfg["fixture"]["scale"])]:
+        if not np.isfinite(v):
+            raise ConfigError(f"{key}: must be finite, got {v!r}")
+    counts = [(f"kempf_ness.{k}", cfg["kempf_ness"][k]) for k in ("count", "n2", "max_iter")]
+    for key, v in counts + [("workers", cfg["workers"])]:
+        if v < 1:
+            raise ConfigError(f"{key}: must be at least 1, got {v!r}")
+    if cfg["lattice_n"] < 4:
         raise ConfigError(f"lattice_n: needs at least 4 sites per side, got {cfg['lattice_n']!r}")
-    th = {**THRESHOLD_DEFAULTS, **cfg.get("threshold", {})}
+    th = cfg["threshold"]
     if th["d"] < 1:
         raise ConfigError(f"threshold.d: must be a positive Chern number, got {th['d']!r}")
     scan = th["scan"]
@@ -119,28 +149,21 @@ def _check_values(cfg):
                           f"spacing at the scan ends, got {th['target_width']!r}")
 
 
-def flow_opts_from(cfg, tol=None):
-    f = dict(cfg.get("flow", {}))
-    if tol is not None:
-        f.setdefault("tol", tol)
-    return FlowOpts(**f)
-
-
 # ---------------------------------------------------------------------------
 # finite-dimensional correspondence mode
 
 
 def _kn_single(args):
-    seed, n2, c_lo, c_hi, max_iter = args
+    seed, p, tol = args
     rng = np.random.default_rng(seed)
-    spec = ProductGroupSpec((2, n2))
-    rep = RepSpec(spec, (Slot(2, STANDARD, 0), Slot(n2, STANDARD, 1)))
+    spec = ProductGroupSpec((2, p["n2"]))
+    rep = RepSpec(spec, (Slot(2, STANDARD, 0), Slot(p["n2"], STANDARD, 1)))
     x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
-    c1 = float(rng.uniform(c_lo, c_hi)) * float(rng.choice([-1.0, 1.0]))
+    c1 = float(rng.uniform(p["c_lo"], p["c_hi"])) * float(rng.choice([-1.0, 1.0]))
     setting = SubgroupSetting(spec, ("full", "frozen"), (c1, 0.0))
     simple = is_simple(x, rep, setting)
     v = stability_test(x, rep, spec, setting)
-    res = gradient_flow(x, rep, spec, setting, max_iter=max_iter, tol=1e-8)
+    res = gradient_flow(x, rep, spec, setting, max_iter=p["max_iter"], tol=tol)
     return {
         "c": c1, "simple": simple, "stable": v.stable,
         "slack": float(v.slack) if np.isfinite(v.slack) else None,
@@ -150,42 +173,31 @@ def _kn_single(args):
     }
 
 
-def run_kempf_ness(cfg, rng_seed, workers):
-    p = cfg.get("kempf_ness", {})
-    count = p.get("count", 20)
-    n2 = p.get("n2", 2)
-    c_lo, c_hi = p.get("c_lo", 0.2), p.get("c_hi", 1.5)
-    max_iter = p.get("max_iter", 6000)
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(rng_seed).spawn(count)]
-    tasks = [(s, n2, c_lo, c_hi, max_iter) for s in seeds]
-    rows = _map(_kn_single, tasks, workers)
-    return {
-        "mode": "kempf_ness",
-        "cases": rows,
-        "all_agree": all(r["agrees"] for r in rows),
-        "n_simple": sum(1 for r in rows if r["simple"]),
-    }
+def run_kempf_ness(cfg):
+    p = cfg["kempf_ness"]
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg["seed"]).spawn(p["count"])]
+    rows = _map(_kn_single, [(s, p, cfg["flow"].tol) for s in seeds], cfg["workers"])
+    return {"mode": "kempf_ness", "cases": rows, "all_agree": all(r["agrees"] for r in rows),
+            "n_simple": sum(1 for r in rows if r["simple"])}
 
 
 # ---------------------------------------------------------------------------
 # threshold bisection
 
 
-def run_threshold(cfg, rng_seed, tol):
-    p = {**THRESHOLD_DEFAULTS, **cfg.get("threshold", {})}
-    d, scan, width = p["d"], p["scan"], p["target_width"]
-    n = cfg.get("lattice_n", 32)
-    opts = flow_opts_from(cfg, tol)
+def run_threshold(cfg):
+    d, scan, width = (cfg["threshold"][k] for k in ("d", "scan", "target_width"))
+    n = cfg["lattice_n"]
     unit = TWO_PI * d
 
     def converges(mult):
         try:
             st = assemble_example("pair_tensor",
                                   {"deg1": [d], "deg2": [0], "c": mult * unit},
-                                  lattice_n=n, seed=rng_seed)
+                                  lattice_n=n, seed=cfg["seed"])
         except ValueError as err:  # a degree the lattice cannot hold
             raise ConfigError(f"threshold: {err}") from err
-        return heat_flow(st, opts)
+        return heat_flow(st, cfg["flow"])
 
     lo, hi = float(scan[0]), float(scan[1])
     rep_lo, rep_hi = converges(lo), converges(hi)
@@ -197,10 +209,7 @@ def run_threshold(cfg, rng_seed, tol):
         return out
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if converges(mid).converged:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if converges(mid).converged else (mid, hi)
     out["bracket"] = [lo * unit, hi * unit]
     out["bracket_multiples"] = [lo, hi]
     out["bracket_width_fraction"] = hi - lo
@@ -217,8 +226,7 @@ def _fixture_from_cfg(fx, kind):
         if "path" in fx:
             fixture = load_fixture(fx["path"])
         else:
-            fixture = CurveFixture(kind, fx["degrees"], fx.get("support", ()),
-                                   tuple(Fraction(str(x)) for x in fx["c"]))
+            fixture = CurveFixture(kind, fx["degrees"], fx.get("support", ()), fx["c"])
     except KeyError as err:
         raise ConfigError(f"fixture: missing field {err}") from err
     except (TypeError, ValueError, ZeroDivisionError) as err:
@@ -228,9 +236,9 @@ def _fixture_from_cfg(fx, kind):
     return fixture
 
 
-def _assembly_params(fixture: CurveFixture, fx_cfg):
+def _assembly_params(fixture: CurveFixture):
     entry = KINDS[fixture.kind]
-    params = {"support": [list(s) for s in fixture.support], "scale": fx_cfg.get("scale", 1.0)}
+    params = {"support": [list(s) for s in fixture.support]}
     for f, (dname, cname) in enumerate(zip(entry.degree_params, entry.scalar_params)):
         row = list(fixture.degrees[f])
         if dname:
@@ -240,14 +248,16 @@ def _assembly_params(fixture: CurveFixture, fx_cfg):
     return params
 
 
-def run_example_mode(mode, cfg, rng_seed, out_dir, tol):
+def run_example_mode(cfg):
+    mode = cfg["mode"]
     kind = _KIND_OF_MODE[mode]
-    fx_cfg = cfg.get("fixture", {})
-    fixture = (_fixture_from_cfg(fx_cfg, kind) if fx_cfg
+    fx = cfg["fixture"]
+    # a fixture object with only a section seed and scale runs the default fixture
+    fixture = (_fixture_from_cfg(fx, kind) if fx.keys() - {"seed", "scale"}
                else CurveFixture(kind, *KINDS[kind].default_fixture))
     v = verdict(fixture)
     ok, _ = ssc_reduction_equiv(fixture, trials=200,
-                                rng=np.random.default_rng(rng_seed))
+                                rng=np.random.default_rng(cfg["seed"]))
     payload = {
         "mode": mode,
         "fixture": {"kind": fixture.kind,
@@ -259,14 +269,13 @@ def run_example_mode(mode, cfg, rng_seed, out_dir, tol):
                     "note": v.note},
         "ssc_reduction_ok": ok,
     }
-    n = cfg.get("lattice_n", 16)
-    params = _assembly_params(fixture, fx_cfg)
+    params = dict(_assembly_params(fixture), scale=fx["scale"])
     try:
-        st = assemble_example(kind, params, lattice_n=n, seed=fx_cfg.get("seed", rng_seed))
+        st = assemble_example(kind, params, lattice_n=cfg["lattice_n"], seed=fx["seed"])
     except ValueError as err:
         payload["assembly_error"] = str(err)
         return payload
-    rep = heat_flow(st, flow_opts_from(cfg, tol))
+    rep = heat_flow(st, cfg["flow"])
     payload["flow"] = {
         "converged": rep.converged, "iterations": rep.iterations,
         "final_residual": rep.final_residual,
@@ -278,8 +287,8 @@ def run_example_mode(mode, cfg, rng_seed, out_dir, tol):
         "constraint": rep.constraint,
         "rejection_count": len(rep.rejections),
     }
-    if out_dir:
-        emit_csv(rep.trajectory, os.path.join(out_dir, f"{mode}_trajectory.csv"))
+    if cfg["out"]:
+        emit_csv(rep.trajectory, os.path.join(cfg["out"], f"{mode}_trajectory.csv"))
     if KINDS[kind].newton_oracle and len(fixture.degrees[0]) == 1:
         nt = newton_abelian(st)
         payload["newton"] = {"converged": nt.converged,
@@ -305,10 +314,10 @@ def _suite_single(args):
     return {"check": name, "passed": bool(ok), "detail": detail}
 
 
-def run_invariant_suite(cfg, rng_seed, workers):
+def run_invariant_suite(cfg):
     names = [n for n, _ in suite.CHECKS]
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(rng_seed).spawn(len(names))]
-    rows = _map(_suite_single, list(zip(names, seeds)), workers)
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg["seed"]).spawn(len(names))]
+    rows = _map(_suite_single, list(zip(names, seeds)), cfg["workers"])
     return {"mode": "invariant_suite", "checks": rows,
             "all_pass": all(r["passed"] for r in rows)}
 
@@ -324,24 +333,17 @@ def _map(fn, tasks, workers):
     return [fn(t) for t in tasks]
 
 
-def run(config: dict, out_dir=None, workers=1, seed=None, tol=None) -> dict:
-    mode = config.get("mode")
-    if mode not in MODES:
-        raise ConfigError(f"mode: unknown mode {mode!r}")
-    rng_seed = int(seed if seed is not None else config.get("seed", 0))
-    tol = tol if tol is not None else config.get("tol")
-    _check_values(dict(config, seed=rng_seed, tol=tol))
-    workers = int(workers or config.get("workers", 1))
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    runners = {"kempf_ness": lambda: run_kempf_ness(config, rng_seed, workers),
-               "vortex_threshold": lambda: run_threshold(config, rng_seed, tol),
-               "invariant_suite": lambda: run_invariant_suite(config, rng_seed, workers)}
-    payload = runners.get(mode, lambda: run_example_mode(mode, config, rng_seed, out_dir, tol))()
-    payload["seed"] = rng_seed
+def run(config: dict, out_dir=None, workers=None, seed=None, tol=None) -> dict:
+    cfg = resolve(config, out_dir, workers, seed, tol)
+    if cfg["out"]:
+        os.makedirs(cfg["out"], exist_ok=True)
+    runners = {"kempf_ness": run_kempf_ness, "vortex_threshold": run_threshold,
+               "invariant_suite": run_invariant_suite}
+    payload = runners.get(cfg["mode"], run_example_mode)(cfg)
+    payload["seed"] = cfg["seed"]
     payload["config_echo"] = json.dumps(config, sort_keys=True)
-    if out_dir:
-        write_report(os.path.join(out_dir, "report.txt"), payload)
+    if cfg["out"]:
+        write_report(os.path.join(cfg["out"], "report.txt"), payload)
     return payload
 
 
@@ -375,10 +377,8 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return 3
-    summary = {k: payload[k] for k in ("mode", "seed") if k in payload}
-    for key in ("all_agree", "all_pass", "bracket", "note"):
-        if key in payload:
-            summary[key] = payload[key]
+    summary = {k: payload[k] for k in ("mode", "seed", "all_agree", "all_pass", "bracket", "note")
+               if k in payload}
     if "flow" in payload:
         summary["converged"] = payload["flow"]["converged"]
     print(json.dumps(summary, default=str))

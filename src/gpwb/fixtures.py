@@ -28,13 +28,11 @@ from .reps import ADJOINT, DUAL, STANDARD
 
 
 def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int, np.integer)):
+    """An exact rational; a float is read as the decimal it prints, so a JSON
+    number means the same in a fixture file as inline in a run config."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return Fraction(int(x))
-    return Fraction(x).limit_denominator(10**12)
+    return x if isinstance(x, Fraction) else Fraction(str(x))
 
 
 @dataclass(frozen=True)

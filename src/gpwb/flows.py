@@ -152,27 +152,26 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
         if mode == FULL:
             require_unitary(b.links)
     deg_before = unfrozen_degrees(work)
-    responses = {}  # factor -> L_A of a rank > 1 FULL factor
+    # L_A of every rank > 1 FULL factor (rank 1 solves by FFT)
+    responses = {i: curvature_response_matrix(work.lattice, b.links)
+                 for i, (b, mode) in enumerate(zip(work.bundles, work.setting.modes))
+                 if mode == FULL and work.u[i].shape[-1] > 1}
     # factor -> {step: LU of I + step L_A} for the current and the previous
     # step value, least recently used first.  Steps only halve and double,
-    # so the float keys repeat exactly; a flow that keeps halving would hold
-    # one LU per halving if none were dropped.
-    factorized = {}
+    # so the float keys repeat exactly.
+    lus = {i: {} for i in responses}
 
     def implicit(i, d, step):
         if d.shape[-1] == 1:
             delta = _semi_implicit_scalar(d[:, :, 0, 0].real, step, work.lattice.n)
             return delta[:, :, None, None].astype(complex)
-        lus = factorized.setdefault(i, {})
-        lu = lus.pop(step, None)
+        lu = lus[i].pop(step, None)
         if lu is None:
-            if len(lus) > 1:
-                del lus[next(iter(lus))]  # release the older LU first
-            if i not in responses:
-                responses[i] = curvature_response_matrix(work.lattice, work.bundles[i].links)
+            if len(lus[i]) > 1:
+                del lus[i][next(iter(lus[i]))]  # release the older LU before factorizing
             op = sp.identity(responses[i].shape[0], format="csc") + step * responses[i]
             lu = spla.splu(op.tocsc())
-        lus[step] = lu
+        lus[i][step] = lu
         return _hermitian_part(lu.solve(d.reshape(-1)).reshape(d.shape))
 
     def residual(u):
@@ -264,7 +263,7 @@ def newton_abelian(state: LatticePairState, tol=1e-12, max_iter=60) -> LatticeFl
     r, l2, linf = residual(u)
     traj = [(0, l2, linf, 0.0)]
     it = 0
-    while it < max_iter and l2 > tol:
+    while np.isfinite(l2) and it < max_iter and l2 > tol:
         it += 1
         J = L + sp.diags((2 * np.exp(2 * u) * rho).ravel())
         delta = spla.spsolve(J.tocsc(), -r.ravel()).reshape(n, n)
@@ -283,7 +282,7 @@ def newton_abelian(state: LatticePairState, tol=1e-12, max_iter=60) -> LatticeFl
         final_residual_linf=linf, trajectory=traj,
         sup_log_metric=2 * float(np.max(np.abs(u))),
         degrees_before={i0: deg}, degrees_after={i0: float(np.mean(f0 + (L @ u.ravel()).reshape(n, n)))},
-        reason="" if l2 <= tol else "max_iter",
+        reason="" if l2 <= tol else "max_iter" if np.isfinite(l2) else "non-finite residual",
         obstruction=obstruction, state=work,
     )
 

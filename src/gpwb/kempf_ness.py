@@ -404,8 +404,8 @@ def descend(x, residual, move, sup_log, step, tol, step_cap, metric_cutoff,
     rows = [(0, *norms, slog)]
     rejections = []
     accepted = ties = it = 0
-    reason = ""
-    while it < max_iter and norms[0] > tol:
+    reason = "" if np.isfinite(norms[0]) else "non-finite residual"
+    while not reason and it < max_iter and norms[0] > tol:
         it += 1
         cand = move(x, r, step)
         rc, nc = residual(cand)

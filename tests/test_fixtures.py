@@ -488,7 +488,7 @@ def test_induced_weight_matches_the_assembled_rep(kind, rng):
     for _ in range(5):
         degs = _random_degrees(kind, rng)
         f = CurveFixture(kind, degs, (), (0,) * len(degs))
-        st = assemble_example(kind, _assembly_params(f, {}), lattice_n=4)
+        st = assemble_example(kind, _assembly_params(f), lattice_n=4)
         w = {g: [int(x) for x in rng.integers(-3, 4, size=len(degs[g]))] for g in entry.gauge}
         got = summand_weights([w.get(g, [0] * len(r)) for g, r in enumerate(degs)], st.rep)
         rows = [range(len(degs[g])) for g, _ in entry.positions]
@@ -516,7 +516,7 @@ def test_default_support_matches_the_per_kind_rules(rng):
     for kind, rule in rules.items():
         for _ in range(3):
             degs = _random_degrees(kind, rng)
-            params = _assembly_params(CurveFixture(kind, degs, (), (0,) * len(degs)), {})
+            params = _assembly_params(CurveFixture(kind, degs, (), (0,) * len(degs)))
             del params["support"]
             st = assemble_example(kind, params, lattice_n=8, seed=int(rng.integers(1 << 31)))
             carried = np.any(st.section != 0, axis=(0, 1)).reshape(st.rep.shape)

@@ -118,6 +118,14 @@ def test_newton_marginal_flagged():
     assert newt.marginal
 
 
+def test_newton_non_finite_start():
+    st = vortex_state(2.0, n=8)
+    st.section[:] = np.nan
+    newt = newton_abelian(st)
+    assert not newt.converged
+    assert newt.reason == "non-finite residual" and newt.iterations == 0
+
+
 def test_newton_rejects_nonabelian():
     st = assemble_example("higgs", {"deg": [0, 0], "theta": [[0, 1], [1, 0]]}, lattice_n=8)
     with pytest.raises(ValueError):

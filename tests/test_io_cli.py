@@ -264,11 +264,14 @@ def test_cli_exit_codes(tmp_path):
     {"mode": "pair", "tol": -1},
     {"mode": "pair", "flow": {"step": float("inf")}},
     {"mode": "kempf_ness", "kempf_ness": {"c_lo": float("nan"), "c_hi": float("nan")}},
+    {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[0, 0]], "c": ["2", "0"],
+                                 "scale": float("nan")}},
+    {"mode": "invariant_suite", "workers": 0},
 ], ids=["negative_step", "small_lattice", "short_scan", "text_scan", "degree_arity",
         "bad_c", "support_index", "higgs_cotangent_row", "kempf_ness_seed", "suite_seed",
         "fixture_seed", "zero_n2", "negative_count", "zero_denominator_c", "zero_degree",
         "degree_above_lattice", "width_below_spacing", "nan_tol", "negative_tol",
-        "infinite_step", "nan_c_range"])
+        "infinite_step", "nan_c_range", "nan_scale", "zero_workers"])
 def test_config_value_errors_exit_2(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -283,6 +286,76 @@ def test_negative_seed_flag_exits_2(mode):
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_bad_tol_flag_exits_2(tol):
     assert main(["pair", "--tol", tol]) == 2
+
+
+def test_tol_flag_overrides_flow_tol(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "pair", "lattice_n": 8, "flow": {"tol": 1e-3}}))
+    assert main(["pair", "--config", str(path), "--seed", "5", "--tol", "1e-10",
+                 "--out", str(tmp_path / "flag")]) == 0
+    flow = run({"mode": "pair", "lattice_n": 8}, seed=5, tol=1e-10)["flow"]
+    assert flow["iterations"] == 29 and flow["final_residual"] < 1e-10
+    report = (tmp_path / "flag" / "report.txt").read_text()
+    assert "flow.iterations = 29\n" in report
+    assert f"flow.final_residual = {flow['final_residual']!r}\n" in report
+
+
+def test_flow_tol_overrides_the_top_level_tol():
+    want = run({"mode": "pair", "lattice_n": 8}, seed=5, tol=1e-3)["flow"]
+    got = run({"mode": "pair", "lattice_n": 8, "tol": 1e-10, "flow": {"tol": 1e-3}}, seed=5)["flow"]
+    assert got == want and want["iterations"] < 29
+
+
+def test_kempf_ness_runs_at_the_run_tolerance():
+    cfg = {"mode": "kempf_ness", "kempf_ness": {"count": 3}}
+    tight = run(dict(cfg), seed=5)["cases"]
+    for loose in (run(dict(cfg), seed=5, tol=0.1)["cases"],
+                  run(dict(cfg, tol=0.1), seed=5)["cases"]):
+        assert [r["converged"] for r in loose] == [r["converged"] for r in tight]
+        for a, b in zip(loose, tight):
+            if b["converged"]:
+                assert 1e-8 < a["residual"] <= 0.1 and b["residual"] <= 1e-8
+
+
+def test_config_out_is_the_output_directory(tmp_path):
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "from_config"
+    path.write_text(json.dumps({"mode": "kempf_ness", "out": str(out),
+                                "kempf_ness": {"count": 2}}))
+    assert main(["kempf_ness", "--config", str(path)]) == 0
+    assert (out / "report.txt").exists()
+
+
+def test_out_flag_overrides_config_out(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "kempf_ness", "out": str(tmp_path / "from_config"),
+                                "kempf_ness": {"count": 2}}))
+    assert main(["kempf_ness", "--config", str(path), "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "report.txt").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "flag"]
+
+
+def test_fixture_with_only_seed_and_scale_runs_the_default_fixture():
+    default = run({"mode": "pair", "lattice_n": 8}, seed=5)
+    same = run({"mode": "pair", "lattice_n": 8, "fixture": {"seed": 5, "scale": 1.0}}, seed=5)
+    other = run({"mode": "pair", "lattice_n": 8, "fixture": {"seed": 6}}, seed=5)
+    assert same["fixture"] == other["fixture"] == default["fixture"]
+    assert same["flow"] == default["flow"] and other["flow"] != default["flow"]
+
+
+def test_fixture_file_and_inline_fixture_report_alike(tmp_path):
+    fixture = {"kind": "pair_tensor", "degrees": [[1], [0]], "support": [[0, 0]],
+               "c": [0.3333333333333333, 0]}
+    (tmp_path / "fx.json").write_text(json.dumps(fixture))
+    base = {"mode": "pair", "lattice_n": 8, "flow": {"max_iter": 50}}
+    run(dict(base, fixture={"path": str(tmp_path / "fx.json")}), out_dir=str(tmp_path / "file"),
+        seed=5)
+    run(dict(base, fixture=fixture), out_dir=str(tmp_path / "inline"), seed=5)
+    reports = [(tmp_path / d / "report.txt").read_bytes().split(b"\n", 1) for d in ("file", "inline")]
+    # the first line echoes the two configs, which differ
+    assert all(r[0].startswith(b"config_echo = ") for r in reports)
+    assert reports[0][1] == reports[1][1]
+    assert b"fixture.c[0] = 3333333333333333/10000000000000000\n" in reports[0][1]
 
 
 def test_negative_degree_summand_is_an_outcome(tmp_path):

@@ -655,6 +655,13 @@ def test_descend_non_finite_residual():
     assert d.iterations == 1 and d.rejections == [] and d.x == 1.0
 
 
+def test_descend_non_finite_start():
+    # NaN > tol is false: a NaN start must not pass for a flow that ran out of iterations
+    d, steps = scalar_descent(x0=np.nan)
+    assert not d.converged and d.reason == "non-finite residual"
+    assert d.iterations == 0 and steps == []
+
+
 def test_descend_metric_blow_up():
     # sup_log = -log x passes 0.3 at the third accepted step, 0.9**3 = 0.729
     d, _ = scalar_descent(sup_log=lambda x: -np.log(x), metric_cutoff=0.3)
