@@ -264,11 +264,16 @@ def _filtration_weight(fixture, chain, alpha):
     return total
 
 
-def random_joint_chain(fixture, rng, max_len=3):
+# the sampling of ``ssc_reduction_equiv``: chains per check, steps per chain
+SSC_CHAINS = 12
+CHAIN_MAX_LEN = 3
+
+
+def random_joint_chain(fixture, rng):
     """Random increasing chain of per-factor summand subsets whose last
-    step is everything."""
+    step is everything, with at most ``CHAIN_MAX_LEN`` steps."""
     factors = KINDS[fixture.kind].gauge
-    r = int(rng.integers(1, max_len + 1))
+    r = int(rng.integers(1, CHAIN_MAX_LEN + 1))
     cuts = {}
     for f in factors:
         nf = len(fixture.degrees[f])
@@ -298,12 +303,12 @@ def chain_generators(fixture, chain):
     return out
 
 
-def ssc_reduction_equiv(fixture: CurveFixture, trials=1000, rng=None, chains=12):
+def ssc_reduction_equiv(fixture: CurveFixture, trials=1000, rng=None):
     """Sampled check that two-eigenvalue generators decide stability.
 
-    Draws random joint chains, forms their generator weight vectors, and
-    confirms (a) linearity: the full multi-step weight of every sampled
-    cone point equals the same non-negative combination of generator
+    Draws ``SSC_CHAINS`` random joint chains, forms their generator weight
+    vectors, and confirms (a) linearity: the full multi-step weight of every
+    sampled cone point equals the same non-negative combination of generator
     weights, and (b) sign agreement with the subset-slope verdict.
     Marginal and unsolvable fixtures are flagged and excluded from the
     strict claim.
@@ -312,9 +317,9 @@ def ssc_reduction_equiv(fixture: CurveFixture, trials=1000, rng=None, chains=12)
     v = verdict(fixture)
     if v.unsolvable or v.marginal:
         return True, v
-    per_chain = max(1, trials // max(chains, 1))
+    per_chain = max(1, trials // SSC_CHAINS)
     min_gen = None
-    for _ in range(chains):
+    for _ in range(SSC_CHAINS):
         chain = random_joint_chain(fixture, rng)
         r = len(chain)
         finite = chain_generators(fixture, chain)

@@ -25,7 +25,7 @@ from .reps import (
     STANDARD,
     RepSpec,
     _hermitian_part,
-    _matmul,
+    _spectral_split,
     act,
     apply_slots,
     infinitesimal_act,
@@ -311,10 +311,11 @@ def kn_functional(x, s: AlgebraElement, rep: RepSpec, spec: ProductGroupSpec,
     """Integral over t in [0,1] of <mu_h(e^{i t s} x) - c_h, s> for compact s.
 
     Composite Simpson quadrature with at least ``quadrature_steps`` panels
-    is the definition.  One ``eigh`` of the Hermitian i*s_f per factor gives
-    e^{i t s_f} at every node as one stacked array; one ``act`` per node
-    fills a preallocated (nodes, D) array, and the shifted moment maps
-    (``shifted_moment_blocks``) and pairings of all nodes are taken on it.
+    is the definition.  One ``_spectral_split`` of the Hermitian i*s_f per
+    factor gives e^{i t s_f} at every node as one stacked array; one
+    ``act`` per node fills a preallocated (nodes, D) array, and the shifted
+    moment maps (``shifted_moment_blocks``) and pairings of all nodes are
+    taken on it.
     """
     if s.flavor != "compact":
         raise ValueError("kn_functional needs a compact (skew-Hermitian) direction s")
@@ -325,8 +326,8 @@ def kn_functional(x, s: AlgebraElement, rep: RepSpec, spec: ProductGroupSpec,
     ts = np.linspace(0.0, 1.0, m + 1)
     exps = []
     for b in s.blocks:
-        w, v = np.linalg.eigh(_hermitian_part(1j * b))  # i*s_f
-        exps.append(_matmul(v * np.exp(np.outer(ts, w))[:, None, :], v.conj().T))
+        w, rebuild = _spectral_split(_hermitian_part(1j * b))  # i*s_f
+        exps.append(rebuild(np.exp(np.outer(ts, w))))
     ys = np.empty((m + 1, rep.dim), dtype=complex)
     for k, blocks in enumerate(zip(*exps)):
         ys[k] = act(GroupElement(blocks), x, rep)

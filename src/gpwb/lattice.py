@@ -12,9 +12,10 @@ Conventions fixed here and relied on everywhere else:
   (``require_unitary`` checks the raw links once per flow, at a rank > 1
   curvature response and on loading); only ``dbar_matrix`` inverts its
   transports by ``np.linalg.inv``.
-* at rank 2 the exponentials, the plaquette log and the eigenvalue bound
-  of ``sup_log_metric`` are closed forms of h = a I + b (``_pauli``);
-  rank >= 3 takes eig / eigh.
+* functions and eigenvalues of Hermitian stacks go through
+  ``reps._spectral_split`` (closed forms at rank 1 and 2, eigh above); the
+  log of the unitary plaquette, ``_log_unitary``, is closed-form at rank 1
+  and 2 (``_pauli``) and takes eig above.
 * a transport along an axis is the product of the links crossed
   (``_axis_transport``), and the dbar operator and the curvature
   response are block stencils of such transports (``_stencil_operator``).
@@ -31,8 +32,9 @@ Conventions fixed here and relied on everywhere else:
   single (n, n) blocks, not per-site copies.
 
 Transports, gauge and metric actions on V, the sitewise shifted moment
-maps, stacked products (``_matmul``) and Hermitian parts all come from
-``gpwb.reps``, the slot kernel and its helpers, batched over the sites.
+maps, stacked products (``_matmul``), Hermitian parts and functions of
+Hermitian matrices all come from ``gpwb.reps``, the slot kernel and its
+helpers, batched over the sites.
 """
 from __future__ import annotations
 
@@ -46,18 +48,15 @@ import scipy.sparse.linalg as spla
 
 from .groups import (CONSTANT, FROZEN, FULL, UNITARY_TOL, ProductGroupSpec, SubgroupSetting,
                      haar_unitary)
-from .reps import (RepSpec, _batched_kron, _gram, _hermitian_part, _matmul, apply_slots,
-                   shifted_moment_blocks, slot_matrices, slot_operator)
+from .reps import (RepSpec, _batched_kron, _gram, _hermitian_function, _hermitian_part, _matmul,
+                   _pauli, _rebuild, _spectral_split, apply_slots, shifted_moment_blocks,
+                   slot_matrices, slot_operator)
 
 TWO_PI = 2.0 * np.pi
 
-# one-sided first-derivative stencils; order 3 keeps the symbol free of
-# spurious zeros while order 1 reproduces the plain forward difference
-STENCILS = {
-    1: (-1.0, 1.0),
-    3: (-11.0 / 6.0, 3.0, -1.5, 1.0 / 3.0),
-}
-DEFAULT_STENCIL = 3
+# the four-point one-sided first-derivative stencil of the dbar operator; it
+# keeps the symbol free of spurious zeros, which the two-point one is not
+STENCIL = (-11.0 / 6.0, 3.0, -1.5, 1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,6 @@ class TorusLattice:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"lattice needs at least 4 sites per side, got {self.n}")
-
-    @property
-    def spacing(self):
-        return 1.0 / self.n
 
     @property
     def sites(self):
@@ -151,21 +146,6 @@ def plaquette_field(links: np.ndarray) -> np.ndarray:
     return reduce(_matmul, (inv[1], shift(inv[0], 1), shift(links[1], 0), links[0]))
 
 
-def _pauli(h):
-    """Split a stack of Hermitian 2 x 2 matrices as h = a I + b with b
-    traceless: returns (a, b, r), where the eigenvalues of h are a ± r."""
-    a = 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real
-    b = h - a[..., None, None] * np.eye(2)
-    return a, b, np.sqrt(np.abs(b[..., 0, 0]) ** 2 + np.abs(b[..., 0, 1]) ** 2)
-
-
-def _rebuild(c0, c1, b, r):
-    """c0 I + (c1 / r) b over a stack: the function of h = a I + b with
-    values c0 ± c1 at the eigenvalues a ± r (c1 must vanish where r does)."""
-    c1 = c1 / np.where(r > 0, r, 1.0)
-    return c0[..., None, None] * np.eye(2) + c1[..., None, None] * b
-
-
 def _log_unitary(p: np.ndarray) -> np.ndarray:
     """Principal log of a stack of (nearly) unitary matrices.
 
@@ -201,7 +181,7 @@ def _warn_near_branch_cut(angles):
 def curvature_field(bundle_links: np.ndarray, n: int) -> np.ndarray:
     """Hermitian blocks i N^2 log P(x) of shape (N, N, r, r)."""
     log_p = _log_unitary(plaquette_field(bundle_links))
-    _warn_near_branch_cut(np.linalg.eigvalsh(-1j * log_p))
+    _warn_near_branch_cut(_spectral_split(-1j * log_p)[0])
     return (1j * n * n) * log_p
 
 
@@ -210,11 +190,7 @@ def lattice_degree(bundle_or_links) -> float:
     arg det P in this orientation; equals 2 pi * (Chern number) for smooth
     configurations."""
     links = bundle_or_links.links if isinstance(bundle_or_links, LatticeBundle) else bundle_or_links
-    p = plaquette_field(links)
-    if p.shape[-1] == 1:
-        ang = np.angle(p[..., 0, 0])
-    else:
-        ang = np.angle(np.linalg.det(p))
+    ang = np.angle(np.linalg.det(plaquette_field(links)))
     _warn_near_branch_cut(ang)
     return float(-np.sum(ang))
 
@@ -267,20 +243,19 @@ def _stencil_operator(n: int, terms) -> sp.csr_matrix:
 # dbar operator and holomorphic sections
 
 
-def dbar_matrix(lat: TorusLattice, vlinks: np.ndarray, order=DEFAULT_STENCIL) -> sp.csr_matrix:
+def dbar_matrix(lat: TorusLattice, vlinks: np.ndarray) -> sp.csr_matrix:
     """Sparse forward covariant-difference operator D0 + i D1 on section
-    fields, scaled by 1/spacing.
+    fields, scaled by N (one over the spacing).
 
-    ``order=1`` is the plain two-point forward difference
-    (U^-1 s(x+mu) - s(x)) * N; ``order=3`` uses the four-point one-sided
-    stencil, whose j-hop term takes s(x + j mu) back to x by the
-    ``np.linalg.inv`` of the ``_axis_transport`` of ``vlinks``.
+    Each direction is the four-point one-sided ``STENCIL``, whose j-hop
+    term takes s(x + j mu) back to x by the ``np.linalg.inv`` of the
+    ``_axis_transport`` of ``vlinks``.
     """
     n = lat.n
     eye = np.eye(vlinks.shape[-1], dtype=complex)
     terms = []
     for mu, weight in ((0, 1.0), (1, 1j)):
-        for j, cj in enumerate(STENCILS[order]):
+        for j, cj in enumerate(STENCIL):
             back = eye if j == 0 else np.linalg.inv(_axis_transport(vlinks, mu, j))
             terms.append((mu, j, (weight * cj * n) * back))
     return _stencil_operator(n, terms)
@@ -290,6 +265,8 @@ def dbar_matrix(lat: TorusLattice, vlinks: np.ndarray, order=DEFAULT_STENCIL) ->
 # its inverse maps the kernel to 1 and the lowest nonzero mode of a line
 # bundle of degree d >= 1 (eigenvalue 4 pi d of DᴴD) below 0.08
 SECTION_SHIFT = 1.0
+# with ``strict``, the largest residual must be below this fraction of the next singular value
+SECTION_GAP_TOL = 1e-6
 
 
 def _fixed_phases(size):
@@ -322,15 +299,14 @@ def canonical_basis(kernel: np.ndarray, n: int, dimv: int) -> np.ndarray:
     return basis * (overlap.conj() / np.abs(overlap))
 
 
-def holomorphic_sections(lat: TorusLattice, vlinks: np.ndarray, count: int,
-                         strict=False, gap_tol=1e-6):
+def holomorphic_sections(lat: TorusLattice, vlinks: np.ndarray, count: int, strict=False):
     """Orthonormal numerical kernel vectors of the dbar operator D.
 
     Returns (sections, residuals, gap_ratio) where ``sections`` has shape
     (count, N, N, D), ``residuals`` are the ``count`` smallest singular
     values of D and ``gap_ratio`` is the next one over the largest residual.
     With ``strict`` the call fails when the requested count exceeds the
-    numerical kernel (gap test at ``gap_tol``).  D is square, so its
+    numerical kernel (gap test at ``SECTION_GAP_TOL``).  D is square, so its
     near-kernel has the size of its near-cokernel: on each line-bundle
     summand the count of small singular values is the larger of h0 and h1.
     So a count is h0 only where h1 = 0: L_-1 shows one, like L_1, and
@@ -357,8 +333,12 @@ def holomorphic_sections(lat: TorusLattice, vlinks: np.ndarray, count: int,
     lu = spla.splu(gram + SECTION_SHIFT * sp.identity(size, format="csc"),
                    permc_spec="MMD_AT_PLUS_A")
     inverse = spla.LinearOperator((size, size), matvec=lu.solve, dtype=complex)
-    _, modes = spla.eigsh(gram, k=count + 1, sigma=-SECTION_SHIFT, OPinv=inverse,
-                          v0=_fixed_phases(size))
+    try:
+        _, modes = spla.eigsh(gram, k=count + 1, sigma=-SECTION_SHIFT, OPinv=inverse,
+                              v0=_fixed_phases(size))
+    except spla.ArpackNoConvergence as err:
+        raise ValueError(f"ARPACK did not converge on {count + 1} modes for {count} sections "
+                         f"at N = {n}: {err}") from err
     q, _ = np.linalg.qr(modes)
     _, svals, wh = np.linalg.svd(D @ q, full_matrices=False)
     svals = svals[::-1]
@@ -366,7 +346,7 @@ def holomorphic_sections(lat: TorusLattice, vlinks: np.ndarray, count: int,
     residuals = svals[:count]
     nxt = svals[count]
     gap_ratio = float(nxt / max(residuals[-1], 1e-300))
-    if strict and (residuals[-1] > gap_tol * nxt):
+    if strict and (residuals[-1] > SECTION_GAP_TOL * nxt):
         raise ValueError(
             f"requested {count} sections but numerical kernel is smaller; "
             f"residuals {residuals}, next singular value {nxt:.3e}"
@@ -448,15 +428,10 @@ class LatticePairState:
         return apply_metric_exponents(self.section, self.rep, self.u)
 
     def sup_log_metric(self):
+        """sup over the sites and factors of |log e^{2u}|: 2 max |eigenvalue of u|."""
         worst = 0.0
         for uu in self.u.values():
-            if uu.shape[-1] == 1:
-                ev = uu.real  # the eigenvalue of the Hermitian part of a 1 x 1 block
-            elif uu.shape[-1] == 2:
-                mean, _, rad = _pauli(_hermitian_part(uu))
-                ev = np.abs(mean) + rad
-            else:
-                ev = np.linalg.eigvalsh(_hermitian_part(uu))
+            ev = _spectral_split(_hermitian_part(uu))[0]
             if ev.size:
                 worst = max(worst, 2.0 * float(np.max(np.abs(ev))))
         return worst
@@ -482,26 +457,8 @@ def corrected_links(links: np.ndarray, u: np.ndarray) -> np.ndarray:
         moved = _matmul(_matmul(frame, moved), np.swapaxes(frame, -1, -2).conj())
     diff = [0.5 * (moved[nu] - shift(moved[2 + nu], nu, -1)) for nu in (0, 1)]
     # both directions through one exponential
-    return _matmul(links, _expm_herm(np.stack((-1j * diff[1], 1j * diff[0]))))
-
-
-def _expm_herm(a):
-    """exp of a stack of anti-Hermitian matrices i*H (returns unitaries)."""
-    if a.shape[-1] == 1:
-        return np.exp(a)
-    return _hermitian_function(_hermitian_part(-1j * a), lambda w: np.exp(1j * w))
-
-
-def _hermitian_function(h, f):
-    """f(h) for a stack of Hermitian matrices, f acting on the eigenvalues:
-    at rank 2 in closed form from h = a I + b, whose eigenvalues are a ± r;
-    at higher rank by ``eigh``."""
-    if h.shape[-1] == 2:
-        mean, b, rad = _pauli(h)
-        hi, lo = f(mean + rad), f(mean - rad)
-        return _rebuild(0.5 * (hi + lo), 0.5 * (hi - lo), b, rad)
-    w, v = np.linalg.eigh(h)
-    return _matmul(v * f(w)[..., None, :], np.swapaxes(v, -1, -2).conj())
+    return _matmul(links, _hermitian_function(_hermitian_part(np.stack((-diff[1], diff[0]))),
+                                              lambda w: np.exp(1j * w)))
 
 
 def curvature_response_matrix(lat: TorusLattice, links=None) -> sp.csr_matrix:
@@ -547,15 +504,9 @@ def curvature_response_matrix(lat: TorusLattice, links=None) -> sp.csr_matrix:
 def apply_metric_exponents(section, rep: RepSpec, u: dict) -> np.ndarray:
     """act(e^{u(x)}, Phi(x)) sitewise, for the dict of metric exponents;
     constant-mode exponents broadcast over the sites."""
-    blocks = [_expm_pos(u[i]) if i in u else None for i in range(rep.spec.num_factors)]
+    blocks = [_hermitian_function(_hermitian_part(u[i]), np.exp) if i in u else None
+              for i in range(rep.spec.num_factors)]
     return apply_slots(slot_matrices(blocks, rep), section, rep)
-
-
-def _expm_pos(u):
-    """exp of a stack of Hermitian matrices (positive result)."""
-    if u.shape[-1] == 1:
-        return np.exp(u.real)
-    return _hermitian_function(_hermitian_part(u), np.exp)
 
 
 def random_unitary_gauge(spec: ProductGroupSpec, lat: TorusLattice, rng):

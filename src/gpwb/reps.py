@@ -8,7 +8,9 @@ and transpose flip on dual slots and the commutator form on adjoint slots.
 
 Every slot action is written once, in the slot kernel below, on stacked
 (..., D) arrays: a vector of V is the case with no leading axes and a
-lattice section field the (N, N) case.
+lattice section field the (N, N) case.  Its small-matrix helpers (``_matmul``,
+``_hermitian_part`` and the one Hermitian spectral kernel ``_spectral_split``)
+serve the point and the lattice alike.
 
 The Hermitian pairing on V carries a factor 2 relative to the plain
 coordinate inner product; with that normalisation the rank-one moment map
@@ -110,6 +112,44 @@ def _gram(m):
 
 def _hermitian_part(x):
     return 0.5 * (x + np.swapaxes(x, -1, -2).conj())
+
+
+def _pauli(h):
+    """Split a stack of Hermitian 2 x 2 matrices as h = a I + b with b
+    traceless: returns (a, b, r), where the eigenvalues of h are a ± r."""
+    a = 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real
+    b = h - a[..., None, None] * np.eye(2)
+    return a, b, np.sqrt(np.abs(b[..., 0, 0]) ** 2 + np.abs(b[..., 0, 1]) ** 2)
+
+
+def _rebuild(c0, c1, b, r):
+    """c0 I + (c1 / r) b over a stack: the function of h = a I + b with
+    values c0 ± c1 at the eigenvalues a ± r (c1 must vanish where r does)."""
+    c1 = c1 / np.where(r > 0, r, 1.0)
+    return c0[..., None, None] * np.eye(2) + c1[..., None, None] * b
+
+
+def _spectral_split(h):
+    """The eigenvalues w, shape (..., r), of a stack of Hermitian matrices,
+    and the map that takes values f(w) (any leading axes that broadcast
+    against the stack) to f(h).  Rank 1 and rank 2 (h = a I + b, eigenvalues
+    a ∓ r) are closed forms; rank >= 3 takes ``eigh``."""
+    rank = h.shape[-1]
+    if rank == 1:
+        return h[..., 0].real, lambda fw: fw[..., None]
+    if rank == 2:
+        mean, b, rad = _pauli(h)
+        return (np.stack((mean - rad, mean + rad), axis=-1),
+                lambda fw: _rebuild(0.5 * (fw[..., 1] + fw[..., 0]),
+                                    0.5 * (fw[..., 1] - fw[..., 0]), b, rad))
+    w, v = np.linalg.eigh(h)
+    return w, lambda fw: _matmul(v * fw[..., None, :], np.swapaxes(v, -1, -2).conj())
+
+
+def _hermitian_function(h, f):
+    """f(h) for a stack of Hermitian matrices, f acting on the eigenvalues."""
+    w, rebuild = _spectral_split(h)
+    return rebuild(f(w))
 
 
 def slot_matrices(blocks, rep: RepSpec, generator=False):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gpwb import lattice
 from gpwb.cli import ConfigError, load_config, main, run
 from gpwb.flows import assemble_example
 from gpwb.io import emit_csv, load_state, parse_csv, save_state, write_report
@@ -239,6 +240,31 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text('{"mode": "pair", "junk": true}')
     assert main(["pair", "--config", str(bad)]) == 2
     assert main(["vortex_threshold", "--config", str(tmp_path / "missing.json")]) in (2, 3)
+
+
+@pytest.fixture
+def arpack_fails(monkeypatch):
+    """ARPACK fails to converge, as it can on a degenerate kernel."""
+    def fail(*args, **kwargs):
+        raise lattice.spla.ArpackNoConvergence("ARPACK error -1: No convergence", None, None)
+
+    monkeypatch.setattr(lattice.spla, "eigsh", fail)
+
+
+def test_arpack_non_convergence_is_an_assembly_error(tmp_path, arpack_fails):
+    cfg = {"mode": "pair", "lattice_n": 16,
+           "fixture": {"kind": "pair_tensor", "degrees": [[9], [0]], "support": [[0, 0]],
+                       "c": ["10", "0"]}}
+    payload = run(cfg, out_dir=str(tmp_path), seed=5)
+    assert "ARPACK did not converge" in payload["assembly_error"]
+    assert "flow" not in payload and (tmp_path / "report.txt").exists()
+
+
+def test_arpack_non_convergence_in_a_bisection_exits_2(tmp_path, arpack_fails):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "vortex_threshold", "lattice_n": 16,
+                                "threshold": {"d": 9}}))
+    assert main(["vortex_threshold", "--config", str(path)]) == 2
 
 
 @pytest.mark.parametrize("cfg", [

@@ -11,8 +11,9 @@ from gpwb.groups import (
     ProductGroupSpec,
     SubgroupSetting,
 )
+from gpwb import lattice
 from gpwb.lattice import (
-    STENCILS,
+    STENCIL,
     TWO_PI,
     LatticeBundle,
     LatticePairState,
@@ -60,7 +61,6 @@ def scalar_vlinks(bundle):
 def test_build_torus_counts():
     lat = build_torus(4)
     assert lat.sites == 16
-    assert lat.spacing == pytest.approx(0.25)
     assert plaquette_field(trivial_bundle(lat).links).shape == (4, 4, 1, 1)
 
 
@@ -150,10 +150,9 @@ def test_direct_sum_degrees():
 
 
 def test_dbar_constant_section_trivial_bundle():
-    for order in (1, 3):
-        D = dbar_matrix(LAT, scalar_vlinks(trivial_bundle(LAT)), order=order)
-        const = np.ones(LAT.sites, dtype=complex)
-        assert np.linalg.norm(D @ const) < 1e-12
+    D = dbar_matrix(LAT, scalar_vlinks(trivial_bundle(LAT)))
+    const = np.ones(LAT.sites, dtype=complex)
+    assert np.linalg.norm(D @ const) < 1e-12
 
 
 def test_dbar_linear():
@@ -172,7 +171,7 @@ def test_dbar_fourier_mode_continuum_value():
     errs = []
     for n in (16, 32):
         lat = build_torus(n)
-        D = dbar_matrix(lat, scalar_vlinks(trivial_bundle(lat)), order=3)
+        D = dbar_matrix(lat, scalar_vlinks(trivial_bundle(lat)))
         s, t = np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij")
         phi = np.exp(2j * np.pi * (k * s + l * t))
         out = (D @ phi.ravel()).reshape(n, n)
@@ -180,19 +179,6 @@ def test_dbar_fourier_mode_continuum_value():
         errs.append(np.max(np.abs(ratio - 2j * np.pi * (k + 1j * l))))
     assert errs[0] < 2.0
     assert errs[1] < errs[0] / 4  # at least second-order decay in the stencil
-
-
-def test_dbar_order1_matches_spec_formula(rng):
-    """Order-1 operator is exactly U^-1 s(x+mu) - s(x) summed with i, times N."""
-    b = make_constant_curvature_line_bundle(LAT, 1)
-    vl = scalar_vlinks(b)
-    D = dbar_matrix(LAT, vl, order=1)
-    phi = rng.standard_normal((LAT.n, LAT.n)) + 1j * rng.standard_normal((LAT.n, LAT.n))
-    u0 = vl[0][:, :, 0, 0]
-    u1 = vl[1][:, :, 0, 0]
-    manual = (np.roll(phi, -1, axis=0) / u0 - phi) + 1j * (np.roll(phi, -1, axis=1) / u1 - phi)
-    manual *= LAT.n
-    assert np.linalg.norm((D @ phi.ravel()).reshape(LAT.n, LAT.n) - manual) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +200,16 @@ def test_sections_kernel_dimension(d):
     assert gap > 1e6  # exactly d singular values sit below 1e-6 of the next
     with pytest.raises(ValueError):
         holomorphic_sections(LAT, scalar_vlinks(b), d + 1, strict=True)
+
+
+def test_arpack_non_convergence_is_a_value_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise lattice.spla.ArpackNoConvergence("ARPACK error -1: No convergence", None, None)
+
+    monkeypatch.setattr(lattice.spla, "eigsh", fail)
+    b = make_constant_curvature_line_bundle(LAT, 2)
+    with pytest.raises(ValueError, match="2 sections at N = 16"):
+        holomorphic_sections(LAT, scalar_vlinks(b), 2)
 
 
 def test_sections_orthonormal():
@@ -411,10 +407,10 @@ def test_rank1_response_operator_is_the_abelian_stencil(n):
         assert np.array_equal(L.data, ref.data)
 
 
-def _dbar_blockwise(lat, vlinks, order):
+def _dbar_blockwise(lat, vlinks):
     """``dbar_matrix`` assembled one block entry (a, b) at a time, with
     running products of the transports."""
-    coef = STENCILS[order]
+    coef = STENCIL
     n = lat.n
     dimv = vlinks.shape[-1]
     nsite = n * n
@@ -484,9 +480,8 @@ def test_stencil_operators_match_the_blockwise_assembly(n, r, rng):
     links = direct_sum_bundle(lat, [2, 1, -1][:r]).links
     k = random_unitary_gauge(ProductGroupSpec((r,)), lat, rng)[0]
     for lk in (links, _gauged_links(links, k)):
-        pairs = [(dbar_matrix(lat, lk, order), _dbar_blockwise(lat, lk, order))
-                 for order in (1, 3)]
-        pairs.append((curvature_response_matrix(lat, lk), _response_blockwise(lat, lk)))
+        pairs = ((dbar_matrix(lat, lk), _dbar_blockwise(lat, lk)),
+                 (curvature_response_matrix(lat, lk), _response_blockwise(lat, lk)))
         for got, ref in pairs:
             assert got.dtype == ref.dtype
             assert np.array_equal(got.indptr, ref.indptr)

@@ -1,21 +1,21 @@
-"""The rank-2 closed forms of the lattice's spectral kernels against
-eig / eigh references, and a rank-3 residual through the eig / eigh path."""
+"""The Hermitian spectral kernel of ``reps`` (closed forms at rank 1 and 2,
+eigh above) and the rank-2 plaquette log against eig / eigh references, and
+the lattice residual at rank 2 and 3 against scipy's matrix functions."""
 import numpy as np
 import pytest
-from scipy.linalg import expm, logm
+from scipy.linalg import funm, logm
 
 from gpwb import lattice
 from gpwb.flows import assemble_example
 from gpwb.groups import ProductGroupSpec
-from gpwb.lattice import (_expm_herm, _expm_pos, _log_unitary, build_torus, pointwise_residual,
-                          random_unitary_gauge)
-from gpwb.reps import _matmul
+from gpwb.lattice import _log_unitary, build_torus, pointwise_residual, random_unitary_gauge
+from gpwb.reps import _hermitian_function, _matmul, _spectral_split
 
 TOL = 1e-12
 
 
-def _frames(rng, n):
-    return random_unitary_gauge(ProductGroupSpec((2,)), build_torus(n), rng)[0]
+def _frames(rng, n, r=2):
+    return random_unitary_gauge(ProductGroupSpec((r,)), build_torus(n), rng)[0]
 
 
 def _from_spectrum(v, w):
@@ -37,14 +37,15 @@ def _close(got, ref):
     return np.max(np.abs(got - ref)) <= TOL * max(1.0, np.max(np.abs(ref)))
 
 
-def _hermitian_stack(case, rng, n):
+def _hermitian_stack(case, rng, n, r=2):
     if case == "scalar":  # u = a I
-        return rng.standard_normal((n, n))[..., None, None] * np.eye(2)
+        return rng.standard_normal((n, n))[..., None, None] * np.eye(r)
     if case == "random":
-        a = rng.standard_normal((n, n, 2, 2)) + 1j * rng.standard_normal((n, n, 2, 2))
+        a = rng.standard_normal((n, n, r, r)) + 1j * rng.standard_normal((n, n, r, r))
         return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
-    w = rng.standard_normal((n, n, 1)) + np.array([0.0, 1e-9])  # eigen-gap 1e-9
-    return _from_spectrum(_frames(rng, n), w)
+    # eigen-gap 1e-9 between the two lowest eigenvalues
+    w = rng.standard_normal((n, n, 1)) + np.array([0.0, 1e-9, 1.0][:r])
+    return _from_spectrum(_frames(rng, n, r), w)
 
 
 def _unitary_stack(case, rng, n):
@@ -60,21 +61,45 @@ def _unitary_stack(case, rng, n):
     return _from_spectrum(_frames(rng, n), np.exp(1j * angles))
 
 
+def _check_kernel(h):
+    w, _ = _spectral_split(h)
+    assert _close(w, np.linalg.eigvalsh(h))
+    assert _close(_hermitian_function(h, np.exp), _eigh_fn(h, np.exp))
+    assert _close(_hermitian_function(h, lambda w: np.exp(1j * w)),
+                  _eigh_fn(h, lambda w: np.exp(1j * w)))
+
+
+def _check_sup_log_metric(h):
+    degrees = {1: [1], 2: [2, 1], 3: [2, 1, 0]}[h.shape[-1]]
+    st = assemble_example("pair_tensor", {"deg1": degrees, "deg2": [0]}, lattice_n=h.shape[0],
+                          seed=1)
+    st.u[0] = h
+    ref = 2.0 * np.max(np.abs(np.linalg.eigvalsh(h)))
+    assert abs(st.sup_log_metric() - ref) <= TOL * ref
+
+
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("case", ["random", "scalar", "gap"])
 def test_rank2_exponentials_match_eigh(n, case, rng):
-    h = _hermitian_stack(case, rng, n)
-    assert _close(_expm_pos(h), _eigh_fn(h, np.exp))
-    assert _close(_expm_herm(1j * h), _eigh_fn(h, lambda w: np.exp(1j * w)))
+    _check_kernel(_hermitian_stack(case, rng, n))
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("case", ["random", "scalar", "gap"])
+def test_rank1_and_rank3_exponentials_match_eigh(r, case, rng):
+    _check_kernel(_hermitian_stack(case, rng, 8, r))
 
 
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("case", ["random", "scalar", "gap"])
 def test_rank2_sup_log_metric_matches_eigvalsh(n, case, rng):
-    st = assemble_example("pair_tensor", {"deg1": [2, 1], "deg2": [0]}, lattice_n=n, seed=1)
-    st.u[0] = _hermitian_stack(case, rng, n)
-    ref = 2.0 * np.max(np.abs(np.linalg.eigvalsh(st.u[0])))
-    assert abs(st.sup_log_metric() - ref) <= TOL * ref
+    _check_sup_log_metric(_hermitian_stack(case, rng, n))
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("case", ["random", "scalar", "gap"])
+def test_rank1_and_rank3_sup_log_metric_matches_eigvalsh(r, case, rng):
+    _check_sup_log_metric(_hermitian_stack(case, rng, 8, r))
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -104,14 +129,14 @@ def _per_matrix(f):
 @pytest.mark.parametrize("degrees", [[2, 1], [2, 1, 0]])
 def test_residual_matches_scipy_kernels(degrees, rng, monkeypatch):
     # rank 2 takes the closed forms, rank 3 the eig / eigh path; both against
-    # scipy's expm and logm matrix by matrix
+    # scipy's funm and logm matrix by matrix
     st = assemble_example("pair_tensor", {"deg1": degrees, "deg2": [0]}, lattice_n=8, seed=1)
     a = 0.3 * (rng.standard_normal(st.u[0].shape) + 1j * rng.standard_normal(st.u[0].shape))
     st.u[0] = a + np.swapaxes(a, -1, -2).conj()
     blocks, l2, _ = pointwise_residual(st)
     with monkeypatch.context() as m:
-        m.setattr(lattice, "_expm_pos", _per_matrix(lambda x: expm(0.5 * (x + x.conj().T))))
-        m.setattr(lattice, "_expm_herm", _per_matrix(lambda x: expm(0.5 * (x - x.conj().T))))
+        m.setattr(lattice, "_hermitian_function", lambda h, f: _per_matrix(
+            lambda x: funm(x, f))(h))
         m.setattr(lattice, "_log_unitary", _per_matrix(logm))
         m.setattr(lattice, "_matmul", np.matmul)
         ref, ref_l2, _ = pointwise_residual(st)
