@@ -52,6 +52,11 @@ _SCHEMA = {
 }
 
 
+# The mode-specific keys and the modes that read each; any other mode refuses them
+_READ_BY = {"kempf_ness": ("kempf_ness",), "threshold": ("vortex_threshold",),
+            "fixture": tuple(_KIND_OF_MODE), "lattice_n": ("vortex_threshold", *_KIND_OF_MODE)}
+
+
 # Every run default but lattice_n (32 for vortex_threshold, else 16), the
 # flow options (FlowOpts') and fixture.seed (the run seed)
 DEFAULTS = {
@@ -96,11 +101,15 @@ def load_config(path) -> dict:
 
 def resolve(config, out_dir=None, workers=None, seed=None, tol=None) -> dict:
     """The checked run config: ``DEFAULTS``, then ``config`` over them, then
-    every flag that is not None over both.  ``flow`` becomes one FlowOpts,
+    every flag that is not None over both.  A key of ``_READ_BY`` is refused
+    in a mode that does not read it.  ``flow`` becomes one FlowOpts,
     whose tol is the first set of the flag, ``flow.tol`` and ``tol``."""
     mode = config.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode: unknown mode {mode!r}")
+    for key, modes in _READ_BY.items():
+        if key in config and mode not in modes:
+            raise ConfigError(f"{key}: the {mode} mode does not read it")
     cfg = {**DEFAULTS, "lattice_n": 32 if mode == "vortex_threshold" else 16, **config}
     flags = {"out": out_dir, "workers": workers, "seed": seed, "tol": tol}
     cfg.update({k: v for k, v in flags.items() if v is not None})

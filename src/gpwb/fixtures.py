@@ -24,7 +24,7 @@ import numpy as np
 
 from .groups import CONSTANT, FROZEN, FULL
 from .kempf_ness import chain_generator_weights
-from .reps import ADJOINT, DUAL, STANDARD
+from .reps import ADJOINT, AXES, DUAL, STANDARD
 
 
 def _frac(x):
@@ -45,9 +45,9 @@ class ExampleKind:
     the ``assemble_example`` parameter of each degree row and central
     scalar: None for a frozen factor (trivial line, scalar 0), and the
     parameter of a constant-mode factor, whose bundle is trivial, is its
-    rank.  A support index picks one summand per slot, two (a, b) for an
-    adjoint slot, over the first ``support_slots`` slots (all by default);
-    the remaining slots take summand 0.
+    rank.  A support index picks one summand per tensor axis of V (``AXES``:
+    two, (a, b), for an adjoint slot) over the first ``support_slots`` slots
+    (all by default); the axes of the remaining slots take summand 0.
 
     ``constraint`` is (diagnostic key, sign, note) of the trace constraint
     sign * (deg - sum_f c_f rk_f) = 0 over the gauge factors; the note
@@ -72,22 +72,17 @@ class ExampleKind:
     positions: tuple = field(init=False)      # (factor, sign) per support-index entry
 
     def __post_init__(self):
-        signs = {STANDARD: (1,), DUAL: (-1,), ADJOINT: (1, -1)}
         object.__setattr__(self, "gauge", tuple(
             f for f, m in enumerate(self.factor_modes) if m != FROZEN))
         object.__setattr__(self, "positions", tuple(
-            (f, sign) for action, f in self.slots[:self.support_slots] for sign in signs[action]))
+            (f, sign) for action, f in self.slots[:self.support_slots] for sign in AXES[action]))
 
-    def slot_index(self, index, dims):
-        """Multi-index into V of a support index (``dims``: factor ranks)."""
+    def slot_index(self, index):
+        """Multi-index over the tensor axes of V of a support index."""
         index = [int(i) for i in index]
         if len(index) != len(self.positions):
             raise ValueError(f"support index {index} needs {len(self.positions)} entries")
-        out = []
-        for action, f in self.slots[:self.support_slots]:
-            out.append(index.pop(0) * dims[f] + index.pop(0) if action == ADJOINT
-                       else index.pop(0))
-        return tuple(out) + (0,) * (len(self.slots) - len(out))
+        return tuple(index) + (0,) * (sum(len(AXES[a]) for a, _ in self.slots) - len(index))
 
 
 KINDS = {

@@ -39,8 +39,7 @@ from .lattice import (
     require_unitary,
     section_transport,
 )
-from .reps import (ADJOINT, STANDARD, RepSpec, Slot, _hermitian_part, moment_block,
-                   summand_weights)
+from .reps import ADJOINT, AXES, RepSpec, Slot, _hermitian_part, moment_block, summand_weights
 
 
 @dataclass
@@ -227,9 +226,8 @@ def newton_abelian(state: LatticePairState, tol=1e-12, max_iter=60) -> LatticeFl
     i0 = full[0]
     if state.spec.factor_dims[i0] != 1:
         raise ValueError(f"factor {i0} is non-abelian (rank {state.spec.factor_dims[i0]})")
-    for axis in state.rep.factor_slots[i0]:
-        if state.rep.slots[axis].action != STANDARD:
-            raise ValueError("scalar reduction assumes the gauge factor acts standardly")
+    if any(state.rep.axes[axis][1] != 1 for axis in state.rep.factor_slots[i0]):
+        raise ValueError("scalar reduction assumes the gauge factor acts standardly")
     work = state.copy()
     n = work.lattice.n
     lat = work.lattice
@@ -293,7 +291,7 @@ def newton_abelian(state: LatticePairState, tol=1e-12, max_iter=60) -> LatticeFl
 
 def build_section(lat, rep: RepSpec, bundles, support, rng, scale=1.0):
     """Holomorphic section on the lattice ``lat`` supported on the given
-    V-summands, each a multi-index into V with one index per slot.
+    V-summands, each a multi-index with one index per tensor axis of V.
 
     Per supported summand the scalar dbar kernel is extracted and a seeded
     unit combination of its canonical basis is placed there; the summand
@@ -351,7 +349,7 @@ def assemble_example(kind: str, params: dict, lattice_n=16, seed=0) -> LatticePa
         scalars.append(0.0 if mode == FROZEN else
                        float(TWO_PI * sum(rows[-1]) / len(rows[-1]) if c is None else c))
     spec = ProductGroupSpec(tuple(len(r) for r in rows))
-    rep = RepSpec(spec, tuple(Slot(len(rows[f]) ** (2 if action == ADJOINT else 1), action, f)
+    rep = RepSpec(spec, tuple(Slot(len(rows[f]) ** len(AXES[action]), action, f)
                               for action, f in entry.slots))
     setting = SubgroupSetting(spec, entry.factor_modes, tuple(scalars))
     bundles = [direct_sum_bundle(lat, r) for r in rows]
@@ -372,7 +370,7 @@ def assemble_example(kind: str, params: dict, lattice_n=16, seed=0) -> LatticePa
         if support is None:
             support = np.argwhere(weights >= 0).tolist() if entry.default_support else []
         else:
-            support = [entry.slot_index(s, spec.factor_dims) for s in support]
+            support = [entry.slot_index(s) for s in support]
         phi, res = build_section(lat, rep, bundles, support, rng,
                                  scale=params.get("scale", 1.0))
     st = LatticePairState(lat, rep, setting, bundles, phi,

@@ -22,7 +22,6 @@ from .groups import (
     inner_product,
 )
 from .reps import (
-    STANDARD,
     RepSpec,
     _hermitian_part,
     _spectral_split,
@@ -200,10 +199,10 @@ def default_subspace_lattice(x, rep: RepSpec, factor=0):
     slot."""
     n = rep.spec.factor_dims[factor]
     axes = rep.factor_slots[factor]
-    actions = [rep.slots[k].action for k in axes]
-    if actions != [STANDARD]:
+    signs = [rep.axes[k][1] for k in axes]
+    if signs != [1]:
         raise ValueError(f"factor {factor} must act through exactly one standard slot, "
-                         f"got {actions}")
+                         f"got axis signs {signs}")
     t = np.asarray(x, dtype=complex).reshape(rep.shape)
     mat = np.moveaxis(t, axes[0], 0).reshape(n, -1)
     eye = np.eye(n, dtype=complex)

@@ -2,11 +2,13 @@
 
 The target space V is a tensor product of slots; each slot carries one
 factor action: the standard representation, its dual (C acts by (C^-1)^t),
-conjugation on endomorphisms, or nothing.  Moment maps come out of the
-rank-one formula mu(x) = -i x x^dagger summed over slices, with the sign
-and transpose flip on dual slots and the commutator form on adjoint slots.
+conjugation on endomorphisms, or nothing.  ``AXES`` reads a slot as tensor
+axes of V signed +1 (standard), -1 (dual) or 0 (trivial); an adjoint slot,
+End(C^n) = C^n (x) (C^n)*, is a standard and a dual axis of one factor.
+Moment maps come out of the rank-one formula mu(x) = -i x x^dagger summed
+over slices, with the sign and transpose flip on dual axes.
 
-Every slot action is written once, in the slot kernel below, on stacked
+Every action is written once, in the slot kernel below, on stacked
 (..., D) arrays: a vector of V is the case with no leading axes and a
 lattice section field the (N, N) case.  Its small-matrix helpers (``_matmul``,
 ``_hermitian_part`` and the one Hermitian spectral kernel ``_spectral_split``)
@@ -38,6 +40,9 @@ DUAL = "dual"
 ADJOINT = "adjoint"
 TRIVIAL = "trivial"
 
+# the sign of each tensor axis of V that a slot of this action spans
+AXES = {STANDARD: (1,), DUAL: (-1,), ADJOINT: (1, -1), TRIVIAL: (0,)}
+
 
 @dataclass(frozen=True)
 class Slot:
@@ -49,7 +54,8 @@ class Slot:
 @dataclass(frozen=True)
 class RepSpec:
     """Slot-to-factor assignment describing the action of the product group
-    on V = slot_1 (x) ... (x) slot_k."""
+    on V = slot_1 (x) ... (x) slot_k.  Its tensor axes refine the slots in
+    row-major order, so the flat coordinates of V are those of the slots."""
 
     spec: ProductGroupSpec
     slots: tuple
@@ -57,29 +63,33 @@ class RepSpec:
     def __post_init__(self):
         slots = tuple(self.slots)
         for sl in slots:
-            if sl.action not in (STANDARD, DUAL, ADJOINT, TRIVIAL):
+            if sl.action not in AXES:
                 raise ValueError(f"unknown slot action {sl.action!r}")
             if sl.action != TRIVIAL:
                 if sl.factor not in range(self.spec.num_factors):
                     raise ValueError(f"slot {sl} points at no factor of {self.spec.factor_dims}")
-                n = self.spec.factor_dims[sl.factor]
-                want = n * n if sl.action == ADJOINT else n
+                want = self.spec.factor_dims[sl.factor] ** len(AXES[sl.action])
                 if sl.dim != want:
                     raise DimensionMismatchError(sl.factor, want, sl.dim)
         object.__setattr__(self, "slots", slots)
 
     @functools.cached_property
-    def shape(self):
-        return tuple(sl.dim for sl in self.slots)
+    def axes(self):  # (factor, sign) of each tensor axis of V
+        return tuple((sl.factor, sign) for sl in self.slots for sign in AXES[sl.action])
+
+    @functools.cached_property
+    def shape(self):  # per axis, the rank of its factor or the dim of its trivial slot
+        return tuple(sl.dim if sl.action == TRIVIAL else self.spec.factor_dims[sl.factor]
+                     for sl in self.slots for _ in AXES[sl.action])
 
     @functools.cached_property
     def dim(self):
         return int(np.prod(self.shape))
 
     @functools.cached_property
-    def factor_slots(self):  # per factor, the indices of the slots it acts on
-        return tuple(tuple(k for k, sl in enumerate(self.slots) if sl.action != TRIVIAL
-                           and sl.factor == i) for i in range(self.spec.num_factors))
+    def factor_slots(self):  # per factor, the indices of the axes it acts on
+        return tuple(tuple(k for k, (f, sign) in enumerate(self.axes) if sign and f == i)
+                     for i in range(self.spec.num_factors))
 
 
 # ---------------------------------------------------------------------------
@@ -153,41 +163,33 @@ def _hermitian_function(h, f):
 
 
 def slot_matrices(blocks, rep: RepSpec, generator=False):
-    """One (..., d, d) matrix per slot, None where nothing acts.
+    """One (..., n, n) matrix per tensor axis of V, None where nothing acts.
 
     ``blocks[i]`` is a stack of factor-i group elements A (or Lie-algebra
     elements a with ``generator``), or None for a factor that does not act.
-    Standard, dual and adjoint slots get A, (A^-1)^t and A (x) (A^-1)^t, or
-    a, -a^t and a (x) 1 - 1 (x) a^t; row-major vec(A B A^-1) = (A (x) A^-t) vec(B).
+    A standard axis gets A (a), a dual axis (A^-1)^t (-a^t); an adjoint slot
+    gets both, as row-major vec(A B A^-1) = (A (x) A^-t) vec(B).
     """
     out = []
-    for sl in rep.slots:
-        a = None if sl.action == TRIVIAL else blocks[sl.factor]
-        if a is None or sl.action == STANDARD:
-            out.append(a)
-            continue
-        dual = -np.swapaxes(a, -1, -2) if generator else np.swapaxes(np.linalg.inv(a), -1, -2)
-        if sl.action == DUAL:
-            out.append(dual)
-        elif generator:
-            eye = np.eye(a.shape[-1])
-            out.append(_batched_kron(a, eye) + _batched_kron(eye, dual))
-        else:
-            out.append(_batched_kron(a, dual))
+    for f, sign in rep.axes:
+        a = blocks[f] if sign else None
+        if a is not None and sign < 0:
+            a = -np.swapaxes(a, -1, -2) if generator else np.swapaxes(np.linalg.inv(a), -1, -2)
+        out.append(a)
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _slot_first(k0: int, nslots: int, axis: int):
-    """Transpose that moves slot ``axis`` to the front of the slot axes,
+def _slot_first(k0: int, naxes: int, axis: int):
+    """Transpose that moves tensor axis ``axis`` to the front of the axes of V,
     after k0 leading axes (np.moveaxis(t, k0 + axis, k0)), and its inverse."""
     perm = tuple(range(k0)) + (k0 + axis,) + tuple(
-        k0 + j for j in range(nslots) if j != axis)
+        k0 + j for j in range(naxes) if j != axis)
     return perm, tuple(int(k) for k in np.argsort(perm))
 
 
 def apply_slots(mats, x, rep: RepSpec):
-    """Apply one matrix per slot (None: identity) to x of shape (..., D)."""
+    """Apply one matrix per tensor axis (None: identity) to x of shape (..., D)."""
     x = np.asarray(x, dtype=complex)
     lead = x.shape[:-1]
     k0 = len(lead)
@@ -196,7 +198,7 @@ def apply_slots(mats, x, rep: RepSpec):
         if m is None:
             continue
         perm, inv = _slot_first(k0, len(mats), axis)
-        t = t.transpose(perm) if axis else t  # slot 0 is already in front
+        t = t.transpose(perm) if axis else t  # axis 0 is already in front
         shp = t.shape
         t = _matmul(m, t.reshape(lead + (shp[k0], -1))).reshape(shp)
         t = t.transpose(inv) if axis else t
@@ -204,16 +206,16 @@ def apply_slots(mats, x, rep: RepSpec):
 
 
 def slot_operator(mats, rep: RepSpec, lead=()):
-    """Kronecker fold of the slot matrices into one (..., D, D) operator on V."""
+    """Kronecker fold of the axis matrices into one (..., D, D) operator on V."""
     out = np.ones((1, 1), dtype=complex)
-    for sl, m in zip(rep.slots, mats):
-        out = _batched_kron(out, np.eye(sl.dim) if m is None else m)
+    for d, m in zip(rep.shape, mats):
+        out = _batched_kron(out, np.eye(d) if m is None else m)
     shape = np.broadcast_shapes(out.shape[:-2], tuple(lead)) + out.shape[-2:]
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
-def _one_slot(mats):
-    """Each acting slot matrix alone, the other slots set to None."""
+def _one_axis(mats):
+    """Each acting axis matrix alone, the other axes set to None."""
     for k, m in enumerate(mats):
         if m is not None:
             yield [m if j == k else None for j in range(len(mats))]
@@ -223,9 +225,9 @@ def moment_block(x, rep: RepSpec, i: int):
     """Moment-map block of factor i on x of shape (..., D); zero when
     factor i acts trivially.
 
-    A standard slot contributes -i x x^dagger summed over the other
-    indices, a dual slot the same with sign and conjugation flipped, and an
-    adjoint slot -i [B, B^dagger].
+    A standard axis contributes -i x x^dagger summed over the other
+    indices, a dual axis the same with sign and conjugation flipped; the
+    two axes of an adjoint slot add up to -i [B, B^dagger].
     """
     x = np.asarray(x, dtype=complex)
     lead = x.shape[:-1]
@@ -234,16 +236,9 @@ def moment_block(x, rep: RepSpec, i: int):
     n = rep.spec.factor_dims[i]
     out = np.zeros(lead + (n, n), dtype=complex)
     for axis in rep.factor_slots[i]:
-        sl = rep.slots[axis]
-        m = t.transpose(_slot_first(k0, len(rep.slots), axis)[0]) if axis else t
-        m = m.reshape(lead + (sl.dim, -1))
-        if sl.action == STANDARD:
-            out += -1j * _gram(m)
-        elif sl.action == DUAL:
-            out += 1j * _gram(m).conj()
-        else:  # [B, Bᴴ] as Gram matrices of the (n, n * rest) reshapes of B and Bᴴ
-            bh = np.swapaxes(m.reshape(lead + (n, n, -1)), k0, k0 + 1).conj()
-            out += -1j * (_gram(m.reshape(lead + (n, -1))) - _gram(bh.reshape(lead + (n, -1))))
+        m = t.transpose(_slot_first(k0, len(rep.axes), axis)[0]) if axis else t
+        gram = _gram(m.reshape(lead + (n, -1)))
+        out += -1j * gram if rep.axes[axis][1] > 0 else 1j * gram.conj()
     return out
 
 
@@ -258,15 +253,14 @@ def shifted_moment_blocks(x, rep: RepSpec, setting: SubgroupSetting):
 def summand_weights(diags, rep: RepSpec):
     """Weights of a diagonal generator on the coordinate summands of V:
     ``diags[i]`` holds the diagonal of factor i; the result has shape
-    ``rep.shape``, one weight per slot multi-index.  The generator acts
-    slot by slot, so each weight is the sum over the slots of the diagonal
-    entries of their ``slot_matrices``."""
-    mats = slot_matrices([np.diag(d) for d in diags], rep, generator=True)
+    ``rep.shape``, one weight per axis multi-index.  The generator acts
+    axis by axis, so each weight is the signed sum over the axes of their
+    factor's diagonal entries."""
     out = np.zeros(rep.shape)
-    for axis, m in enumerate(mats):
-        if m is not None:
-            out += np.diagonal(m).real.reshape(
-                tuple(-1 if k == axis else 1 for k in range(len(mats))))
+    for axis, (f, sign) in enumerate(rep.axes):
+        if sign:
+            out += sign * np.real(diags[f]).reshape(
+                tuple(-1 if k == axis else 1 for k in range(len(rep.axes))))
     return out
 
 
@@ -286,7 +280,7 @@ def infinitesimal_act(s: AlgebraElement, x, rep: RepSpec):
     """d/dt act(exp(ts), x) at t = 0; linear in s and x."""
     x = _flat_v(x, rep)
     mats = slot_matrices(s.blocks, rep, generator=True)
-    return sum((apply_slots(one, x, rep) for one in _one_slot(mats)),
+    return sum((apply_slots(one, x, rep) for one in _one_axis(mats)),
                np.zeros(rep.dim, dtype=complex))
 
 
@@ -295,7 +289,7 @@ def infinitesimal_act(s: AlgebraElement, x, rep: RepSpec):
 
 
 def mu_factor(x, rep: RepSpec, factor_i: int):
-    """Moment-map block of one factor, summed over the slots it acts on."""
+    """Moment-map block of one factor, summed over the axes it acts on."""
     if not rep.factor_slots[factor_i]:
         raise ValueError(f"factor {factor_i} acts trivially on V")
     return moment_block(np.asarray(x, dtype=complex).reshape(-1), rep, factor_i)

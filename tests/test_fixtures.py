@@ -493,7 +493,7 @@ def test_induced_weight_matches_the_assembled_rep(kind, rng):
         got = summand_weights([w.get(g, [0] * len(r)) for g, r in enumerate(degs)], st.rep)
         rows = [range(len(degs[g])) for g, _ in entry.positions]
         for idx in itertools.product(*rows):
-            assert induced_weight(kind, w, idx) == got[entry.slot_index(idx, st.spec.factor_dims)]
+            assert induced_weight(kind, w, idx) == got[entry.slot_index(idx)]
 
 
 def test_default_support_matches_the_per_kind_rules(rng):
@@ -520,7 +520,7 @@ def test_default_support_matches_the_per_kind_rules(rng):
             del params["support"]
             st = assemble_example(kind, params, lattice_n=8, seed=int(rng.integers(1 << 31)))
             carried = np.any(st.section != 0, axis=(0, 1)).reshape(st.rep.shape)
-            want = {KINDS[kind].slot_index(s, st.spec.factor_dims) for s in rule(degs)}
+            want = {KINDS[kind].slot_index(s) for s in rule(degs)}
             assert {tuple(int(i) for i in ix) for ix in np.argwhere(carried)} == want
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from gpwb import flows
+from gpwb.cli import _assembly_params
+from gpwb.fixtures import KINDS, CurveFixture
 from gpwb.flows import (
     FlowOpts,
     assemble_example,
@@ -184,6 +186,30 @@ def test_constant_unitary_gauge_keeps_the_residual(rng):
     _, l2b, _ = pointwise_residual(gauged)
     assert abs(l2a - l2b) < 1e-12 * l2a
     assert np.max(np.abs(gauged.u[1] - st.u[1])) > 0.01
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_residual_is_gauge_covariant_for_every_kind(kind, rng):
+    # random exponents on every unfrozen factor and a site-varying unitary
+    # gauge (constant on a constant-mode factor): the l2 norm is kept and
+    # each residual block comes out conjugated by its factor's gauge
+    fixture = CurveFixture(kind, *KINDS[kind].default_fixture)
+    st = assemble_example(kind, _assembly_params(fixture), lattice_n=8, seed=1)
+    for i, u in st.u.items():
+        h = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+        st.u[i] = 0.2 * (h + np.swapaxes(h, -1, -2).conj())
+    k = random_unitary_gauge(st.spec, st.lattice, rng)
+    for i, mode in enumerate(st.setting.modes):
+        if mode == "constant":
+            k[i] = np.broadcast_to(k[i][0, 0], k[i].shape).copy()
+    blocks, l2a, _ = pointwise_residual(st)
+    gauged, l2b, _ = pointwise_residual(gauge_transform(st, k))
+    assert abs(l2a - l2b) <= 1e-12 * l2a
+    assert blocks.keys() == gauged.keys() == set(st.u)
+    for i, r in blocks.items():
+        ki = k[i] if r.ndim == 4 else k[i][0, 0]
+        want = ki @ r @ np.swapaxes(ki, -1, -2).conj()
+        assert np.max(np.abs(gauged[i] - want)) <= 1e-12 * np.max(np.abs(r))
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -293,11 +293,18 @@ def test_arpack_non_convergence_in_a_bisection_exits_2(tmp_path, arpack_fails):
     {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[0, 0]], "c": ["2", "0"],
                                  "scale": float("nan")}},
     {"mode": "invariant_suite", "workers": 0},
+    {"mode": "vortex_threshold", "lattice_n": 8,
+     "fixture": {"degrees": [[1], [0]], "support": [[0, 0]], "c": ["2", "0"]}},
+    {"mode": "pair", "lattice_n": 8, "threshold": {"d": 3}},
+    {"mode": "kempf_ness", "lattice_n": 8, "kempf_ness": {"count": 2}},
+    {"mode": "pair", "lattice_n": 8, "kempf_ness": {"count": 2}},
+    {"mode": "invariant_suite", "fixture": {"seed": 1}},
 ], ids=["negative_step", "small_lattice", "short_scan", "text_scan", "degree_arity",
         "bad_c", "support_index", "higgs_cotangent_row", "kempf_ness_seed", "suite_seed",
         "fixture_seed", "zero_n2", "negative_count", "zero_denominator_c", "zero_degree",
         "degree_above_lattice", "width_below_spacing", "nan_tol", "negative_tol",
-        "infinite_step", "nan_c_range", "nan_scale", "zero_workers"])
+        "infinite_step", "nan_c_range", "nan_scale", "zero_workers", "threshold_fixture",
+        "pair_threshold", "kempf_ness_lattice_n", "pair_kempf_ness", "suite_fixture"])
 def test_config_value_errors_exit_2(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -23,9 +23,11 @@ from gpwb.reps import (
     Slot,
     act,
     infinitesimal_act,
+    moment_block,
     mu_factor,
     mu_full,
     mu_shifted,
+    summand_weights,
     symplectic_form,
 )
 
@@ -142,6 +144,30 @@ def test_mu_adjoint_nilpotent():
     A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     out = mu_factor(A.reshape(-1), rep, 0)
     assert np.allclose(out, -1j * np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("lead", [(), (4, 4)], ids=["point", "field"])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_adjoint_moment_block_is_a_sum_of_commutators(n, m, lead, rng):
+    # V = End(C^n) (x) C^m holds m matrices B_k; the adjoint block is
+    # sum_k -i [B_k, B_k^dagger] and the factor-1 block -i x x^dagger
+    rep = adjoint_rep(n, m)
+    x = rng.standard_normal(lead + (rep.dim,)) + 1j * rng.standard_normal(lead + (rep.dim,))
+    b = x.reshape(lead + (n, n, m))
+    want = np.zeros(lead + (n, n), complex)
+    for k in range(m):
+        bk = b[..., k]
+        bkh = np.swapaxes(bk, -1, -2).conj()
+        want += -1j * (bk @ bkh - bkh @ bk)
+    assert np.max(np.abs(moment_block(x, rep, 0) - want)) <= 1e-12
+    phi = x.reshape(lead + (n * n, m))
+    want1 = -1j * np.swapaxes(phi, -1, -2) @ phi.conj()
+    assert np.max(np.abs(moment_block(x, rep, 1) - want1)) <= 1e-12
+    d, e = rng.standard_normal(n), rng.standard_normal(m)
+    w = summand_weights([d, e], rep)
+    assert w.shape == (n, n, m)
+    assert np.allclose(w, (d[:, None] - d[None, :])[:, :, None] + e, rtol=0, atol=1e-14)
 
 
 def test_mu_twisted_factor1_matches_slice_sum(rng):
