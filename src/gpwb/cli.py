@@ -7,8 +7,9 @@ exit nonzero.  Wall-clock goes to stdout, never into the report, so the
 report bytes depend only on the config and seed.
 
 A run reads one resolved config: ``DEFAULTS``, the config over them and
-the flags over both.  The flow tolerance, also that of the kempf_ness
-mode, is --tol, else ``flow.tol``, else ``tol``, else FlowOpts' 1e-8.
+the flags over both, checked by ``resolve`` alike for a config file and a
+dict passed to ``run``.  The ``flow`` block holds the options of every
+flow a mode runs, the kempf_ness point flows too; --tol is ``flow.tol``.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import suite
-from .fixtures import KINDS, CurveFixture, load_fixture, ssc_reduction_equiv, verdict
+from .fixtures import KINDS, CurveFixture, fixture_from_dict, load_fixture, ssc_reduction_equiv, verdict
 from .flows import FlowOpts, assemble_example, heat_flow, newton_abelian
 from .groups import CONSTANT, ProductGroupSpec, SubgroupSetting
 from .io import emit_csv, write_report
@@ -40,12 +41,10 @@ class ConfigError(ValueError):
 
 
 _SCHEMA = {
-    "mode": str, "seed": int, "out": str, "workers": int, "tol": float,
-    "lattice_n": int,
+    "mode": str, "seed": int, "out": str, "workers": int, "lattice_n": int,
     "flow": {"max_iter": int, "step": float, "tol": float,
              "step_cap": float, "metric_cutoff": float},
-    "kempf_ness": {"count": int, "n2": int, "c_lo": float, "c_hi": float,
-                   "max_iter": int},
+    "kempf_ness": {"count": int, "n2": int, "c_lo": float, "c_hi": float},
     "threshold": {"d": int, "scan": list, "target_width": float},
     "fixture": {"path": str, "kind": str, "degrees": list, "support": list,
                 "c": list, "seed": int, "scale": float},
@@ -54,14 +53,15 @@ _SCHEMA = {
 
 # The mode-specific keys and the modes that read each; any other mode refuses them
 _READ_BY = {"kempf_ness": ("kempf_ness",), "threshold": ("vortex_threshold",),
-            "fixture": tuple(_KIND_OF_MODE), "lattice_n": ("vortex_threshold", *_KIND_OF_MODE)}
+            "fixture": tuple(_KIND_OF_MODE), "lattice_n": ("vortex_threshold", *_KIND_OF_MODE),
+            "flow": ("kempf_ness", "vortex_threshold", *_KIND_OF_MODE)}
 
 
 # Every run default but lattice_n (32 for vortex_threshold, else 16), the
 # flow options (FlowOpts') and fixture.seed (the run seed)
 DEFAULTS = {
-    "seed": 0, "workers": 1, "out": None, "tol": None,
-    "kempf_ness": {"count": 20, "n2": 2, "c_lo": 0.2, "c_hi": 1.5, "max_iter": 6000},
+    "seed": 0, "workers": 1, "out": None,
+    "kempf_ness": {"count": 20, "n2": 2, "c_lo": 0.2, "c_hi": 1.5},
     "threshold": {"d": 1, "scan": (0.1, 3.0), "target_width": 0.05},
     "fixture": {"scale": 1.0},
 }
@@ -94,31 +94,30 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     _check_keys(cfg, _SCHEMA)
-    if "mode" in cfg and cfg["mode"] not in MODES:
-        raise ConfigError(f"mode: unknown mode {cfg['mode']!r} (choose from {MODES})")
     return cfg
 
 
 def resolve(config, out_dir=None, workers=None, seed=None, tol=None) -> dict:
     """The checked run config: ``DEFAULTS``, then ``config`` over them, then
-    every flag that is not None over both.  A key of ``_READ_BY`` is refused
-    in a mode that does not read it.  ``flow`` becomes one FlowOpts,
-    whose tol is the first set of the flag, ``flow.tol`` and ``tol``."""
+    every flag that is not None over both; the tol flag sets ``flow.tol``.
+    A key of ``_READ_BY`` is refused in a mode that does not read it, and
+    ``flow`` becomes one FlowOpts."""
+    flags = {"out": out_dir, "workers": workers, "seed": seed}
+    config = {**config, **{k: v for k, v in flags.items() if v is not None}}
+    _check_keys(config, _SCHEMA)
     mode = config.get("mode")
     if mode not in MODES:
-        raise ConfigError(f"mode: unknown mode {mode!r}")
+        raise ConfigError(f"mode: unknown mode {mode!r} (choose from {MODES})")
+    if tol is not None:
+        config["flow"] = {**config.get("flow", {}), "tol": tol}
     for key, modes in _READ_BY.items():
         if key in config and mode not in modes:
             raise ConfigError(f"{key}: the {mode} mode does not read it")
     cfg = {**DEFAULTS, "lattice_n": 32 if mode == "vortex_threshold" else 16, **config}
-    flags = {"out": out_dir, "workers": workers, "seed": seed, "tol": tol}
-    cfg.update({k: v for k, v in flags.items() if v is not None})
     for block in ("kempf_ness", "threshold", "fixture"):
         cfg[block] = {**DEFAULTS[block], **config.get(block, {})}
     cfg["fixture"].setdefault("seed", cfg["seed"])
-    flow = dict(config.get("flow", {}))
-    flow["tol"] = next(t for t in (tol, flow.get("tol"), cfg["tol"], FlowOpts.tol) if t is not None)
-    cfg["flow"] = FlowOpts(**flow)
+    cfg["flow"] = FlowOpts(**config.get("flow", {}))
     _check_values(cfg)
     return cfg
 
@@ -126,9 +125,7 @@ def resolve(config, out_dir=None, workers=None, seed=None, tol=None) -> dict:
 def _check_values(cfg):
     """Value ranges the key and type schema cannot express, of a resolved
     run config."""
-    positive = [("tol", cfg["tol"])] if cfg["tol"] is not None else []
-    positive += [(f"flow.{k}", getattr(cfg["flow"], k)) for k in _SCHEMA["flow"]]
-    for key, v in positive:
+    for key, v in ((f"flow.{k}", getattr(cfg["flow"], k)) for k in _SCHEMA["flow"]):
         if not 0 < v < np.inf:
             raise ConfigError(f"{key}: must be finite and positive, got {v!r}")
     for key, v in (("seed", cfg["seed"]), ("fixture.seed", cfg["fixture"]["seed"])):
@@ -138,7 +135,7 @@ def _check_values(cfg):
     for key, v in finite + [("fixture.scale", cfg["fixture"]["scale"])]:
         if not np.isfinite(v):
             raise ConfigError(f"{key}: must be finite, got {v!r}")
-    counts = [(f"kempf_ness.{k}", cfg["kempf_ness"][k]) for k in ("count", "n2", "max_iter")]
+    counts = [(f"kempf_ness.{k}", cfg["kempf_ness"][k]) for k in ("count", "n2")]
     for key, v in counts + [("workers", cfg["workers"])]:
         if v < 1:
             raise ConfigError(f"{key}: must be at least 1, got {v!r}")
@@ -163,7 +160,7 @@ def _check_values(cfg):
 
 
 def _kn_single(args):
-    seed, p, tol = args
+    seed, p, flow = args
     rng = np.random.default_rng(seed)
     spec = ProductGroupSpec((2, p["n2"]))
     rep = RepSpec(spec, (Slot(2, STANDARD, 0), Slot(p["n2"], STANDARD, 1)))
@@ -172,7 +169,7 @@ def _kn_single(args):
     setting = SubgroupSetting(spec, ("full", "frozen"), (c1, 0.0))
     simple = is_simple(x, rep, setting)
     v = stability_test(x, rep, spec, setting)
-    res = gradient_flow(x, rep, spec, setting, max_iter=p["max_iter"], tol=tol)
+    res = gradient_flow(x, rep, spec, setting, **vars(flow))
     return {
         "c": c1, "simple": simple, "stable": v.stable,
         "slack": float(v.slack) if np.isfinite(v.slack) else None,
@@ -185,7 +182,7 @@ def _kn_single(args):
 def run_kempf_ness(cfg):
     p = cfg["kempf_ness"]
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg["seed"]).spawn(p["count"])]
-    rows = _map(_kn_single, [(s, p, cfg["flow"].tol) for s in seeds], cfg["workers"])
+    rows = _map(_kn_single, [(s, p, cfg["flow"]) for s in seeds], cfg["workers"])
     return {"mode": "kempf_ness", "cases": rows, "all_agree": all(r["agrees"] for r in rows),
             "n_simple": sum(1 for r in rows if r["simple"])}
 
@@ -231,17 +228,21 @@ def run_threshold(cfg):
 
 
 def _fixture_from_cfg(fx, kind):
+    """The fixture of a ``fixture`` block: the file at ``path``, else the
+    inline fields, else (with only ``seed`` and ``scale``) the kind's default."""
+    data = {k: v for k, v in fx.items() if k not in ("seed", "scale")}
+    if not data:
+        return CurveFixture(kind, *KINDS[kind].default_fixture)
+    if "path" in data and len(data) > 1:
+        raise ConfigError(f"fixture: a path excludes the inline fields {sorted(data.keys() - {'path'})}")
     try:
-        if "path" in fx:
-            fixture = load_fixture(fx["path"])
-        else:
-            fixture = CurveFixture(kind, fx["degrees"], fx.get("support", ()), fx["c"])
+        fixture = load_fixture(data["path"], kind) if "path" in data else fixture_from_dict(data, kind)
     except KeyError as err:
         raise ConfigError(f"fixture: missing field {err}") from err
     except (TypeError, ValueError, ZeroDivisionError) as err:
         raise ConfigError(f"fixture: {err}") from err
     if fixture.kind != kind:
-        raise ConfigError(f"fixture.path: kind {fixture.kind!r} does not match mode")
+        raise ConfigError(f"fixture.kind: {fixture.kind!r} is not the {kind!r} kind of the mode")
     return fixture
 
 
@@ -261,9 +262,7 @@ def run_example_mode(cfg):
     mode = cfg["mode"]
     kind = _KIND_OF_MODE[mode]
     fx = cfg["fixture"]
-    # a fixture object with only a section seed and scale runs the default fixture
-    fixture = (_fixture_from_cfg(fx, kind) if fx.keys() - {"seed", "scale"}
-               else CurveFixture(kind, *KINDS[kind].default_fixture))
+    fixture = _fixture_from_cfg(fx, kind)
     v = verdict(fixture)
     ok, _ = ssc_reduction_equiv(fixture, trials=200,
                                 rng=np.random.default_rng(cfg["seed"]))
@@ -336,7 +335,8 @@ def run_invariant_suite(cfg):
 
 
 def _map(fn, tasks, workers):
-    if workers and workers > 1:
+    workers = min(workers, len(tasks))  # a pool forks all its workers on its first task
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, tasks))
     return [fn(t) for t in tasks]

@@ -35,6 +35,13 @@ def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(str(x))
 
 
+def _int(x):
+    """An integer degree or support index; a float or bool is refused, not rounded."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise ValueError(f"expected an integer degree or support index, got {x!r}")
+
+
 @dataclass(frozen=True)
 class ExampleKind:
     """One example class as data.
@@ -131,8 +138,8 @@ class CurveFixture:
         if len(self.degrees) != arity or len(self.c) != arity:
             raise ValueError(f"{self.kind} needs {arity} degree rows and {arity} central "
                              f"scalars, got {len(self.degrees)} and {len(self.c)}")
-        degs = tuple(tuple(int(d) for d in row) for row in self.degrees)
-        sup = tuple(tuple(int(i) for i in s) for s in self.support)
+        degs = tuple(tuple(_int(d) for d in row) for row in self.degrees)
+        sup = tuple(tuple(_int(i) for i in s) for s in self.support)
         rows = [degs[f] for f, _ in entry.positions]
         for s in sup:
             if len(s) != len(rows) or not all(0 <= i < len(r) for i, r in zip(s, rows)):
@@ -354,13 +361,19 @@ def save_fixture(path, fixture: CurveFixture):
         f.write("\n")
 
 
-def load_fixture(path) -> CurveFixture:
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
+def fixture_from_dict(payload, kind=None) -> CurveFixture:
+    """The fixture of a JSON object with the fields ``save_fixture`` writes,
+    as a fixture file and an inline run-config fixture give it; a missing
+    ``kind`` is ``kind`` and a missing ``support`` is empty."""
     extra = set(payload) - {"kind", "degrees", "support", "c"}
     if extra:
         raise ValueError(f"unknown fixture fields: {sorted(extra)}")
-    return CurveFixture(payload["kind"],
+    return CurveFixture(payload.get("kind", kind),
                         tuple(tuple(r) for r in payload["degrees"]),
-                        tuple(tuple(s) for s in payload["support"]),
+                        tuple(tuple(s) for s in payload.get("support", ())),
                         tuple(payload["c"]))
+
+
+def load_fixture(path, kind=None) -> CurveFixture:
+    with open(path, encoding="utf-8") as f:
+        return fixture_from_dict(json.load(f), kind)

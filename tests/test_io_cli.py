@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpwb import lattice
+from gpwb import cli, lattice
 from gpwb.cli import ConfigError, load_config, main, run
 from gpwb.flows import assemble_example
 from gpwb.io import emit_csv, load_state, parse_csv, save_state, write_report
@@ -213,6 +213,28 @@ def test_run_invariant_suite_and_determinism(tmp_path):
     assert (out1 / "report.txt").read_bytes() == (out2 / "report.txt").read_bytes()
 
 
+def test_worker_pool_is_no_larger_than_its_tasks(monkeypatch):
+    # a process pool forks all its workers at once, so the cap is tested on a serial stand-in
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    payload = run({"mode": "invariant_suite"}, workers=5000, seed=11)
+    assert payload["all_pass"] and sizes == [len(payload["checks"])]
+
+
 def test_trajectory_csv_bytes_deterministic(tmp_path):
     cfg = {"mode": "pair", "lattice_n": 8,
            "flow": {"max_iter": 4000, "tol": 1e-7},
@@ -267,7 +289,7 @@ def test_arpack_non_convergence_in_a_bisection_exits_2(tmp_path, arpack_fails):
     assert main(["vortex_threshold", "--config", str(path)]) == 2
 
 
-@pytest.mark.parametrize("cfg", [
+BAD_CONFIGS = [
     {"mode": "pair", "flow": {"step": -1}},
     {"mode": "pair", "lattice_n": 2},
     {"mode": "vortex_threshold", "threshold": {"scan": [0.1]}},
@@ -286,8 +308,8 @@ def test_arpack_non_convergence_in_a_bisection_exits_2(tmp_path, arpack_fails):
     {"mode": "vortex_threshold", "threshold": {"d": 0}},
     {"mode": "vortex_threshold", "lattice_n": 4, "threshold": {"d": 5}},
     {"mode": "vortex_threshold", "lattice_n": 4, "threshold": {"target_width": 1e-300}},
-    {"mode": "pair", "tol": float("nan")},
-    {"mode": "pair", "tol": -1},
+    {"mode": "pair", "flow": {"tol": float("nan")}},
+    {"mode": "pair", "flow": {"tol": -1}},
     {"mode": "pair", "flow": {"step": float("inf")}},
     {"mode": "kempf_ness", "kempf_ness": {"c_lo": float("nan"), "c_hi": float("nan")}},
     {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[0, 0]], "c": ["2", "0"],
@@ -299,16 +321,42 @@ def test_arpack_non_convergence_in_a_bisection_exits_2(tmp_path, arpack_fails):
     {"mode": "kempf_ness", "lattice_n": 8, "kempf_ness": {"count": 2}},
     {"mode": "pair", "lattice_n": 8, "kempf_ness": {"count": 2}},
     {"mode": "invariant_suite", "fixture": {"seed": 1}},
-], ids=["negative_step", "small_lattice", "short_scan", "text_scan", "degree_arity",
-        "bad_c", "support_index", "higgs_cotangent_row", "kempf_ness_seed", "suite_seed",
-        "fixture_seed", "zero_n2", "negative_count", "zero_denominator_c", "zero_degree",
-        "degree_above_lattice", "width_below_spacing", "nan_tol", "negative_tol",
-        "infinite_step", "nan_c_range", "nan_scale", "zero_workers", "threshold_fixture",
-        "pair_threshold", "kempf_ness_lattice_n", "pair_kempf_ness", "suite_fixture"])
+    {"mode": "pair", "fixture": {"degrees": [[1.5], [0]], "support": [[0, 0]], "c": ["2", "0"]}},
+    {"mode": "pair", "fixture": {"degrees": [[1], [0]], "support": [[0.9, 0]], "c": ["2", "0"]}},
+    {"mode": "pair", "fixture": {"degrees": [[True], [0]], "support": [[0, 0]], "c": ["2", "0"]}},
+    {"mode": "pair", "lattice_n": 8,
+     "fixture": {"kind": "higgs", "degrees": [[1], [0]], "support": [[0, 0]], "c": ["2", "0"]}},
+    {"mode": "pair", "fixture": {"path": "fx.json", "degrees": [[1], [0]], "c": ["2", "0"]}},
+    {"mode": "invariant_suite", "flow": {"max_iter": 10}},
+    {"mode": "pair", "flwo": {"max_iter": 10}},
+    {"mode": "pair", "flow": {"max_iters": 10}},
+    {"mode": "pair", "lattice_n": "8"},
+    {"mode": "pair", "tol": 1e-8},
+    {"mode": "kempf_ness", "kempf_ness": {"max_iter": 3000}},
+]
+BAD_IDS = ["negative_step", "small_lattice", "short_scan", "text_scan", "degree_arity",
+           "bad_c", "support_index", "higgs_cotangent_row", "kempf_ness_seed", "suite_seed",
+           "fixture_seed", "zero_n2", "negative_count", "zero_denominator_c", "zero_degree",
+           "degree_above_lattice", "width_below_spacing", "nan_tol", "negative_tol",
+           "infinite_step", "nan_c_range", "nan_scale", "zero_workers", "threshold_fixture",
+           "pair_threshold", "kempf_ness_lattice_n", "pair_kempf_ness", "suite_fixture",
+           "fractional_degree", "fractional_support", "bool_degree", "inline_kind_mismatch",
+           "path_and_inline_fields", "suite_flow", "misspelled_block", "misspelled_flow_key",
+           "text_lattice_n", "top_level_tol", "kempf_ness_max_iter"]
+
+
+@pytest.mark.parametrize("cfg", BAD_CONFIGS, ids=BAD_IDS)
 def test_config_value_errors_exit_2(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main([cfg["mode"], "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("cfg", BAD_CONFIGS, ids=BAD_IDS)
+def test_run_refuses_what_a_config_file_refuses(cfg):
+    # run() is the entry point of scripts and the benchmark: it meets the same checks
+    with pytest.raises(ConfigError):
+        run(cfg)
 
 
 @pytest.mark.parametrize("mode", ["kempf_ness", "invariant_suite"])
@@ -333,17 +381,31 @@ def test_tol_flag_overrides_flow_tol(tmp_path):
     assert f"flow.final_residual = {flow['final_residual']!r}\n" in report
 
 
-def test_flow_tol_overrides_the_top_level_tol():
-    want = run({"mode": "pair", "lattice_n": 8}, seed=5, tol=1e-3)["flow"]
-    got = run({"mode": "pair", "lattice_n": 8, "tol": 1e-10, "flow": {"tol": 1e-3}}, seed=5)["flow"]
-    assert got == want and want["iterations"] < 29
+def test_run_checks_its_flag_arguments():
+    with pytest.raises(ConfigError, match="workers"):
+        run({"mode": "invariant_suite"}, workers="4")
+
+
+def test_suite_refuses_the_tol_flag():
+    # invariant_suite runs no flow, so --tol would be ignored
+    assert main(["invariant_suite", "--tol", "1e-6"]) == 2
+    with pytest.raises(ConfigError, match="flow"):
+        run({"mode": "invariant_suite"}, tol=1e-6)
+
+
+def test_kempf_ness_reads_the_flow_block():
+    cfg = {"mode": "kempf_ness", "kempf_ness": {"count": 3}}
+    default = run(dict(cfg), seed=5)["cases"]
+    capped = run(dict(cfg, flow={"max_iter": 1}), seed=5)["cases"]
+    assert capped != default
+    assert all(r["reason"] == "max_iter" for r in capped if r["simple"])
 
 
 def test_kempf_ness_runs_at_the_run_tolerance():
     cfg = {"mode": "kempf_ness", "kempf_ness": {"count": 3}}
     tight = run(dict(cfg), seed=5)["cases"]
     for loose in (run(dict(cfg), seed=5, tol=0.1)["cases"],
-                  run(dict(cfg, tol=0.1), seed=5)["cases"]):
+                  run(dict(cfg, flow={"tol": 0.1}), seed=5)["cases"]):
         assert [r["converged"] for r in loose] == [r["converged"] for r in tight]
         for a, b in zip(loose, tight):
             if b["converged"]:
@@ -403,7 +465,8 @@ def test_negative_degree_summand_is_an_outcome(tmp_path):
 def test_cli_runs_kempf_ness_quick(tmp_path, capsys):
     cfg = tmp_path / "kn.json"
     cfg.write_text(json.dumps({"mode": "kempf_ness",
-                               "kempf_ness": {"count": 4, "n2": 2, "max_iter": 3000}}))
+                               "kempf_ness": {"count": 4, "n2": 2},
+                               "flow": {"max_iter": 3000}}))
     code = main(["kempf_ness", "--config", str(cfg), "--seed", "7",
                  "--out", str(tmp_path / "out")])
     assert code == 0
