@@ -82,10 +82,6 @@ class AlgebraElement:
                 if dev >= SKEW_TOL * (1.0 + np.linalg.norm(b)):
                     raise ValueError(f"block {i} is not skew-Hermitian (dev {dev:.2e})")
 
-    @property
-    def dims(self):
-        return tuple(b.shape[0] for b in self.blocks)
-
     def __add__(self, other):
         flavor = "compact" if self.flavor == other.flavor == "compact" else "general"
         return AlgebraElement(
@@ -129,10 +125,6 @@ class GroupElement:
                 dev = np.linalg.norm(b.conj().T @ b - np.eye(b.shape[0]))
                 if dev >= UNITARY_TOL:
                     raise ValueError(f"block {i} is not unitary (dev {dev:.2e})")
-
-    @property
-    def dims(self):
-        return tuple(b.shape[0] for b in self.blocks)
 
     def compose(self, other):
         """Group product self * other, blockwise."""
@@ -190,17 +182,20 @@ class SubgroupSetting:
         return [i for i, m in enumerate(self.modes) if m != FROZEN]
 
 
-def inner_product(u: AlgebraElement, v: AlgebraElement, spec: ProductGroupSpec) -> float:
-    """Trace pairing sum_i Tr(u_i v_i^dagger) of the auxiliary representation.
-
-    Real-valued; symmetric and positive-definite on compact-flavor elements.
-    """
-    spec.check_blocks(u.blocks)
-    spec.check_blocks(v.blocks)
+def trace_pairing(us, vs) -> float:
+    """Re sum_i Tr(u_i v_i^dagger) over paired blocks, unchecked."""
     acc = 0.0 + 0.0j
-    for a, b in zip(u.blocks, v.blocks):
+    for a, b in zip(us, vs):
         acc += np.trace(a @ b.conj().T)
     return float(acc.real)
+
+
+def inner_product(u: AlgebraElement, v: AlgebraElement, spec: ProductGroupSpec) -> float:
+    """``trace_pairing`` of two checked elements: the pairing of the auxiliary
+    representation, symmetric and positive-definite on compact-flavor ones."""
+    spec.check_blocks(u.blocks)
+    spec.check_blocks(v.blocks)
+    return trace_pairing(u.blocks, v.blocks)
 
 
 def project_subalgebra(s: AlgebraElement, setting: SubgroupSetting) -> AlgebraElement:
@@ -233,6 +228,15 @@ def cartan_involution(g: GroupElement) -> GroupElement:
         except np.linalg.LinAlgError as err:
             raise ValueError(f"block {i} is singular") from err
     return GroupElement(tuple(blocks), g.flavor)
+
+
+def compact_basis(n: int):
+    """A real basis of u(n), stacked with shape (n*n, n, n): E_jk - E_kj for
+    j < k, and i (E_jk + E_kj) for j >= k (2i E_jj on the diagonal)."""
+    e = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # E_jk at index j*n + k
+    et = np.swapaxes(e, 1, 2)
+    j, k = np.divmod(np.arange(n * n), n)
+    return np.where((j < k)[:, None, None], e - et, 1j * (e + et))
 
 
 def random_compact(spec: ProductGroupSpec, rng, scale=1.0) -> AlgebraElement:

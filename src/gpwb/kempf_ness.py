@@ -1,10 +1,16 @@
 """Finite-dimensional stability/flow correspondence (base = point).
 
 Maximal weights of one-parameter subgroups, weighted filtrations and their
-two-eigenvalue generators, the algebraic stability test, the integral of
-the moment map along metric geodesics, and the descent flow onto the
-shifted moment-map level set with ``descend``, the adaptive-step driver
-that the lattice heat flow shares.
+two-eigenvalue generators, the algebraic stability test, the compact
+stabilizer count behind simplicity, the integral of the moment map along
+metric geodesics, and the descent flow onto the shifted moment-map level
+set with ``descend``, the adaptive-step driver that the lattice heat flow
+shares.
+
+Directions and group elements enter as validated ``AlgebraElement`` and
+``GroupElement``.  The point flow and the stabilizer count check x once and
+then compute on tuples and stacks of plain factor blocks through the slot
+kernel of ``reps``, as the lattice does.
 """
 from __future__ import annotations
 
@@ -19,22 +25,25 @@ from .groups import (
     GroupElement,
     ProductGroupSpec,
     SubgroupSetting,
+    compact_basis,
     inner_product,
+    trace_pairing,
 )
 from .reps import (
     RepSpec,
+    _flat_v,
     _hermitian_part,
     _spectral_split,
     act,
     apply_slots,
-    infinitesimal_act,
-    mu_shifted,
+    generator_action,
     shifted_moment_blocks,
     slot_matrices,
     summand_weights,
 )
 
 MEMBERSHIP_TOL = 1e-10  # component mass outside V^- that still counts as inside
+STABILIZER_TOL = 1e-8  # relative singular value below which a stabilizer direction counts
 
 
 @dataclass(frozen=True)
@@ -71,21 +80,16 @@ class WeightedFiltration:
     def length(self):
         return len(self.chain)
 
-    def graded_projectors(self):
-        prev = 0
-        out = []
-        for q in self.chain:
-            p = q @ q.conj().T
-            out.append(p - prev)
-            prev = p
-        return out
-
     def element(self, spec: ProductGroupSpec) -> AlgebraElement:
-        """chi = -i sum_k alpha_k P_k on the designated factor, 0 elsewhere."""
+        """chi = -i sum_k alpha_k P_k on the designated factor, 0 elsewhere,
+        with P_k the projector onto the k-th graded piece."""
         blocks = [np.zeros((n, n), complex) for n in spec.factor_dims]
         acc = np.zeros_like(blocks[self.factor])
-        for a, p in zip(self.weights, self.graded_projectors()):
-            acc += -1j * a * p
+        prev = 0
+        for a, q in zip(self.weights, self.chain):
+            p = q @ q.conj().T
+            acc += -1j * a * (p - prev)
+            prev = p
         blocks[self.factor] = 0.5 * (acc - acc.conj().T)  # strip roundoff
         return AlgebraElement(tuple(blocks), "compact")
 
@@ -235,7 +239,7 @@ def stability_test(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSet
     is unfrozen.
     """
     if factor is None:
-        nf = [i for i, m in enumerate(setting.modes) if m != FROZEN]
+        nf = setting.unfrozen()
         if len(nf) > 1:
             raise ValueError(f"factors {nf} are unfrozen: stability_test examines the "
                              f"subspaces of one factor, so name it with factor=")
@@ -264,36 +268,25 @@ def stability_test(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSet
 # simplicity
 
 
-def compact_stabilizer_dimension(x, rep: RepSpec, setting: SubgroupSetting, tol=1e-8):
+def compact_stabilizer_dimension(x, rep: RepSpec, setting: SubgroupSetting):
     """Dimension of {s in h (compact) : rho(s) x = 0}.
 
     A nonzero solution is a semisimple infinitesimal stabilizer, so the
-    configuration is not simple.  Works over the real span of a
-    skew-Hermitian basis of the unfrozen blocks.
+    configuration is not simple.  Each unfrozen factor applies its stacked
+    ``compact_basis`` to x in one ``generator_action``; the dimension is the
+    basis size minus the numerical rank (singular values above
+    ``STABILIZER_TOL`` of the largest) of the real images.
     """
-    spec = rep.spec
-    basis = []
+    x = _flat_v(x, rep)
+    images = []
     for f in setting.unfrozen():
-        n = spec.factor_dims[f]
-        for i in range(n):
-            e = [np.zeros((m, m), complex) for m in spec.factor_dims]
-            e[f][i, i] = 1j
-            basis.append(AlgebraElement(tuple(e), "compact"))
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = [np.zeros((m, m), complex) for m in spec.factor_dims]
-                e[f][i, j] = 1.0
-                e[f][j, i] = -1.0
-                basis.append(AlgebraElement(tuple(e), "compact"))
-                e2 = [np.zeros((m, m), complex) for m in spec.factor_dims]
-                e2[f][i, j] = 1j
-                e2[f][j, i] = 1j
-                basis.append(AlgebraElement(tuple(e2), "compact"))
-    cols = [infinitesimal_act(s, x, rep) for s in basis]
-    A = np.stack([np.concatenate([c.real, c.imag]) for c in cols], axis=1)
-    sv = np.linalg.svd(A, compute_uv=False)
-    scale = sv[0] if sv.size and sv[0] > 0 else 1.0
-    return int(np.sum(sv <= tol * scale)) + (len(basis) - len(sv) if A.shape[0] < len(basis) else 0)
+        basis = compact_basis(rep.spec.factor_dims[f])
+        blocks = [basis if i == f else None for i in range(rep.spec.num_factors)]
+        images.append(generator_action(blocks, np.broadcast_to(x, (len(basis), rep.dim)), rep))
+    y = np.concatenate(images)
+    sv = np.linalg.svd(np.concatenate([y.real, y.imag], axis=1), compute_uv=False)
+    scale = sv[0] if sv[0] > 0 else 1.0
+    return len(y) - int(np.sum(sv > STABILIZER_TOL * scale))
 
 
 def is_simple(x, rep: RepSpec, setting: SubgroupSetting) -> bool:
@@ -445,35 +438,30 @@ def gradient_flow(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSett
                   step_cap=1.0, metric_cutoff=50.0) -> FlowResult:
     """Descent on the integral of the moment map.
 
-    Each accepted step multiplies the accumulated element by
-    exp(-i*step*residual) on the unfrozen factors; ``descend`` holds the
-    step policy and the stop reasons.  The trajectory lists the residual
-    norm of the start and of each accepted step.
+    The flow iterates on the tuple of factor blocks h, like the lattice heat
+    flow: the residual is the ``shifted_moment_blocks`` of h x, its norm the
+    ``trace_pairing``, and each accepted step multiplies the unfrozen blocks
+    by exp(-i*step*residual) and passes the frozen ones through.
+    ``descend`` holds the step policy and the stop reasons.  The trajectory
+    lists the residual norm of the start and of each accepted step; one
+    ``GroupElement`` is built, for the final h.
     """
-    def residual(hh):
-        r = mu_shifted(act(hh, x, rep), rep, spec, setting)
-        return r, (float(np.sqrt(max(inner_product(r, r, spec), 0.0))),)
+    x = _flat_v(x, rep)
+    unfrozen = setting.unfrozen()
 
-    def move(hh, r, step):
-        return GroupElement(
-            tuple(
-                expm(-1j * step * b) if setting.modes[i] != FROZEN else np.eye(b.shape[0], dtype=complex)
-                for i, b in enumerate(r.blocks)
-            ),
-            "complexified",
-        ).compose(hh)
+    def residual(h):
+        r = shifted_moment_blocks(apply_slots(slot_matrices(h, rep), x, rep), rep, setting)
+        return r, (float(np.sqrt(max(trace_pairing(r.values(), r.values()), 0.0))),)
 
-    def sup_log(hh):
-        worst = 0.0
-        for i, b in enumerate(hh.blocks):
-            if setting.modes[i] == FROZEN:
-                continue
-            ev = np.linalg.eigvalsh(b.conj().T @ b)
-            ev = np.clip(ev, 1e-300, None)
-            worst = max(worst, 0.5 * float(np.max(np.abs(np.log(ev)))))
-        return worst
+    def move(h, r, step):
+        return tuple(expm(-1j * step * r[i]) @ b if i in r else b for i, b in enumerate(h))
 
-    h = h0 if h0 is not None else GroupElement.identity(spec, "complexified")
+    def sup_log(h):  # half the largest |log| of an eigenvalue of h_f^dagger h_f
+        evs = (np.clip(np.linalg.eigvalsh(h[i].conj().T @ h[i]), 1e-300, None) for i in unfrozen)
+        return max(0.5 * float(np.max(np.abs(np.log(ev)))) for ev in evs)
+
+    h = h0.blocks if h0 is not None else tuple(np.eye(n, dtype=complex) for n in spec.factor_dims)
+    spec.check_blocks(h)
     d = descend(h, residual, move, sup_log, step, tol, step_cap, metric_cutoff, max_iter)
     return FlowResult(d.converged, d.iterations, d.norms[0], [row[1] for row in d.rows],
-                      d.x, d.sup_log, d.rejections, d.reason)
+                      GroupElement(d.x), d.sup_log, d.rejections, d.reason)

@@ -278,10 +278,16 @@ def act(g: GroupElement, x, rep: RepSpec):
 
 def infinitesimal_act(s: AlgebraElement, x, rep: RepSpec):
     """d/dt act(exp(ts), x) at t = 0; linear in s and x."""
-    x = _flat_v(x, rep)
-    mats = slot_matrices(s.blocks, rep, generator=True)
+    return generator_action(s.blocks, _flat_v(x, rep), rep)
+
+
+def generator_action(blocks, x, rep: RepSpec):
+    """rho(a) x for stacks ``blocks[i]`` of factor-i Lie-algebra elements
+    (None: the factor does not act) and x of shape (..., D) that carries the
+    leading axes of the stacks: one slot-kernel call per acting axis."""
+    mats = slot_matrices(blocks, rep, generator=True)
     return sum((apply_slots(one, x, rep) for one in _one_axis(mats)),
-               np.zeros(rep.dim, dtype=complex))
+               np.zeros(x.shape, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ from scipy.linalg import expm, logm
 from scipy.optimize import nnls
 
 from gpwb.groups import (
+    FROZEN,
     AlgebraElement,
+    DimensionMismatchError,
     GroupElement,
     ProductGroupSpec,
     SubgroupSetting,
@@ -17,6 +19,7 @@ from gpwb.kempf_ness import (
     MEMBERSHIP_TOL,
     WeightedFiltration,
     chain_generator_weights,
+    compact_stabilizer_dimension,
     default_subspace_lattice,
     descend,
     gradient_flow,
@@ -506,6 +509,39 @@ def test_kn_matches_per_node_loop(layout, rng):
         assert abs(got - want) <= 1e-13 * kn_scale(want, x, s), (layout, got, want)
 
 
+def stabilizer_reference(x, rep, setting):
+    """Dimension of the compact stabilizer from one ``infinitesimal_act`` per
+    element of a skew-Hermitian basis of each unfrozen factor."""
+    cols = []
+    for f in setting.unfrozen():
+        n = rep.spec.factor_dims[f]
+        for j in range(n):
+            for k in range(n):
+                b = np.zeros((n, n), complex)
+                if j == k:
+                    b[j, j] = 1j
+                elif j < k:
+                    b[j, k], b[k, j] = 1.0, -1.0
+                else:
+                    b[j, k] = b[k, j] = 1j
+                blocks = [np.zeros((m, m), complex) for m in rep.spec.factor_dims]
+                blocks[f] = b
+                cols.append(infinitesimal_act(AlgebraElement(tuple(blocks)), x, rep))
+    a = np.array([np.concatenate([c.real, c.imag]) for c in cols])
+    return len(cols) - int(np.linalg.matrix_rank(a, rtol=1e-8))
+
+
+@pytest.mark.parametrize("layout", sorted(KN_LAYOUTS))
+def test_stabilizer_dimension_matches_per_element_reference(layout, rng):
+    for _ in range(6):
+        spec, rep, setting, x = random_layout(layout, rng)
+        assert compact_stabilizer_dimension(x, rep, setting) == stabilizer_reference(x, rep, setting)
+        # at x = 0 every direction of every unfrozen factor fixes x
+        zero = np.zeros(rep.dim, dtype=complex)
+        assert compact_stabilizer_dimension(zero, rep, setting) == sum(
+            spec.factor_dims[f] ** 2 for f in setting.unfrozen())
+
+
 def test_kn_rejects_a_general_direction(rng):
     spec, rep = u2_tensor(2)
     x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
@@ -531,6 +567,63 @@ def test_metric_exponent_matches_logm(rng):
 
 # ---------------------------------------------------------------------------
 # gradient flow
+
+
+def reference_flow(x, rep, spec, setting, max_iter, tol):
+    """The point flow on validated elements: ``act``, ``mu_shifted``,
+    ``inner_product`` and ``GroupElement.compose`` under ``descend``."""
+    def residual(h):
+        r = mu_shifted(act(h, x, rep), rep, spec, setting)
+        return r, (float(np.sqrt(max(inner_product(r, r, spec), 0.0))),)
+
+    def move(h, r, step):
+        return GroupElement(tuple(
+            expm(-1j * step * b) if setting.modes[i] != FROZEN else np.eye(len(b), dtype=complex)
+            for i, b in enumerate(r.blocks)), "complexified").compose(h)
+
+    def sup_log(h):
+        worst = 0.0
+        for i, b in enumerate(h.blocks):
+            if setting.modes[i] != FROZEN:
+                ev = np.clip(np.linalg.eigvalsh(b.conj().T @ b), 1e-300, None)
+                worst = max(worst, 0.5 * float(np.max(np.abs(np.log(ev)))))
+        return worst
+
+    return descend(GroupElement.identity(spec, "complexified"), residual, move, sup_log,
+                   0.1, tol, 1.0, 50.0, max_iter)
+
+
+def test_flow_matches_the_element_reference_exactly():
+    """Every layout, six seeds each, at two iteration caps: the same
+    trajectory, stop, metric and final blocks, bit for bit.  A stalled
+    flow's stop moves with a last-bit change, so the stalls are covered."""
+    reasons = set()
+    for layout in sorted(KN_LAYOUTS):
+        for seed in range(6):
+            spec, rep, setting, x = random_layout(layout, np.random.default_rng(seed))
+            for max_iter in (25, 3000):
+                got = gradient_flow(x, rep, spec, setting, max_iter=max_iter, tol=1e-8)
+                want = reference_flow(x, rep, spec, setting, max_iter, 1e-8)
+                case = (layout, seed, max_iter)
+                assert got.trajectory == [row[1] for row in want.rows], case
+                assert (got.iterations, got.reason, got.rejections) == (
+                    want.iterations, want.reason, want.rejections), case
+                assert got.final_residual == want.norms[0], case
+                assert got.sup_log_metric == want.sup_log, case
+                assert all(np.array_equal(a, b) for a, b in zip(
+                    got.final_group_element.blocks, want.x.blocks)), case
+                reasons.add(got.reason)
+    assert reasons == {"", "stationary residual", "step underflow", "metric blow-up", "max_iter"}
+
+
+def test_flow_checks_its_start_against_the_group():
+    spec, rep = u2_tensor(3)
+    x = np.ones(rep.dim, dtype=complex)
+    for blocks in ((np.eye(3), np.eye(3)), (np.eye(2),)):
+        with pytest.raises(DimensionMismatchError):
+            gradient_flow(x, rep, spec, central(spec, 0.5), h0=GroupElement(blocks))
+    with pytest.raises(DimensionMismatchError):
+        gradient_flow(np.ones(rep.dim + 1), rep, spec, central(spec, 0.5))
 
 
 def test_flow_u1_closed_form():
