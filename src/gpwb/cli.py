@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import suite
-from .fixtures import KINDS, CurveFixture, fixture_from_dict, load_fixture, ssc_reduction_equiv, verdict
+from .fixtures import KINDS, CurveFixture, fixture_from_dict, load_fixture, ssc_reduction_equiv
 from .flows import FlowOpts, assemble_example, heat_flow, newton_abelian
 from .groups import CONSTANT, ProductGroupSpec, SubgroupSetting
 from .io import emit_csv, write_report
@@ -263,9 +263,7 @@ def run_example_mode(cfg):
     kind = _KIND_OF_MODE[mode]
     fx = cfg["fixture"]
     fixture = _fixture_from_cfg(fx, kind)
-    v = verdict(fixture)
-    ok, _ = ssc_reduction_equiv(fixture, trials=200,
-                                rng=np.random.default_rng(cfg["seed"]))
+    ok, v = ssc_reduction_equiv(fixture, trials=200, rng=np.random.default_rng(cfg["seed"]))
     payload = {
         "mode": mode,
         "fixture": {"kind": fixture.kind,

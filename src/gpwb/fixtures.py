@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -251,19 +252,26 @@ def _acts_trivially(fixture, chain, alpha):
 def _filtration_weight(fixture, chain, alpha):
     """Full-formula total weight of a joint chain with weights alpha:
     sum_k alpha_k (deg gr_k - sum_f c_f rk_f(gr_k)); None (+infinity)
-    unless every supported summand has non-positive induced eigenvalue."""
+    unless every supported summand has non-positive induced eigenvalue.
+
+    Summed per summand instead of per step: summand i of factor f lies in
+    the graded piece of the first step holding it, whose weight is w_f[i],
+    so the weight is sum_f (sum_i w_f[i] d_f[i] - c_f sum_i w_f[i]).  Over
+    the common denominator of the central scalars that sum is an integer
+    for integer alpha, and one rational is built, at the end."""
     weights = _chain_weights(fixture, chain, alpha)
     if any(induced_weight(fixture.kind, weights, s) > 0 for s in fixture.support):
         return None
-    total = Fraction(0)
-    prev = {f: frozenset() for f in chain[0]}
-    for a, step in zip(alpha, chain):
-        for f in step:
-            gr = set(step[f]) - set(prev[f])
-            d = sum(fixture.degrees[f][i] for i in gr)
-            total += _frac(a) * (Fraction(d) - fixture.c[f] * len(gr))
-            prev[f] = step[f]
-    return total
+    den, cnum = _central_numerators(fixture)
+    return Fraction(sum(den * sum(w * d for w, d in zip(weights[f], fixture.degrees[f]))
+                        - cnum[f] * sum(weights[f]) for f in weights), den)
+
+
+def _central_numerators(fixture):
+    """The least common denominator of the central scalars, over which every
+    weight with integer alpha is an integer, and their numerators over it."""
+    den = math.lcm(*(c.denominator for c in fixture.c))
+    return den, [c.numerator * (den // c.denominator) for c in fixture.c]
 
 
 # the sampling of ``ssc_reduction_equiv``: chains per check, steps per chain
@@ -313,13 +321,22 @@ def ssc_reduction_equiv(fixture: CurveFixture, trials=1000, rng=None):
     sampled cone point equals the same non-negative combination of generator
     weights, and (b) sign agreement with the subset-slope verdict.
     Marginal and unsolvable fixtures are flagged and excluded from the
-    strict claim.
+    strict claim.  Returns (ok, the verdict).
+
+    The cone coefficients are drawn to six decimals and kept as their
+    integer numerators round(x 10^6).  That is exact: on a fixed chain the
+    summand weights are entries of alpha, so the weight and every induced
+    eigenvalue of the support test are linear in alpha.  Scaling a sample by
+    10^6 scales both sides of (a) alike and keeps every sign that (a) and
+    (b) test, so the check decides as on the rational coefficients, in
+    integers.
     """
     rng = rng or np.random.default_rng(0)
     v = verdict(fixture)
     if v.unsolvable or v.marginal:
         return True, v
     per_chain = max(1, trials // SSC_CHAINS)
+    den, _ = _central_numerators(fixture)
     min_gen = None
     for _ in range(SSC_CHAINS):
         chain = random_joint_chain(fixture, rng)
@@ -329,16 +346,17 @@ def ssc_reduction_equiv(fixture: CurveFixture, trials=1000, rng=None):
             min_gen = w if min_gen is None else min(min_gen, w)
         if not finite:
             continue
+        gens = [a for a, _ in finite]
+        nums = [int(w * den) for _, w in finite]  # the generator weights times den
         for _ in range(per_chain):
-            lam = [Fraction(round(x * 10**6), 10**6) for x in rng.random(len(finite))]
-            if all(l == 0 for l in lam):
+            lam = [round(x * 10**6) for x in rng.random(len(finite))]
+            if not any(lam):
                 continue
-            alpha = [sum(l * a[k] for l, (a, _) in zip(lam, finite)) for k in range(r)]
-            expect = sum(l * w for l, (_, w) in zip(lam, finite))
+            alpha = [sum(l * a[k] for l, a in zip(lam, gens)) for k in range(r)]
             got = _filtration_weight(fixture, chain, alpha)
-            if got is None or got != expect:
+            if got is None or got != Fraction(sum(l * n for l, n in zip(lam, nums)), den):
                 return False, v
-            if v.stable and got <= 0 and any(l > 0 for l in lam):
+            if v.stable and got <= 0:
                 return False, v
     if v.stable and min_gen is not None and min_gen <= 0:
         return False, v

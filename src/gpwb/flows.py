@@ -28,6 +28,8 @@ from .kempf_ness import descend
 from .lattice import (
     LatticePairState,
     TWO_PI,
+    _metric_splits,
+    _sup_log,
     build_torus,
     corrected_links,
     curvature_field,
@@ -151,10 +153,15 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
         if mode == FULL:
             require_unitary(b.links)
     deg_before = unfrozen_degrees(work)
-    # L_A of every rank > 1 FULL factor (rank 1 solves by FFT)
-    responses = {i: curvature_response_matrix(work.lattice, b.links)
-                 for i, (b, mode) in enumerate(zip(work.bundles, work.setting.modes))
-                 if mode == FULL and work.u[i].shape[-1] > 1}
+    # L_A of every rank > 1 FULL factor (rank 1 solves by FFT) in CSC, and
+    # the identity, the two operands of every I + step L_A.  The sum drops
+    # the zeros L_A stores, so dropping them here first changes no entry.
+    responses = {}
+    for i, (b, mode) in enumerate(zip(work.bundles, work.setting.modes)):
+        if mode == FULL and work.u[i].shape[-1] > 1:
+            responses[i] = curvature_response_matrix(work.lattice, b.links).tocsc()
+            responses[i].eliminate_zeros()
+    eye = {i: sp.identity(a.shape[0], format="csc") for i, a in responses.items()}
     # factor -> {step: LU of I + step L_A} for the current and the previous
     # step value, least recently used first.  Steps only halve and double,
     # so the float keys repeat exactly.
@@ -168,14 +175,21 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
         if lu is None:
             if len(lus[i]) > 1:
                 del lus[i][next(iter(lus[i]))]  # release the older LU before factorizing
-            op = sp.identity(responses[i].shape[0], format="csc") + step * responses[i]
-            lu = spla.splu(op.tocsc())
+            lu = spla.splu(eye[i] + step * responses[i])
         lus[i][step] = lu
         return _hermitian_part(lu.solve(d.reshape(-1)).reshape(d.shape))
 
+    # the exponents and metric split of the latest residual: descend measures
+    # the metric of a point right after its residual, so the split serves both
+    latest = [None, None]
+
     def residual(u):
-        blocks, l2, linf = pointwise_residual(replace(work, u=u))
+        latest[:] = u, _metric_splits(u)
+        blocks, l2, linf = pointwise_residual(replace(work, u=u), latest[1])
         return blocks, (l2, linf)
+
+    def sup_log(u):
+        return _sup_log(latest[1] if latest[0] is u else _metric_splits(u))
 
     def move(u, blocks, step):
         trial = dict(u)
@@ -188,8 +202,8 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
             trial[i] = u[i] - step * d
         return trial
 
-    d = descend(work.u, residual, move, lambda u: replace(work, u=u).sup_log_metric(),
-                opts.step, opts.tol, opts.step_cap, opts.metric_cutoff, opts.max_iter)
+    d = descend(work.u, residual, move, sup_log, opts.step, opts.tol, opts.step_cap,
+                opts.metric_cutoff, opts.max_iter)
     work.u = d.x
     return LatticeFlowReport(
         converged=d.converged,

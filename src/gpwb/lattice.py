@@ -425,16 +425,11 @@ class LatticePairState:
 
     def metric_frame_section(self):
         """Section in the metric-orthonormal frame: act(e^{u(x)}, Phi(x))."""
-        return apply_metric_exponents(self.section, self.rep, self.u)
+        return apply_metric_exponents(self.section, self.rep, _metric_splits(self.u))
 
     def sup_log_metric(self):
         """sup over the sites and factors of |log e^{2u}|: 2 max |eigenvalue of u|."""
-        worst = 0.0
-        for uu in self.u.values():
-            ev = _spectral_split(_hermitian_part(uu))[0]
-            if ev.size:
-                worst = max(worst, 2.0 * float(np.max(np.abs(ev))))
-        return worst
+        return _sup_log(_metric_splits(self.u))
 
 
 def corrected_links(links: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -501,10 +496,26 @@ def curvature_response_matrix(lat: TorusLattice, links=None) -> sp.csr_matrix:
 # metric-frame section and batched moment maps
 
 
-def apply_metric_exponents(section, rep: RepSpec, u: dict) -> np.ndarray:
-    """act(e^{u(x)}, Phi(x)) sitewise, for the dict of metric exponents;
-    constant-mode exponents broadcast over the sites."""
-    blocks = [_hermitian_function(_hermitian_part(u[i]), np.exp) if i in u else None
+def _metric_splits(u: dict) -> dict:
+    """factor -> the ``_spectral_split`` (eigenvalues, rebuild) of the
+    Hermitian part of its metric exponent."""
+    return {i: _spectral_split(_hermitian_part(uu)) for i, uu in u.items()}
+
+
+def _sup_log(splits: dict) -> float:
+    """2 max |eigenvalue| over the ``_metric_splits`` of the exponents."""
+    worst = 0.0
+    for ev, _ in splits.values():
+        if ev.size:
+            worst = max(worst, 2.0 * float(np.max(np.abs(ev))))
+    return worst
+
+
+def apply_metric_exponents(section, rep: RepSpec, splits: dict) -> np.ndarray:
+    """act(e^{u(x)}, Phi(x)) sitewise, from the ``_metric_splits`` of the
+    dict of metric exponents; constant-mode exponents broadcast over the
+    sites."""
+    blocks = [splits[i][1](np.exp(splits[i][0])) if i in splits else None
               for i in range(rep.spec.num_factors)]
     return apply_slots(slot_matrices(blocks, rep), section, rep)
 
@@ -535,7 +546,7 @@ def gauge_transform(state: LatticePairState, kfields) -> LatticePairState:
     return new
 
 
-def pointwise_residual(state: LatticePairState):
+def pointwise_residual(state: LatticePairState, splits=None):
     """Skew-Hermitian residual blocks of the shifted subgroup moment map.
 
     Per unfrozen factor: N^2 log P plus the shifted moment map mu_f(Psi) +
@@ -543,9 +554,14 @@ def pointwise_residual(state: LatticePairState):
     the site average of the shifted map, one (n, n) block like its exponent.
     Returns (blocks dict, l2 norm, linf norm); norms use the volume-1
     weighting.  The FULL factors' links go through ``corrected_links``,
-    which takes them to be unitary without checking.
+    which takes them to be unitary without checking.  ``splits``, if given,
+    is ``_metric_splits(state.u)``, which a caller that also measures the
+    metric computes once.
     """
-    blocks = shifted_moment_blocks(state.metric_frame_section(), state.rep, state.setting)
+    if splits is None:
+        splits = _metric_splits(state.u)
+    frame = apply_metric_exponents(state.section, state.rep, splits)
+    blocks = shifted_moment_blocks(frame, state.rep, state.setting)
     for i, mu in blocks.items():
         if state.setting.modes[i] == CONSTANT:
             blocks[i] = np.mean(mu, axis=(0, 1))

@@ -18,7 +18,8 @@ from gpwb.fixtures import (
     ssc_reduction_equiv,
     verdict,
 )
-from gpwb.kempf_ness import StabilityVerdict
+from gpwb import fixtures
+from gpwb.kempf_ness import StabilityVerdict, chain_generator_weights
 
 
 def pair(degs, support_rows, c, deg2=(0,)):
@@ -346,6 +347,107 @@ def test_ssc_reduction_all_kinds(kind, rng):
         f = random_fixture(kind, rng)
         ok, v = ssc_reduction_equiv(f, trials=120, rng=rng)
         assert ok
+
+
+def _stepwise_filtration_weight(fixture, chain, alpha):
+    """The reference for ``_filtration_weight``: sum_k alpha_k (deg gr_k -
+    sum_f c_f rk_f(gr_k)) step by step over the graded pieces, in rationals."""
+    weights = fixtures._chain_weights(fixture, chain, alpha)
+    if any(induced_weight(fixture.kind, weights, s) > 0 for s in fixture.support):
+        return None
+    total = Fraction(0)
+    prev = {f: frozenset() for f in chain[0]}
+    for a, step in zip(alpha, chain):
+        for f in step:
+            gr = set(step[f]) - set(prev[f])
+            d = sum(fixture.degrees[f][i] for i in gr)
+            total += Fraction(a) * (Fraction(d) - fixture.c[f] * len(gr))
+            prev[f] = step[f]
+    return total
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_filtration_weight_matches_the_stepwise_reference(kind, rng):
+    """Equal rationals on random chains, for the generator weights and for
+    random integer and rational weight vectors."""
+    finite = 0
+    for _ in range(40):
+        f = random_fixture(kind, rng)
+        chain = random_joint_chain(f, rng)
+        r = len(chain)
+        draws = [sorted(rng.integers(-6, 3, size=r).tolist()) for _ in range(4)]
+        draws += [[Fraction(int(a), int(rng.integers(1, 8))) for a in alpha] for alpha in draws]
+        for alpha in chain_generator_weights(r) + draws:
+            got = fixtures._filtration_weight(f, chain, alpha)
+            want = _stepwise_filtration_weight(f, chain, alpha)
+            assert got == want and type(got) is type(want), (f, chain, alpha)
+            finite += want is not None
+    assert finite >= 200
+
+
+def _fraction_ssc_reduction_equiv(fixture, trials, rng):
+    """The reference for ``ssc_reduction_equiv``: the same draws, with
+    rational cone coefficients round(x 10^6) / 10^6 and the stepwise weight."""
+    v = verdict(fixture)
+    if v.unsolvable or v.marginal:
+        return True, v
+    per_chain = max(1, trials // fixtures.SSC_CHAINS)
+    min_gen = None
+    for _ in range(fixtures.SSC_CHAINS):
+        chain = random_joint_chain(fixture, rng)
+        finite = []
+        for a in chain_generator_weights(len(chain)):
+            w = _stepwise_filtration_weight(fixture, chain, a)
+            if w is not None and not fixtures._acts_trivially(fixture, chain, a):
+                finite.append((a, w))
+                min_gen = w if min_gen is None else min(min_gen, w)
+        if not finite:
+            continue
+        for _ in range(per_chain):
+            lam = [Fraction(round(x * 10**6), 10**6) for x in rng.random(len(finite))]
+            if all(l == 0 for l in lam):
+                continue
+            alpha = [sum(l * a[k] for l, (a, _) in zip(lam, finite)) for k in range(len(chain))]
+            expect = sum(l * w for l, (_, w) in zip(lam, finite))
+            got = _stepwise_filtration_weight(fixture, chain, alpha)
+            if got is None or got != expect:
+                return False, v
+            if v.stable and got <= 0 and any(l > 0 for l in lam):
+                return False, v
+    if v.stable and min_gen is not None and min_gen <= 0:
+        return False, v
+    return True, v
+
+
+def test_ssc_reduction_decides_like_the_fraction_reference(rng):
+    """Same decision and verdict on every fixture and seed, and the same
+    draws: the generator is left in the same state."""
+    kinds = sorted(KINDS)
+    for i in range(60):
+        f = random_fixture(kinds[i % len(kinds)], rng)
+        seed = int(rng.integers(1 << 31))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert ssc_reduction_equiv(f, trials=60, rng=got_rng) == \
+            _fraction_ssc_reduction_equiv(f, 60, want_rng), f
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, f
+
+
+def test_ssc_reduction_fails_when_the_weight_is_not_linear(monkeypatch):
+    """A weight with a tiny term quadratic in the first step's weight breaks
+    the linearity on the generator cone, and the check reports it."""
+    f = pair([2, 1], support_rows=[0, 1], c=Fraction(5, 2))
+    v = verdict(f)
+    assert v.stable and not v.marginal
+    assert ssc_reduction_equiv(f, trials=120, rng=np.random.default_rng(0))[0]
+    linear = fixtures._filtration_weight
+
+    def bent(fixture, chain, alpha):
+        w = linear(fixture, chain, alpha)
+        return None if w is None else w + Fraction(1, 10**9) * Fraction(alpha[0]) ** 2
+
+    monkeypatch.setattr(fixtures, "_filtration_weight", bent)
+    ok, v_bent = ssc_reduction_equiv(f, trials=120, rng=np.random.default_rng(0))
+    assert not ok and v_bent.stable
 
 
 @st.composite

@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from gpwb.flows import (
     heat_flow,
     newton_abelian,
 )
+from gpwb.io import parse_csv
 from gpwb.lattice import (
     TWO_PI,
     dbar_matrix,
@@ -220,6 +224,19 @@ def test_rank2_stable_flow_steps_do_not_grow_with_n(n):
     assert abs(rep.degrees_after[0] - rep.degrees_before[0]) <= 1e-9
 
 
+def test_rank2_trajectory_matches_the_recorded_one():
+    """The L2 + L1 pair at c = 5/2, N = 8, section seed 1: iterations,
+    rejections and stop reason exactly, and every trajectory row to 1e-12
+    relative, against the trajectory kept in tests/data."""
+    rep = heat_flow(stable_rank2_pair(8), RANK2_OPTS)
+    assert (rep.iterations, rep.converged, rep.reason) == (75, True, "")
+    assert rep.rejections == [6, 7, 18, 21, 32, 34, 45, 47, 58, 60, 71, 73]
+    want = parse_csv(Path(__file__).parent / "data" / "trajectories" / "pair-L2+L1-c5_2-N8.csv")
+    assert [row[0] for row in rep.trajectory] == [row[0] for row in want]
+    for got, row in zip(rep.trajectory, want):
+        assert all(math.isclose(g, w, rel_tol=1e-12) for g, w in zip(got[1:], row[1:])), (got, row)
+
+
 def test_flow_stops_on_stationary_residual():
     # L1 + L-1 without a Higgs field: the descent field is constant on each
     # diagonal entry and moves no curvature, so every trial residual ties
@@ -237,8 +254,8 @@ def test_single_exact_tie_does_not_stop_the_flow(monkeypatch):
     calls = []
     real = flows.pointwise_residual
 
-    def first_trial_ties(state):
-        blocks, l2, linf = real(state)
+    def first_trial_ties(state, *args):
+        blocks, l2, linf = real(state, *args)
         calls.append(l2)
         if len(calls) == 2:  # the first trial reports the current residual
             return blocks, calls[0], linf

@@ -28,6 +28,12 @@ def _eigh_fn(h, f):
     return _from_spectrum(v, f(w))
 
 
+def _eigh_split(h):
+    """``_spectral_split`` by ``eigh`` at every rank."""
+    w, v = np.linalg.eigh(h)
+    return w, lambda fw: _from_spectrum(v, fw)
+
+
 def _eig_log(p):
     w, v = np.linalg.eig(p)
     return (v * (1j * np.angle(w))[..., None, :]) @ np.linalg.inv(v)
@@ -129,7 +135,7 @@ def _per_matrix(f):
 @pytest.mark.parametrize("degrees", [[2, 1], [2, 1, 0]])
 def test_residual_matches_scipy_kernels(degrees, rng, monkeypatch):
     # rank 2 takes the closed forms, rank 3 the eig / eigh path; both against
-    # scipy's funm and logm matrix by matrix
+    # scipy's funm and logm matrix by matrix, and eigh for the metric exponentials
     st = assemble_example("pair_tensor", {"deg1": degrees, "deg2": [0]}, lattice_n=8, seed=1)
     a = 0.3 * (rng.standard_normal(st.u[0].shape) + 1j * rng.standard_normal(st.u[0].shape))
     st.u[0] = a + np.swapaxes(a, -1, -2).conj()
@@ -137,6 +143,7 @@ def test_residual_matches_scipy_kernels(degrees, rng, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(lattice, "_hermitian_function", lambda h, f: _per_matrix(
             lambda x: funm(x, f))(h))
+        m.setattr(lattice, "_spectral_split", _eigh_split)
         m.setattr(lattice, "_log_unitary", _per_matrix(logm))
         m.setattr(lattice, "_matmul", np.matmul)
         ref, ref_l2, _ = pointwise_residual(st)
