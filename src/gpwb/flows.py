@@ -179,17 +179,17 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
         lus[i][step] = lu
         return _hermitian_part(lu.solve(d.reshape(-1)).reshape(d.shape))
 
-    # the exponents and metric split of the latest residual: descend measures
-    # the metric of a point right after its residual, so the split serves both
-    latest = [None, None]
+    # the metric split of the latest residual: descend calls sup_log(u) right
+    # after residual(u), so one split serves both
+    latest = {}
 
     def residual(u):
-        latest[:] = u, _metric_splits(u)
-        blocks, l2, linf = pointwise_residual(replace(work, u=u), latest[1])
+        latest["splits"] = _metric_splits(u)
+        blocks, l2, linf = pointwise_residual(replace(work, u=u), latest["splits"])
         return blocks, (l2, linf)
 
     def sup_log(u):
-        return _sup_log(latest[1] if latest[0] is u else _metric_splits(u))
+        return _sup_log(latest["splits"])
 
     def move(u, blocks, step):
         trial = dict(u)

@@ -381,7 +381,9 @@ def descend(x, residual, move, sup_log, step, tol, step_cap, metric_cutoff,
 
     ``residual(x)`` returns (r, norms) and norms[0] drives the policy;
     ``move(x, r, step)`` returns the trial point; ``sup_log(x)`` measures the
-    metric of an accepted point.  A trial is accepted when it lowers norms[0]
+    metric of an accepted point and is called right after ``residual(x)``,
+    with no other call between, so it may reuse what that call computed.  A
+    trial is accepted when it lowers norms[0]
     by a relative 1e-13 or reaches ``tol``: equal-residual steps are cycles
     (period-2 orbits have exactly equal residuals), not progress.  The step
     halves on a rejection and doubles after five straight accepts, up to

@@ -427,10 +427,6 @@ class LatticePairState:
         """Section in the metric-orthonormal frame: act(e^{u(x)}, Phi(x))."""
         return apply_metric_exponents(self.section, self.rep, _metric_splits(self.u))
 
-    def sup_log_metric(self):
-        """sup over the sites and factors of |log e^{2u}|: 2 max |eigenvalue of u|."""
-        return _sup_log(_metric_splits(self.u))
-
 
 def corrected_links(links: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Multiply links by exp(-i * kappa * transverse centered difference of u).
@@ -503,7 +499,8 @@ def _metric_splits(u: dict) -> dict:
 
 
 def _sup_log(splits: dict) -> float:
-    """2 max |eigenvalue| over the ``_metric_splits`` of the exponents."""
+    """sup over the sites and factors of |log e^{2u}|: 2 max |eigenvalue of
+    u| over the ``_metric_splits`` of the exponents."""
     worst = 0.0
     for ev, _ in splits.values():
         if ev.size:

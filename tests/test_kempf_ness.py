@@ -762,6 +762,28 @@ def test_descend_metric_blow_up():
     assert d.iterations == 3 and d.sup_log > 0.3 and len(d.rows) == 4
 
 
+def test_descend_measures_each_accepted_point_right_after_its_residual():
+    # heat_flow's sup_log reuses the split of the latest residual; gain 25
+    # mixes rejected and accepted trials
+    calls = []
+
+    def residual(x):
+        calls.append(("residual", x))
+        return x, (abs(x), 2.0 * abs(x))
+
+    def sup_log(x):
+        calls.append(("sup_log", x))
+        return 0.0
+
+    d = descend(1.0, residual, lambda x, r, s: x - 25.0 * s * r, sup_log, 0.1, 1e-10, 1.0,
+                50.0, 1000)
+    assert d.converged and d.rejections
+    logs = [k for k, (kind, _) in enumerate(calls) if kind == "sup_log"]
+    assert len(logs) == len(d.rows)
+    for k in logs:
+        assert calls[k - 1] == ("residual", calls[k][1])
+
+
 def test_flow_uniqueness_modulo_unitary(rng):
     spec, rep = u2_tensor(2)
     setting = central(spec, 1.2)

@@ -615,7 +615,7 @@ def test_rank1_sup_log_metric_is_the_eigenvalue_reference(rng):
         state.u[1] = scale * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
         ref = max(2.0 * float(np.max(np.abs(np.linalg.eigvalsh(
             0.5 * (uu + np.swapaxes(uu, -1, -2).conj()))))) for uu in state.u.values())
-        assert state.sup_log_metric() == ref
+        assert lattice._sup_log(lattice._metric_splits(state.u)) == ref
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ from scipy.linalg import funm, logm
 from gpwb import lattice
 from gpwb.flows import assemble_example
 from gpwb.groups import ProductGroupSpec
-from gpwb.lattice import _log_unitary, build_torus, pointwise_residual, random_unitary_gauge
-from gpwb.reps import _hermitian_function, _matmul, _spectral_split
+from gpwb.lattice import (_log_unitary, _metric_splits, _sup_log, build_torus, pointwise_residual,
+                          random_unitary_gauge)
+from gpwb.reps import _hermitian_function, _hermitian_part, _matmul, _spectral_split
 
 TOL = 1e-12
 
@@ -26,12 +27,6 @@ def _from_spectrum(v, w):
 def _eigh_fn(h, f):
     w, v = np.linalg.eigh(h)
     return _from_spectrum(v, f(w))
-
-
-def _eigh_split(h):
-    """``_spectral_split`` by ``eigh`` at every rank."""
-    w, v = np.linalg.eigh(h)
-    return w, lambda fw: _from_spectrum(v, fw)
 
 
 def _eig_log(p):
@@ -81,7 +76,7 @@ def _check_sup_log_metric(h):
                           seed=1)
     st.u[0] = h
     ref = 2.0 * np.max(np.abs(np.linalg.eigvalsh(h)))
-    assert abs(st.sup_log_metric() - ref) <= TOL * ref
+    assert abs(_sup_log(_metric_splits(st.u)) - ref) <= TOL * ref
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -132,10 +127,24 @@ def _per_matrix(f):
     return lambda x: np.array([f(m) for m in x.reshape(-1, *x.shape[-2:])]).reshape(x.shape)
 
 
+def _funm_metric_splits(u):
+    """``_metric_splits`` with eigvalsh eigenvalues and e^h from scipy's funm:
+    ``apply_metric_exponents`` rebuilds only the exponentials of the
+    eigenvalues, which the rebuild checks it was given."""
+    def split(h):
+        w = np.linalg.eigvalsh(h)
+
+        def rebuild(fw):
+            assert np.array_equal(fw, np.exp(w))
+            return _per_matrix(lambda x: funm(x, np.exp))(h)
+        return w, rebuild
+    return {i: split(_hermitian_part(uu)) for i, uu in u.items()}
+
+
 @pytest.mark.parametrize("degrees", [[2, 1], [2, 1, 0]])
 def test_residual_matches_scipy_kernels(degrees, rng, monkeypatch):
     # rank 2 takes the closed forms, rank 3 the eig / eigh path; both against
-    # scipy's funm and logm matrix by matrix, and eigh for the metric exponentials
+    # scipy's funm and logm matrix by matrix
     st = assemble_example("pair_tensor", {"deg1": degrees, "deg2": [0]}, lattice_n=8, seed=1)
     a = 0.3 * (rng.standard_normal(st.u[0].shape) + 1j * rng.standard_normal(st.u[0].shape))
     st.u[0] = a + np.swapaxes(a, -1, -2).conj()
@@ -143,7 +152,7 @@ def test_residual_matches_scipy_kernels(degrees, rng, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(lattice, "_hermitian_function", lambda h, f: _per_matrix(
             lambda x: funm(x, f))(h))
-        m.setattr(lattice, "_spectral_split", _eigh_split)
+        m.setattr(lattice, "_metric_splits", _funm_metric_splits)
         m.setattr(lattice, "_log_unitary", _per_matrix(logm))
         m.setattr(lattice, "_matmul", np.matmul)
         ref, ref_l2, _ = pointwise_residual(st)
