@@ -23,7 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import suite
-from .fixtures import KINDS, CurveFixture, fixture_from_dict, load_fixture, ssc_reduction_equiv
+from .fixtures import (KINDS, CurveFixture, fixture_from_dict, fixture_to_dict, load_fixture,
+                       ssc_reduction_equiv)
 from .flows import FlowOpts, assemble_example, heat_flow, newton_abelian
 from .groups import CONSTANT, ProductGroupSpec, SubgroupSetting
 from .io import emit_csv, write_report
@@ -266,10 +267,7 @@ def run_example_mode(cfg):
     ok, v = ssc_reduction_equiv(fixture, trials=200, rng=np.random.default_rng(cfg["seed"]))
     payload = {
         "mode": mode,
-        "fixture": {"kind": fixture.kind,
-                    "degrees": [list(r) for r in fixture.degrees],
-                    "support": [list(s) for s in fixture.support],
-                    "c": [str(c) for c in fixture.c]},
+        "fixture": fixture_to_dict(fixture),
         "verdict": {"stable": v.stable, "slack": str(v.slack),
                     "marginal": v.marginal, "unsolvable": v.unsolvable,
                     "note": v.note},

@@ -230,11 +230,8 @@ def induced_weight(kind, weights, index):
     """Exact weight on the target summand ``index`` (a support index of
     ``kind``) of the diagonal generator with summand weights ``weights[f]``
     on each gauge factor f, read from the kind's slots."""
-    # signs by negation and the sum seeded with its first term: the
-    # reduction check calls this on Fractions, whose products are slow
-    terms = [weights[f][i] if sign > 0 else -weights[f][i]
-             for (f, sign), i in zip(KINDS[kind].positions, index) if f in weights]
-    return sum(terms[1:], terms[0])
+    return sum(sign * weights[f][i]
+               for (f, sign), i in zip(KINDS[kind].positions, index) if f in weights)
 
 
 def _chain_weights(fixture, chain, alpha):
@@ -367,20 +364,23 @@ def ssc_reduction_equiv(fixture: CurveFixture, trials=1000, rng=None):
 # file format
 
 
+def fixture_to_dict(fixture: CurveFixture) -> dict:
+    """The JSON object of a fixture, the inverse of ``fixture_from_dict``:
+    the central scalars as strings, so they load back exactly."""
+    return {"kind": fixture.kind,
+            "degrees": [list(r) for r in fixture.degrees],
+            "support": [list(s) for s in fixture.support],
+            "c": [str(x) for x in fixture.c]}
+
+
 def save_fixture(path, fixture: CurveFixture):
-    payload = {
-        "kind": fixture.kind,
-        "degrees": [list(r) for r in fixture.degrees],
-        "support": [list(s) for s in fixture.support],
-        "c": [str(x) for x in fixture.c],
-    }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
+        json.dump(fixture_to_dict(fixture), f, indent=1, sort_keys=True)
         f.write("\n")
 
 
 def fixture_from_dict(payload, kind=None) -> CurveFixture:
-    """The fixture of a JSON object with the fields ``save_fixture`` writes,
+    """The fixture of a JSON object with the fields ``fixture_to_dict`` writes,
     as a fixture file and an inline run-config fixture give it; a missing
     ``kind`` is ``kind`` and a missing ``support`` is empty."""
     extra = set(payload) - {"kind", "degrees", "support", "c"}

@@ -8,7 +8,9 @@ factors, with L_A the linear curvature response (FFT solve at rank 1,
 sparse LU at rank > 1, kept for the current and the previous step value);
 frozen factors are never touched and constant-mode factors move by one
 global step.  The step policy and the stop reasons are those of
-``kempf_ness.descend``, which the point flow shares.  The Newton solver
+``kempf_ness.descend``, which the point flow shares; each residual takes
+one spectral split of the exponents, and its metric thunk reads sup_log
+off that split.  The Newton solver
 drives the exact same discrete residual for a single abelian gauge
 factor, so on the solvable side both produce the same metric to solver
 tolerance.
@@ -179,17 +181,10 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
         lus[i][step] = lu
         return _hermitian_part(lu.solve(d.reshape(-1)).reshape(d.shape))
 
-    # the metric split of the latest residual: descend calls sup_log(u) right
-    # after residual(u), so one split serves both
-    latest = {}
-
     def residual(u):
-        latest["splits"] = _metric_splits(u)
-        blocks, l2, linf = pointwise_residual(replace(work, u=u), latest["splits"])
-        return blocks, (l2, linf)
-
-    def sup_log(u):
-        return _sup_log(latest["splits"])
+        splits = _metric_splits(u)
+        blocks, l2, linf = pointwise_residual(replace(work, u=u), splits)
+        return blocks, (l2, linf), lambda: _sup_log(splits)
 
     def move(u, blocks, step):
         trial = dict(u)
@@ -202,8 +197,8 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
             trial[i] = u[i] - step * d
         return trial
 
-    d = descend(work.u, residual, move, sup_log, opts.step, opts.tol, opts.step_cap,
-                opts.metric_cutoff, opts.max_iter)
+    d = descend(work.u, residual, move, opts.step, opts.tol, opts.step_cap, opts.metric_cutoff,
+                opts.max_iter)
     work.u = d.x
     return LatticeFlowReport(
         converged=d.converged,

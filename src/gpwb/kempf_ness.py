@@ -374,16 +374,14 @@ class Descent:
     reason: str
 
 
-def descend(x, residual, move, sup_log, step, tol, step_cap, metric_cutoff,
-            max_iter) -> Descent:
+def descend(x, residual, move, step, tol, step_cap, metric_cutoff, max_iter) -> Descent:
     """Adaptive-step descent of a residual norm, shared by the point and the
     lattice flows.
 
-    ``residual(x)`` returns (r, norms) and norms[0] drives the policy;
-    ``move(x, r, step)`` returns the trial point; ``sup_log(x)`` measures the
-    metric of an accepted point and is called right after ``residual(x)``,
-    with no other call between, so it may reuse what that call computed.  A
-    trial is accepted when it lowers norms[0]
+    ``residual(x)`` returns (r, norms, metric): norms[0] drives the policy
+    and ``metric()`` measures the sup_log of that same x, called for the
+    start and for each accepted trial only; ``move(x, r, step)`` returns the
+    trial point.  A trial is accepted when it lowers norms[0]
     by a relative 1e-13 or reaches ``tol``: equal-residual steps are cycles
     (period-2 orbits have exactly equal residuals), not progress.  The step
     halves on a rejection and doubles after five straight accepts, up to
@@ -394,8 +392,8 @@ def descend(x, residual, move, sup_log, step, tol, step_cap, metric_cutoff,
     (sup_log passes ``metric_cutoff``) or "max_iter".  Converged means the
     final norms[0] is at most ``tol``.
     """
-    r, norms = residual(x)
-    slog = sup_log(x)
+    r, norms, metric = residual(x)
+    slog = metric()
     rows = [(0, *norms, slog)]
     rejections = []
     accepted = ties = it = 0
@@ -403,13 +401,13 @@ def descend(x, residual, move, sup_log, step, tol, step_cap, metric_cutoff,
     while not reason and it < max_iter and norms[0] > tol:
         it += 1
         cand = move(x, r, step)
-        rc, nc = residual(cand)
+        rc, nc, mc = residual(cand)
         if not np.isfinite(nc[0]):
             reason = "non-finite residual"
             break
         if nc[0] <= norms[0] * (1.0 - 1e-13) or nc[0] <= tol:
             x, r, norms = cand, rc, nc
-            slog = sup_log(x)
+            slog = mc()
             rows.append((it, *norms, slog))
             accepted += 1
             if accepted >= 5:
@@ -453,7 +451,8 @@ def gradient_flow(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSett
 
     def residual(h):
         r = shifted_moment_blocks(apply_slots(slot_matrices(h, rep), x, rep), rep, setting)
-        return r, (float(np.sqrt(max(trace_pairing(r.values(), r.values()), 0.0))),)
+        norm = float(np.sqrt(max(trace_pairing(r.values(), r.values()), 0.0)))
+        return r, (norm,), lambda: sup_log(h)
 
     def move(h, r, step):
         return tuple(expm(-1j * step * r[i]) @ b if i in r else b for i, b in enumerate(h))
@@ -464,6 +463,6 @@ def gradient_flow(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSett
 
     h = h0.blocks if h0 is not None else tuple(np.eye(n, dtype=complex) for n in spec.factor_dims)
     spec.check_blocks(h)
-    d = descend(h, residual, move, sup_log, step, tol, step_cap, metric_cutoff, max_iter)
+    d = descend(h, residual, move, step, tol, step_cap, metric_cutoff, max_iter)
     return FlowResult(d.converged, d.iterations, d.norms[0], [row[1] for row in d.rows],
                       GroupElement(d.x), d.sup_log, d.rejections, d.reason)

@@ -237,6 +237,20 @@ def test_rank2_trajectory_matches_the_recorded_one():
         assert all(math.isclose(g, w, rel_tol=1e-12) for g, w in zip(got[1:], row[1:])), (got, row)
 
 
+def test_heat_flow_takes_one_spectral_split_per_residual(monkeypatch):
+    # the start and 75 trials: the metric of an accepted trial reuses its split
+    calls = []
+    real = flows._metric_splits
+
+    def counted(u):
+        calls.append(1)
+        return real(u)
+
+    monkeypatch.setattr(flows, "_metric_splits", counted)
+    rep = heat_flow(stable_rank2_pair(8), RANK2_OPTS)
+    assert rep.iterations == 75 and len(calls) == 76
+
+
 def test_flow_stops_on_stationary_residual():
     # L1 + L-1 without a Higgs field: the descent field is constant on each
     # diagonal entry and moves no curvature, so every trial residual ties

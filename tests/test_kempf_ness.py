@@ -574,7 +574,7 @@ def reference_flow(x, rep, spec, setting, max_iter, tol):
     ``inner_product`` and ``GroupElement.compose`` under ``descend``."""
     def residual(h):
         r = mu_shifted(act(h, x, rep), rep, spec, setting)
-        return r, (float(np.sqrt(max(inner_product(r, r, spec), 0.0))),)
+        return r, (float(np.sqrt(max(inner_product(r, r, spec), 0.0))),), lambda: sup_log(h)
 
     def move(h, r, step):
         return GroupElement(tuple(
@@ -589,8 +589,8 @@ def reference_flow(x, rep, spec, setting, max_iter, tol):
                 worst = max(worst, 0.5 * float(np.max(np.abs(np.log(ev)))))
         return worst
 
-    return descend(GroupElement.identity(spec, "complexified"), residual, move, sup_log,
-                   0.1, tol, 1.0, 50.0, max_iter)
+    return descend(GroupElement.identity(spec, "complexified"), residual, move, 0.1, tol, 1.0,
+                   50.0, max_iter)
 
 
 def test_flow_matches_the_element_reference_exactly():
@@ -685,8 +685,10 @@ def scalar_descent(x0=1.0, gain=1.0, step=0.1, tol=1e-10, step_cap=1.0,
         steps.append(s)
         return (move or default_move)(x, r, s)
 
-    d = descend(x0, lambda x: (x, (abs(x), 2.0 * abs(x))), recording_move,
-                sup_log or (lambda x: 0.0), step, tol, step_cap, metric_cutoff, max_iter)
+    def residual(x):
+        return x, (abs(x), 2.0 * abs(x)), lambda: sup_log(x) if sup_log else 0.0
+
+    d = descend(x0, residual, recording_move, step, tol, step_cap, metric_cutoff, max_iter)
     return d, steps
 
 
@@ -762,26 +764,42 @@ def test_descend_metric_blow_up():
     assert d.iterations == 3 and d.sup_log > 0.3 and len(d.rows) == 4
 
 
-def test_descend_measures_each_accepted_point_right_after_its_residual():
-    # heat_flow's sup_log reuses the split of the latest residual; gain 25
-    # mixes rejected and accepted trials
-    calls = []
+def overshooting_descent(rejected_metric):
+    """descend at gain 25, which overshoots at step 0.1 (|x| grows 1.5-fold,
+    a rejection) and not at 0.05, with ``rejected_metric`` as the metric
+    thunk of every rejected trial; the measured points in order."""
+    measured, steps = [], [None]
+
+    def move(x, r, s):
+        steps[0] = s
+        return x - 25.0 * s * r
 
     def residual(x):
-        calls.append(("residual", x))
-        return x, (abs(x), 2.0 * abs(x))
+        def metric():
+            measured.append(x)
+            return 0.0
 
-    def sup_log(x):
-        calls.append(("sup_log", x))
-        return 0.0
+        return x, (abs(x), 2.0 * abs(x)), rejected_metric if steps[0] == 0.1 else metric
 
-    d = descend(1.0, residual, lambda x, r, s: x - 25.0 * s * r, sup_log, 0.1, 1e-10, 1.0,
-                50.0, 1000)
+    d = descend(1.0, residual, move, 0.1, 1e-10, 1.0, 50.0, 1000)
+    return d, measured
+
+
+def test_descend_measures_the_start_and_each_accepted_trial_only():
+    def never():
+        raise AssertionError("measured the metric of a rejected trial")
+
+    d, measured = overshooting_descent(never)
     assert d.converged and d.rejections
-    logs = [k for k, (kind, _) in enumerate(calls) if kind == "sup_log"]
-    assert len(logs) == len(d.rows)
-    for k in logs:
-        assert calls[k - 1] == ("residual", calls[k][1])
+    assert len(measured) == len(d.rows)
+    assert [abs(x) for x in measured] == [row[1] for row in d.rows]
+
+
+def test_descend_ignores_the_metric_of_a_rejected_trial():
+    # each rejected trial's metric passes the cutoff 50
+    d, measured = overshooting_descent(lambda: 1e3)
+    assert d.converged and d.reason == "" and d.rejections
+    assert all(row[-1] == 0.0 for row in d.rows) and d.sup_log == 0.0
 
 
 def test_flow_uniqueness_modulo_unitary(rng):
