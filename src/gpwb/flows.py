@@ -5,15 +5,15 @@ The flow works in the metric picture: holomorphic links and section are
 fixed, and per-site Hermitian exponents u evolve by
 u <- u - step * (I + step L_A)^{-1} (i * residual) on gauge-varying
 factors, with L_A the linear curvature response (FFT solve at rank 1,
-sparse LU at rank > 1, kept for the current and the previous step value);
-frozen factors are never touched and constant-mode factors move by one
-global step.  The step policy and the stop reasons are those of
-``kempf_ness.descend``, which the point flow shares; each residual takes
-one spectral split of the exponents, and its metric thunk reads sup_log
-off that split.  The Newton solver
-drives the exact same discrete residual for a single abelian gauge
-factor, so on the solvable side both produce the same metric to solver
-tolerance.
+sparse LU at rank > 1, kept for the last three step values, the cycle
+s/2, s, 2s that the step policy settles into); frozen factors are never
+touched and constant-mode factors move by one global step.  The step
+policy and the stop reasons are those of ``kempf_ness.descend``, which
+the point flow shares; each residual takes one spectral split of the
+exponents, and its metric thunk reads sup_log off that split.  The
+Newton solver drives the exact same discrete residual for a single
+abelian gauge factor, so on the solvable side both produce the same
+metric to solver tolerance.
 """
 from __future__ import annotations
 
@@ -141,9 +141,12 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
     linear curvature response of ``curvature_response_matrix`` for the
     factor's links.  That removes the stiffness of the curvature term, so
     the step count does not grow with N.  Rank-1 factors solve by FFT;
-    at rank > 1 the sparse LUs of I + step L_A are kept for the current
-    and the previous step value, so a step that halves and doubles back
-    reuses its factorization.  The fixed points are those of the explicit
+    at rank > 1 the sparse LUs of I + step L_A are kept for the last three
+    step values.  The step policy halves the step on a rejection and
+    doubles it after a run of accepts, so a converging flow cycles over
+    three consecutive powers of two, s/2, s and 2s, and factors each of
+    them once; with room for two, every turn of the cycle would evict an
+    LU it needs again.  The fixed points are those of the explicit
     flow.  The step policy is that of ``kempf_ness.descend``; a flow that
     does not converge is reported with its reason, never raised.
     """
@@ -164,9 +167,11 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
             responses[i] = curvature_response_matrix(work.lattice, b.links).tocsc()
             responses[i].eliminate_zeros()
     eye = {i: sp.identity(a.shape[0], format="csc") for i, a in responses.items()}
-    # factor -> {step: LU of I + step L_A} for the current and the previous
-    # step value, least recently used first.  Steps only halve and double,
-    # so the float keys repeat exactly.
+    # factor -> {step: LU of I + step L_A} for the last three step values,
+    # least recently used first: three, because the step policy's cycle
+    # visits s/2, s and 2s.  Steps only halve and double, so the float keys
+    # repeat exactly.  The oldest LU is released before a new one is
+    # factorized, so at most three are alive at once.
     lus = {i: {} for i in responses}
 
     def implicit(i, d, step):
@@ -175,8 +180,8 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
             return delta[:, :, None, None].astype(complex)
         lu = lus[i].pop(step, None)
         if lu is None:
-            if len(lus[i]) > 1:
-                del lus[i][next(iter(lus[i]))]  # release the older LU before factorizing
+            if len(lus[i]) > 2:
+                del lus[i][next(iter(lus[i]))]  # release the oldest LU before factorizing
             lu = spla.splu(eye[i] + step * responses[i])
         lus[i][step] = lu
         return _hermitian_part(lu.solve(d.reshape(-1)).reshape(d.shape))

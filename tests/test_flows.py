@@ -302,13 +302,15 @@ class _CountedLU:
 
 
 @pytest.mark.parametrize("degrees,c,n,seed,converges,most_splu", [
-    # 75 steps; 24 factorizations when only the current step value is kept
-    ([2, 1], 2.5, 8, 1, True, 13),
-    # unstable, sat<phi> = L1: the step halves about 40 times; 51 with one LU
-    ([1, 1], 1.5, 16, 3, False, 35),
+    # 75 steps over the cycle 0.05, 0.1, 0.2: 3 factorizations; 13 with
+    # room for two LUs, 24 with room for one
+    ([2, 1], 2.5, 8, 1, True, 3),
+    # unstable, sat<phi> = L1: the step keeps halving until the residual
+    # stalls; 22 factorizations, 23 with room for two LUs, 24 with one
+    ([1, 1], 1.5, 16, 3, False, 23),
 ])
-def test_rank2_flow_keeps_two_factorizations(monkeypatch, degrees, c, n, seed, converges,
-                                             most_splu):
+def test_rank2_flow_keeps_three_factorizations(monkeypatch, degrees, c, n, seed, converges,
+                                               most_splu):
     st = assemble_example("pair_tensor", {"deg1": degrees, "deg2": [0], "c": c * TWO_PI,
                                           "support": [[0, 0], [1, 0]]},
                           lattice_n=n, seed=seed)
@@ -320,8 +322,39 @@ def test_rank2_flow_keeps_two_factorizations(monkeypatch, degrees, c, n, seed, c
     rep = heat_flow(st, RANK2_OPTS)
     assert rep.converged == converges
     assert _CountedLU.made <= most_splu
-    assert _CountedLU.most_alive <= 2
+    assert _CountedLU.most_alive <= 3
     assert _CountedLU.alive == 0
+
+
+class _FreshLU:
+    """Stands in for an LU: factors its matrix afresh on every solve."""
+
+    def __init__(self, splu, *args, **kwargs):
+        self.factor = lambda: splu(*args, **kwargs)
+
+    def solve(self, b):
+        return self.factor().solve(b)
+
+
+@pytest.mark.parametrize("state", [
+    lambda: stable_rank2_pair(8),
+    # the rank-2 coherent system of the benchmark: steps cycle over 0.1,
+    # 0.05 and 0.025
+    lambda: assemble_example("coherent_system",
+                             {"deg": [2, 1], "k": 1, "c1": 2.5 * TWO_PI, "c2": -2 * TWO_PI,
+                              "support": [[0, 0], [1, 0]]}, lattice_n=8, seed=1),
+], ids=["pair", "coherent_system"])
+def test_reused_factorizations_keep_the_bits(monkeypatch, state):
+    st = state()
+    kept = heat_flow(st, RANK2_OPTS)
+    real = flows.spla.splu
+    monkeypatch.setattr(flows.spla, "splu", lambda *a, **k: _FreshLU(real, *a, **k))
+    fresh = heat_flow(st, RANK2_OPTS)
+    assert kept.converged and fresh.converged
+    assert kept.state.u.keys() == fresh.state.u.keys()
+    assert all(np.array_equal(kept.state.u[i], fresh.state.u[i]) for i in kept.state.u)
+    assert kept.trajectory == fresh.trajectory
+    assert (kept.rejections, kept.reason) == (fresh.rejections, fresh.reason)
 
 
 # ---------------------------------------------------------------------------
