@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import CONSTANT, FROZEN, FULL
-from .kempf_ness import chain_generator_weights
+from .kempf_ness import StabilityVerdict, chain_generator_weights
 from .reps import ADJOINT, AXES, DUAL, STANDARD
 
 
@@ -159,20 +159,6 @@ class CurveFixture:
         object.__setattr__(self, "c", cs)
 
 
-@dataclass
-class FixtureVerdict:
-    stable: bool
-    slack: Fraction = None          # min over enumerated directions; None if vacuous
-    witness: tuple = None           # description of the minimising direction
-    marginal: bool = False
-    unsolvable: bool = False
-    note: str = ""
-
-    def __post_init__(self):
-        if self.slack is not None and not self.unsolvable and self.stable != (self.slack > 0):
-            raise ValueError(f"verdict stable={self.stable} contradicts slack {self.slack}")
-
-
 def _subsets(n):
     for r in range(n + 1):
         for s in itertools.combinations(range(n), r):
@@ -183,7 +169,7 @@ def _subsets(n):
 # the verdict engine
 
 
-def verdict(fixture: CurveFixture) -> FixtureVerdict:
+def verdict(fixture: CurveFixture) -> StabilityVerdict:
     """Exact verdict: the kind's trace constraint, then the least weight
     over the summand subsets S of the gauge factors of the two generators
     of the single step S < everything: weight -1 on S and 0 off it
@@ -203,7 +189,7 @@ def verdict(fixture: CurveFixture) -> FixtureVerdict:
         slack = sign * sum(sum(fixture.degrees[f]) - fixture.c[f] * len(fixture.degrees[f])
                            for f in entry.gauge)
         if slack != 0:
-            return FixtureVerdict(stable=False, slack=None, unsolvable=True, note=note.format(
+            return StabilityVerdict(stable=False, slack=None, unsolvable=True, note=note.format(
                 slack=slack, per_rank=slack / len(fixture.degrees[0])))
     everything = {f: frozenset(range(len(fixture.degrees[f]))) for f in entry.gauge}
     best = None
@@ -216,9 +202,9 @@ def verdict(fixture: CurveFixture) -> FixtureVerdict:
             if w is not None and (best is None or w < best[0]):
                 best = (w, (label,) + tuple(tuple(sorted(p)) for p in parts))
     if best is None:
-        return FixtureVerdict(stable=True, slack=None, note=entry.vacuous_note)
+        return StabilityVerdict(stable=True, slack=None, note=entry.vacuous_note)
     slack, witness = best
-    return FixtureVerdict(stable=bool(slack > 0), slack=slack, witness=witness,
+    return StabilityVerdict(stable=bool(slack > 0), slack=slack, witness=witness,
                           marginal=bool(slack == 0))
 
 

@@ -8,9 +8,13 @@ set with ``descend``, the adaptive-step driver that the lattice heat flow
 shares.
 
 Directions and group elements enter as validated ``AlgebraElement`` and
-``GroupElement``.  The point flow and the stabilizer count check x once and
-then compute on tuples and stacks of plain factor blocks through the slot
-kernel of ``reps``, as the lattice does.
+``GroupElement``.  A weighted filtration's generator is its eigen-split,
+read off the chain (``WeightedFiltration.split``), and never built as an
+element: the maximal weight of a direction and the total weight of a
+filtration share one V^- test on eigen-splits.  The point flow and the
+stabilizer count check x once and then compute on tuples and stacks of
+plain factor blocks through the slot kernel of ``reps``, as the lattice
+does.
 """
 from __future__ import annotations
 
@@ -22,11 +26,11 @@ from scipy.linalg import expm
 from .groups import (
     FROZEN,
     AlgebraElement,
+    DimensionMismatchError,
     GroupElement,
     ProductGroupSpec,
     SubgroupSetting,
     compact_basis,
-    inner_product,
     trace_pairing,
 )
 from .reps import (
@@ -51,9 +55,10 @@ class WeightedFiltration:
     """Increasing chain of subspaces of one factor with increasing weights.
 
     ``chain[k]`` is an orthonormal column basis of the k-th subspace; the
-    last entry spans the whole factor space.  The associated algebra
-    element has eigenvalue -i*alpha_k on the k-th graded piece, i.e.
-    i*chi has the increasing real eigenvalues alpha_1 < ... < alpha_r.
+    last entry spans the whole factor space.  The generator chi has
+    eigenvalue -i*alpha_k on the k-th graded piece, i.e. i*chi has the
+    increasing real eigenvalues alpha_1 < ... < alpha_r; ``split`` gives
+    that eigen-split.
     """
 
     factor: int
@@ -80,29 +85,35 @@ class WeightedFiltration:
     def length(self):
         return len(self.chain)
 
-    def element(self, spec: ProductGroupSpec) -> AlgebraElement:
-        """chi = -i sum_k alpha_k P_k on the designated factor, 0 elsewhere,
-        with P_k the projector onto the k-th graded piece."""
-        blocks = [np.zeros((n, n), complex) for n in spec.factor_dims]
-        acc = np.zeros_like(blocks[self.factor])
-        prev = 0
-        for a, q in zip(self.weights, self.chain):
-            p = q @ q.conj().T
-            acc += -1j * a * (p - prev)
-            prev = p
-        blocks[self.factor] = 0.5 * (acc - acc.conj().T)  # strip roundoff
-        return AlgebraElement(tuple(blocks), "compact")
+    def split(self):
+        """(w, v) with i*chi = v diag(w) v^dagger: w holds alpha_k once per
+        dimension of the k-th graded piece, and v is a unitary adapted to the
+        chain, its first dim chain[k] columns spanning chain[k].  v starts as
+        chain[0]; each later step adds the leading left singular vectors of
+        what the earlier columns leave of it."""
+        v = self.chain[0]
+        for q in self.chain[1:]:
+            u = np.linalg.svd(q - v @ (v.conj().T @ q), full_matrices=False)[0]
+            v = np.concatenate([v, u[:, :q.shape[1] - v.shape[1]]], axis=1)
+        dims = [q.shape[1] for q in self.chain]
+        return np.repeat(self.weights, [b - a for a, b in zip([0] + dims, dims)]), v
 
 
 @dataclass
 class StabilityVerdict:
+    """A stability verdict at a point or on a curve: ``slack`` is the least
+    total weight (a float, or an exact Fraction; None when vacuous or
+    unsolvable) and ``witness`` describes a direction that attains it."""
+
     stable: bool
-    slack: float
-    witness: WeightedFiltration = None
+    slack: object = None
+    witness: object = None
     marginal: bool = False
+    unsolvable: bool = False
+    note: str = ""
 
     def __post_init__(self):
-        if self.stable != (self.slack > 0.0):
+        if self.slack is not None and not self.unsolvable and self.stable != (self.slack > 0):
             raise ValueError(f"verdict stable={self.stable} contradicts slack {self.slack}")
 
 
@@ -122,45 +133,49 @@ class FlowResult:
 # maximal weights
 
 
-def maximal_weight(x, s: AlgebraElement, rep: RepSpec) -> float:
+def _v_minus_weight(x, splits, rep: RepSpec) -> float:
     """0 if x lies in V^-, the span of the eigenvectors of i*rho(s) with
-    eigenvalue <= 0 (within 1e-9), else +inf.
-
-    One ``eigh`` of the Hermitian i*s_f per factor gives an eigenbasis of
-    i*rho(s) on V: rotated into it by the adjoint eigenvector blocks, i*rho(s)
-    is diagonal with the ``summand_weights`` of the eigenvalues, so V^- is
-    a set of coordinates.  A factor with s_f = 0 takes no ``eigh`` and no
-    rotation: its weights are 0.
-    """
-    x = np.asarray(x, dtype=complex)
+    eigenvalue <= 0 (within 1e-9), else +inf, for s given per factor by the
+    eigen-split (w, v) of i*s_f (v None: not rotated).  Rotated into those
+    eigenbases, i*rho(s) is diagonal with the ``summand_weights`` of the w,
+    so V^- is a set of coordinates."""
     nx = np.linalg.norm(x)
     if nx == 0.0:
         return 0.0
-    ws, rotations = [], []
-    for b in s.blocks:
-        if b.any():
-            w, v = np.linalg.eigh(_hermitian_part(1j * b))
-            ws.append(w)
-            rotations.append(v.conj().T)
-        else:  # weights 0 in every basis: no eigh, and its slots are not rotated
-            ws.append(np.zeros(len(b)))
-            rotations.append(None)
-    y = apply_slots(slot_matrices(rotations, rep), x.reshape(-1), rep)
-    outside = y.reshape(rep.shape)[summand_weights(ws, rep) > 1e-9]
-    if np.linalg.norm(outside) <= MEMBERSHIP_TOL * nx:
-        return 0.0
-    return np.inf
+    rotations = [None if v is None else v.conj().T for _, v in splits]
+    y = apply_slots(slot_matrices(rotations, rep), x, rep)
+    outside = y.reshape(rep.shape)[summand_weights([w for w, _ in splits], rep) > 1e-9]
+    return 0.0 if np.linalg.norm(outside) <= MEMBERSHIP_TOL * nx else np.inf
+
+
+def maximal_weight(x, s: AlgebraElement, rep: RepSpec) -> float:
+    """The maximal weight of x for s, 0 or +inf by the V^- test: one ``eigh``
+    of the Hermitian i*s_f per factor, none for a zero block (weights 0)."""
+    x = _flat_v(x, rep)
+    rep.spec.check_blocks(s.blocks)
+    return _v_minus_weight(x, [np.linalg.eigh(_hermitian_part(1j * b)) if b.any()
+                               else (np.zeros(len(b)), None) for b in s.blocks], rep)
 
 
 def total_weight(x, filt: WeightedFiltration, c: AlgebraElement, rep: RepSpec) -> float:
     """lambda(x; chi) - <chi, c>: the total weight over a point, where the
     degree term is zero (the curve's degree term lives in the exact weights
-    of ``fixtures``)."""
-    chi = filt.element(rep.spec)
-    lam = maximal_weight(x, chi, rep)
+    of ``fixtures``).  The filtration's own eigen-split goes to the V^- test,
+    and chi = -i v diag(w) v^dagger is paired with c on its one factor."""
+    x = _flat_v(x, rep)
+    dims = rep.spec.factor_dims
+    rep.spec.check_blocks(c.blocks)
+    f = filt.factor
+    if f not in range(len(dims)):
+        raise DimensionMismatchError(f, len(dims), "factor count")
+    if filt.chain[-1].shape[0] != dims[f]:
+        raise DimensionMismatchError(f, dims[f], filt.chain[-1].shape[0])
+    w, v = filt.split()
+    lam = _v_minus_weight(x, [(w, v) if i == f else (np.zeros(n), None)
+                              for i, n in enumerate(dims)], rep)
     if np.isinf(lam):
         return np.inf
-    return lam - inner_product(chi, c, rep.spec)
+    return lam - trace_pairing([-1j * (v * w) @ v.conj().T], [c.blocks[f]])
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +198,8 @@ def ssc_generators(filt_chain, factor=0):
     Each weight vector of ``chain_generator_weights`` becomes the filtration
     by the steps where its weight rises, closed off with the full space:
     weights (-1, 0) on a truncation, (0, 1) on a co-truncation, or one
-    weight -1 or 1 on the full space.  The elements have eigenvalues in
-    {0, +-i}.
+    weight -1 or 1 on the full space.  Their generators have eigenvalues
+    in {0, +-i}.
     """
     r = len(filt_chain)
     gens = []
@@ -244,10 +259,10 @@ def stability_test(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSet
             raise ValueError(f"factors {nf} are unfrozen: stability_test examines the "
                              f"subspaces of one factor, so name it with factor=")
         factor = nf[0]
+    x = _flat_v(x, rep)
     full = np.eye(spec.factor_dims[factor], dtype=complex)
     c = setting.central_shift
-    best = np.inf
-    witness = None
+    best, witness = np.inf, None
     # the central pair once, then the lowering (-1, 0) and the raising (0, 1)
     # of each W < full; the other two generators of [W, full] are the central pair
     gens = ssc_generators([full], factor)
@@ -256,12 +271,9 @@ def stability_test(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSet
     for gen in gens:
         w = total_weight(x, gen, c, rep)
         if w < best:
-            best = w
-            witness = gen
-    stable = bool(best > 0.0)
-    marginal = bool(abs(best) <= 1e-9) if np.isfinite(best) else False
-    return StabilityVerdict(stable=stable, slack=float(best), witness=witness,
-                            marginal=marginal)
+            best, witness = w, gen
+    return StabilityVerdict(stable=bool(best > 0.0), slack=float(best), witness=witness,
+                            marginal=bool(abs(best) <= 1e-9))
 
 
 # ---------------------------------------------------------------------------

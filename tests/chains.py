@@ -1,9 +1,11 @@
-"""Chain enumeration for the brute-force references of the stability tests.
+"""Chain enumeration and the brute-force reference of the stability tests.
 
-``stability_test`` evaluates single subspaces only; the references walk
-every chain, so that they check that reduction instead of repeating it.
+``stability_test`` evaluates single subspaces only; the reference walks
+every chain, so that it checks that reduction instead of repeating it.
 """
 import numpy as np
+
+from gpwb.kempf_ness import WeightedFiltration, default_subspace_lattice, total_weight
 
 
 def nested_chains(subspaces, dim_full):
@@ -39,3 +41,28 @@ def nested_chains(subspaces, dim_full):
 
     grow([], 0)
     return out
+
+
+def brute_force_stable(x, rep, spec, setting, rng, n_grid, n_rand):
+    """Stability by a dense alpha-grid walk over every chain of the candidate
+    subspaces of factor 0 and ``n_rand`` random ones: the least direct total
+    weight over the grid's strictly increasing, nonzero weight vectors (each
+    rounded to 9 digits) is positive."""
+    n = spec.factor_dims[0]
+    subs = list(default_subspace_lattice(x, rep, 0))
+    for _ in range(n_rand):
+        k = int(rng.integers(1, n))
+        q = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
+        subs.append(q[:, :k])
+    c = setting.central_shift
+    worst = np.inf
+    grid = np.linspace(-2, 2, n_grid)
+    for chain in nested_chains(subs, n):
+        r = len(chain)
+        for alpha in np.stack(np.meshgrid(*([grid] * r)), axis=-1).reshape(-1, r):
+            alpha = np.round(alpha, 9)
+            if np.any(np.diff(alpha) <= 1e-12) or np.linalg.norm(alpha) < 1e-9:
+                continue
+            filt = WeightedFiltration(0, tuple(chain), tuple(alpha))
+            worst = min(worst, total_weight(x, filt, c, rep))
+    return worst > 0

@@ -31,14 +31,11 @@ from gpwb.groups import (
     random_unitary,
 )
 from gpwb.kempf_ness import (
-    WeightedFiltration,
-    default_subspace_lattice,
     gradient_flow,
     is_simple,
     kn_functional,
     kn_functional_group,
     stability_test,
-    total_weight,
 )
 from gpwb.lattice import (
     TWO_PI,
@@ -62,7 +59,7 @@ from gpwb.reps import (
     symplectic_form,
 )
 
-from chains import nested_chains
+from chains import brute_force_stable
 
 RNG = np.random.default_rng(987654321)
 
@@ -122,26 +119,6 @@ def test_criterion_01_moment_map_suite():
     report(1, "moment-map suite", f"(5 rep classes x 200 instances, {dt:.1f}s)")
 
 
-def _brute_force_stable(x, rep, spec, setting, rng, n_grid=5, n_rand=25):
-    n = spec.factor_dims[0]
-    subs = list(default_subspace_lattice(x, rep, 0))
-    for _ in range(n_rand):
-        k = int(rng.integers(1, n))
-        q = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
-        subs.append(q[:, :k])
-    c = setting.central_shift
-    worst = np.inf
-    grid = np.linspace(-2, 2, n_grid)
-    for chain in nested_chains(subs, n):
-        r = len(chain)
-        for alpha in np.stack(np.meshgrid(*([grid] * r)), axis=-1).reshape(-1, r):
-            if np.any(np.diff(alpha) <= 1e-12) or np.linalg.norm(alpha) < 1e-9:
-                continue
-            filt = WeightedFiltration(0, tuple(chain), tuple(alpha))
-            worst = min(worst, total_weight(x, filt, c, rep))
-    return worst > 0
-
-
 def test_criterion_02_finite_dim_correspondence():
     t0 = time.time()
     spec = ProductGroupSpec((2, 2))
@@ -159,7 +136,7 @@ def test_criterion_02_finite_dim_correspondence():
             continue
         res = gradient_flow(x, rep, spec, setting, max_iter=8000, tol=1e-8)
         assert res.converged == v.stable, (c1, v.slack, res.final_residual)
-        assert _brute_force_stable(x, rep, spec, setting, rng) == v.stable
+        assert brute_force_stable(x, rep, spec, setting, rng, n_grid=5, n_rand=25) == v.stable
         done += 1
     dt = time.time() - t0
     assert dt < 120.0

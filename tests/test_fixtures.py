@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gpwb.fixtures import (
     KINDS,
     CurveFixture,
-    FixtureVerdict,
     chain_generators,
     induced_weight,
     load_fixture,
@@ -505,7 +504,7 @@ def _reference_verdict(f):
         k = len(d[1])
         constraint = Fraction(sum(d[0])) - c[0] * n - c[1] * k
         if constraint != 0:
-            return FixtureVerdict(stable=False, unsolvable=True, note=(
+            return StabilityVerdict(stable=False, unsolvable=True, note=(
                 f"constraint deg - c1 rk - c2 k = {constraint} != 0")), True
         sec_rows = {j: frozenset(i for i, jj in f.support if jj == j) for j in range(k)}
         for s in subsets(n):
@@ -519,7 +518,7 @@ def _reference_verdict(f):
         n2 = len(d[1])
         rule = c[0] * n + c[1] * n2 - sum(d[0]) - sum(d[1])
         if rule != 0:
-            return FixtureVerdict(stable=False, unsolvable=True, note=(
+            return StabilityVerdict(stable=False, unsolvable=True, note=(
                 f"sum rule n1 c1 + n2 c2 - deg = {rule} != 0")), True
         for s1 in subsets(n):
             for s2 in subsets(n2):
@@ -531,16 +530,16 @@ def _reference_verdict(f):
     else:
         mu = Fraction(sum(d[0]), n)
         if c[0] != mu:
-            return FixtureVerdict(stable=False, unsolvable=True,
-                                  note=f"cm != slope: obstruction {mu - c[0]}"), True
+            return StabilityVerdict(stable=False, unsolvable=True,
+                                    note=f"cm != slope: obstruction {mu - c[0]}"), True
         vacuous = "no invariant proper summand subsheaf"
         for s in subsets(n):
             if 0 < len(s) < n and all(b not in s or a in s for a, b in f.support):
                 cands.append((mu * len(s) - deg(d[0], s), ("invariant", tuple(sorted(s)))))
     if not cands:
-        return FixtureVerdict(stable=True, note=vacuous), True
+        return StabilityVerdict(stable=True, note=vacuous), True
     slack, witness = min(cands, key=lambda sw: sw[0])
-    return (FixtureVerdict(stable=slack > 0, slack=slack, witness=witness, marginal=slack == 0),
+    return (StabilityVerdict(stable=slack > 0, slack=slack, witness=witness, marginal=slack == 0),
             sum(1 for s, _ in cands if s == slack) == 1)
 
 
@@ -704,7 +703,7 @@ def test_rows_without_an_assembly_parameter_are_the_trivial_line(row):
 
 def test_inconsistent_verdicts_raise():
     with pytest.raises(ValueError):
-        FixtureVerdict(stable=True, slack=Fraction(-1))
+        StabilityVerdict(stable=True, slack=Fraction(-1))
     with pytest.raises(ValueError):
         StabilityVerdict(stable=False, slack=0.5)
-    assert FixtureVerdict(stable=False, slack=Fraction(1), unsolvable=True).unsolvable
+    assert StabilityVerdict(stable=False, slack=Fraction(1), unsolvable=True).unsolvable

@@ -10,6 +10,7 @@ from gpwb.groups import (
     GroupElement,
     ProductGroupSpec,
     SubgroupSetting,
+    haar_unitary,
     inner_product,
     project_subalgebra,
     random_compact,
@@ -46,7 +47,7 @@ from gpwb.reps import (
     summand_weights,
 )
 
-from chains import nested_chains
+from chains import brute_force_stable, nested_chains
 
 U1 = ProductGroupSpec((1,))
 REP_U1 = RepSpec(U1, (Slot(1, STANDARD, 0),))
@@ -74,6 +75,21 @@ def dense_maximal_weight(x, s, rep):
     return (0.0 if inside else np.inf), vals, basis
 
 
+def filtration_element(filt, spec):
+    """chi = -i sum_k alpha_k (P_k - P_{k-1}) on the filtration's factor and 0
+    elsewhere, built from the projectors P_k of the chain: the test oracle
+    of ``WeightedFiltration.split`` and ``total_weight``."""
+    blocks = [np.zeros((n, n), complex) for n in spec.factor_dims]
+    acc = np.zeros_like(blocks[filt.factor])
+    prev = 0
+    for a, q in zip(filt.weights, filt.chain):
+        p = q @ q.conj().T
+        acc += -1j * a * (p - prev)
+        prev = p
+    blocks[filt.factor] = 0.5 * (acc - acc.conj().T)  # strip roundoff
+    return AlgebraElement(tuple(blocks), "compact")
+
+
 LAYOUTS = {
     "standard": ((2, 3), ((2, STANDARD, 0), (3, STANDARD, 1))),
     "dual": ((2, 3), ((2, DUAL, 0), (3, STANDARD, 1))),
@@ -82,22 +98,38 @@ LAYOUTS = {
 }
 
 
+def layout_rep(layout):
+    dims, slots = LAYOUTS[layout]
+    spec = ProductGroupSpec(dims)
+    return spec, RepSpec(spec, tuple(Slot(*sl) for sl in slots))
+
+
+def random_filtration(spec, rng):
+    """A filtration of a random factor: a random chain of length 1 to n in a
+    Haar-random basis, with random strictly increasing weights."""
+    f = int(rng.integers(spec.num_factors))
+    n = spec.factor_dims[f]
+    q = haar_unitary(rng, n)
+    k = int(rng.integers(1, n + 1))
+    steps = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist()) + [n]
+    return WeightedFiltration(f, tuple(q[:, :m] for m in steps), np.sort(rng.uniform(-2, 2, k)))
+
+
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_maximal_weight_matches_dense_reference(layout, rng):
     """The per-factor eigenbasis of maximal_weight against the D x D
     operator: same spectrum, and the same weight for x inside and outside
     V^- on filtration elements of either factor."""
-    dims, slots = LAYOUTS[layout]
-    spec = ProductGroupSpec(dims)
-    rep = RepSpec(spec, tuple(Slot(*sl) for sl in slots))
+    spec, rep = layout_rep(layout)
     for trial in range(40):
         f = trial % 2
-        n = dims[f]
+        n = spec.factor_dims[f]
         q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
         k = int(rng.integers(1, n + 1))
         weights = np.sort(rng.choice(np.arange(-2.0, 3.0), size=k, replace=False))
         steps = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False).tolist()) + [n]
-        s = WeightedFiltration(f, tuple(q[:, :m] for m in steps), weights).element(spec)
+        s = filtration_element(WeightedFiltration(f, tuple(q[:, :m] for m in steps), weights),
+                               spec)
         x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
         want, vals, basis = dense_maximal_weight(x, s, rep)
         eig = [np.linalg.eigvalsh(0.5j * (b - b.conj().T)) for b in s.blocks]
@@ -192,6 +224,88 @@ def test_total_weight_matches_direct_formula(rng):
     assert got == pytest.approx(-pairing, abs=1e-10)
 
 
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_split_is_adapted_to_the_chain(layout, rng):
+    spec, _ = layout_rep(layout)
+    for _ in range(20):
+        filt = random_filtration(spec, rng)
+        w, v = filt.split()
+        n = spec.factor_dims[filt.factor]
+        assert np.linalg.norm(v.conj().T @ v - np.eye(n)) < 1e-12
+        for q in filt.chain:
+            d = q.shape[1]
+            assert np.linalg.norm(v[:, :d] @ v[:, :d].conj().T - q @ q.conj().T) < 1e-12
+        dims = np.diff([0] + [q.shape[1] for q in filt.chain])
+        assert np.array_equal(w, np.repeat(filt.weights, dims))
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_total_weight_matches_the_element_reference(layout, rng):
+    """The total weight from the filtration's own split against the maximal
+    weight of its generator built as an element, minus ``inner_product``:
+    agreement to 1e-12, and on +inf, for x inside and outside V^-."""
+    spec, rep = layout_rep(layout)
+    inside = 0
+    for _ in range(40):
+        filt = random_filtration(spec, rng)
+        c = random_compact(spec, rng)
+        chi = filtration_element(filt, spec)
+        x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+        basis = dense_maximal_weight(x, chi, rep)[2]
+        points = [x] + ([basis @ rng.standard_normal(basis.shape[1])] if basis.shape[1] else [])
+        for y in points:
+            want = maximal_weight(y, chi, rep)
+            got = total_weight(y, filt, c, rep)
+            if np.isinf(want):
+                assert got == np.inf
+            else:
+                inside += 1
+                assert abs(got - (want - inner_product(chi, c, spec))) < 1e-12
+    assert inside >= 40
+
+
+def test_stability_test_builds_one_algebra_element(monkeypatch, rng):
+    # the central shift; every filtration's generator stays an eigen-split
+    spec = ProductGroupSpec((3, 3))
+    rep = RepSpec(spec, (Slot(3, STANDARD, 0), Slot(3, STANDARD, 1)))
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    x = np.outer(x[:, 0], x[0]).reshape(-1)  # rank 1: the column space is a candidate too
+    built = []
+    post_init = AlgebraElement.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(AlgebraElement, "__post_init__", counting)
+    stability_test(x, rep, spec, central(spec, 0.7))
+    assert len(built) == 1
+
+
+def test_weight_entry_points_check_dimensions(rng):
+    spec, rep = u2_tensor(3)
+    setting = central(spec, 0.7)
+    c = setting.central_shift
+    x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    long_x = np.append(x, 1.0)
+    filt = WeightedFiltration(0, (np.eye(2, dtype=complex),), (1.0,))
+    s = random_compact(spec, rng)
+    with pytest.raises(DimensionMismatchError):
+        maximal_weight(long_x, s, rep)
+    with pytest.raises(DimensionMismatchError):
+        total_weight(long_x, filt, c, rep)
+    with pytest.raises(DimensionMismatchError):
+        stability_test(long_x, rep, spec, setting)
+    with pytest.raises(DimensionMismatchError):  # an s block of the wrong size
+        maximal_weight(x, AlgebraElement((s.blocks[1], s.blocks[1])), rep)
+    with pytest.raises(DimensionMismatchError):  # a c of another spec
+        total_weight(x, filt, central(ProductGroupSpec((2, 2)), 0.7).central_shift, rep)
+    with pytest.raises(DimensionMismatchError):  # a chain of the wrong size
+        total_weight(x, WeightedFiltration(0, (np.eye(3, dtype=complex),), (1.0,)), c, rep)
+    with pytest.raises(DimensionMismatchError):  # a factor the group does not have
+        total_weight(x, WeightedFiltration(2, (np.eye(2, dtype=complex),), (1.0,)), c, rep)
+
+
 def test_ssc_generator_counts():
     full = np.eye(2, dtype=complex)
     q1 = full[:, :1]
@@ -213,7 +327,7 @@ def test_ssc_generator_eigenvalues_in_zero_pm_i():
     full = np.eye(2, dtype=complex)
     q1 = full[:, :1]
     for gen in ssc_generators([q1, full]):
-        chi = gen.element(spec)
+        chi = filtration_element(gen, spec)
         ev = np.linalg.eigvals(chi.blocks[0])
         for e in ev:
             assert min(abs(e), abs(e - 1j), abs(e + 1j)) < 1e-12
@@ -296,30 +410,6 @@ def test_stability_needs_the_factor_when_two_are_unfrozen(rng):
     assert stability_test(x, rep, spec, setting, factor=0).slack is not None
 
 
-def brute_force_verdict(x, rep, spec, setting, rng, n_grid=7, n_rand=40):
-    """Dense alpha-grid over chains built from coordinate and random
-    subspaces; direct total-weight evaluation."""
-    n = spec.factor_dims[0]
-    subs = list(default_subspace_lattice(x, rep, 0))
-    for _ in range(n_rand):
-        k = rng.integers(1, n)
-        q = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))[0]
-        subs.append(q[:, :k])
-    c = setting.central_shift
-    worst = np.inf
-    grid = np.linspace(-2, 2, n_grid)
-    for chain in nested_chains(subs, n):
-        r = len(chain)
-        for alpha in np.stack(np.meshgrid(*([grid] * r)), axis=-1).reshape(-1, r):
-            alpha = np.round(alpha, 9)
-            if np.any(np.diff(alpha) <= 1e-12) or np.linalg.norm(alpha) < 1e-9:
-                continue
-            filt = WeightedFiltration(0, tuple(chain), tuple(alpha))
-            w = total_weight(x, filt, c, rep)
-            worst = min(worst, w)
-    return worst > 0
-
-
 def test_stability_matches_brute_force(rng):
     spec, rep = u2_tensor(2)
     agree = 0
@@ -330,7 +420,7 @@ def test_stability_matches_brute_force(rng):
             continue
         setting = central(spec, c1)
         v = stability_test(x, rep, spec, setting)
-        bf = brute_force_verdict(x, rep, spec, setting, rng)
+        bf = brute_force_stable(x, rep, spec, setting, rng, n_grid=7, n_rand=40)
         assert v.stable == bf
         agree += 1
     assert agree > 20
