@@ -37,6 +37,6 @@ print(f"  sections equation residual: {rep.constraint['eq_sections_residual']:.2
 bad = assemble_example("coherent_system", {"deg": [d], "k": k, "c1": c1, "c2": c2 + 0.5},
                        lattice_n=16, seed=2)
 print("\nwith the constraint violated by 0.5:")
-print(" ", bad.params["constraint_warning"])
+print(f"  constraint slack deg - c1 rk - c2 k: {constraint_diagnostics(bad)['constraint_slack']:.3e}")
 rep2 = heat_flow(bad, FlowOpts(max_iter=4000, tol=1e-9))
 print(f"  flow outcome: converged={rep2.converged}, residual {rep2.final_residual:.3e}")

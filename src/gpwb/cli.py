@@ -43,8 +43,7 @@ class ConfigError(ValueError):
 
 _SCHEMA = {
     "mode": str, "seed": int, "out": str, "workers": int, "lattice_n": int,
-    "flow": {"max_iter": int, "step": float, "tol": float,
-             "step_cap": float, "metric_cutoff": float},
+    "flow": {"max_iter": int, "tol": float, "metric_cutoff": float},
     "kempf_ness": {"count": int, "n2": int, "c_lo": float, "c_hi": float},
     "threshold": {"d": int, "scan": list, "target_width": float},
     "fixture": {"path": str, "kind": str, "degrees": list, "support": list,

@@ -49,9 +49,7 @@ from .reps import ADJOINT, AXES, RepSpec, Slot, _hermitian_part, moment_block, s
 @dataclass
 class FlowOpts:
     max_iter: int = 20000
-    step: float = 0.1
     tol: float = 1e-8
-    step_cap: float = 1.0
     metric_cutoff: float = 50.0
 
 
@@ -69,7 +67,6 @@ class LatticeFlowReport:
     rejections: list = field(default_factory=list)
     reason: str = ""
     state: LatticePairState = None
-    marginal: bool = False
     obstruction: float = None
 
 
@@ -202,8 +199,7 @@ def heat_flow(state: LatticePairState, opts: FlowOpts = None) -> LatticeFlowRepo
             trial[i] = u[i] - step * d
         return trial
 
-    d = descend(work.u, residual, move, opts.step, opts.tol, opts.step_cap, opts.metric_cutoff,
-                opts.max_iter)
+    d = descend(work.u, residual, move, opts.tol, opts.metric_cutoff, opts.max_iter)
     work.u = d.x
     return LatticeFlowReport(
         converged=d.converged,
@@ -251,15 +247,14 @@ def newton_abelian(state: LatticePairState, tol=1e-12, max_iter=60) -> LatticeFl
     obstruction = float(np.mean(c - f0))
     deg = float(np.mean(f0))
     if obstruction <= 1e-12:
-        marginal = abs(obstruction) <= 1e-12
         return LatticeFlowReport(
             converged=False, iterations=0,
             final_residual=float(np.sqrt(np.mean((f0 + rho - c) ** 2))),
             final_residual_linf=float(np.max(np.abs(f0 + rho - c))),
             trajectory=[], sup_log_metric=0.0,
             degrees_before={i0: deg}, degrees_after={i0: deg},
-            reason="marginal" if marginal else "integral obstruction",
-            marginal=marginal, obstruction=obstruction, state=work,
+            reason="marginal" if abs(obstruction) <= 1e-12 else "integral obstruction",
+            obstruction=obstruction, state=work,
         )
 
     L = curvature_response_matrix(lat)
@@ -346,15 +341,14 @@ def assemble_example(kind: str, params: dict, lattice_n=16, seed=0) -> LatticePa
 
     Central parameters are in the same units as ``lattice_degree`` (a
     Chern-number-d line bundle has degree 2*pi*d).  Inconsistent constraint
-    parameters attach a warning entry in ``state.params`` instead of
-    failing: the violating configuration is itself a useful fixture.
+    parameters are not refused: the violating configuration is itself a
+    useful fixture, and ``constraint_diagnostics`` reports its slack.
     """
     entry = KINDS.get(kind)
     if entry is None:
         raise ValueError(f"unknown example kind {kind!r}")
     rng = np.random.default_rng(seed)
     lat = build_torus(lattice_n)
-    params = dict(params)
     rows, scalars = [], []
     for mode, dname, cname in zip(entry.factor_modes, entry.degree_params, entry.scalar_params):
         row = params.get(dname, [0]) if mode == FROZEN else params[dname]
@@ -387,12 +381,4 @@ def assemble_example(kind: str, params: dict, lattice_n=16, seed=0) -> LatticePa
             support = [entry.slot_index(s) for s in support]
         phi, res = build_section(lat, rep, bundles, support, rng,
                                  scale=params.get("scale", 1.0))
-    st = LatticePairState(lat, rep, setting, bundles, phi,
-                          construction_residual=res, kind=kind, params=params)
-    if entry.constraint:
-        _, sign, note = entry.constraint
-        slack = _constraint_slack(st, sign)
-        if abs(slack) > 1e-12:
-            st.params["constraint_warning"] = note.format(
-                slack=f"{slack:.3e}", per_rank=f"{slack / len(rows[0]):.3e}") + ": no solutions"
-    return st
+    return LatticePairState(lat, rep, setting, bundles, phi, construction_residual=res, kind=kind)

@@ -46,7 +46,7 @@ from .reps import (
     summand_weights,
 )
 
-MEMBERSHIP_TOL = 1e-10  # component mass outside V^- that still counts as inside
+MEMBERSHIP_TOL = 1e-10  # mass outside V^-, or outside the next chain entry, that counts as inside
 STABILIZER_TOL = 1e-8  # relative singular value below which a stabilizer direction counts
 
 
@@ -54,7 +54,8 @@ STABILIZER_TOL = 1e-8  # relative singular value below which a stabilizer direct
 class WeightedFiltration:
     """Increasing chain of subspaces of one factor with increasing weights.
 
-    ``chain[k]`` is an orthonormal column basis of the k-th subspace; the
+    ``chain[k]`` is an orthonormal column basis of the k-th subspace, which
+    lies in the next one (projection residual below ``MEMBERSHIP_TOL``); the
     last entry spans the whole factor space.  The generator chi has
     eigenvalue -i*alpha_k on the k-th graded piece, i.e. i*chi has the
     increasing real eigenvalues alpha_1 < ... < alpha_r; ``split`` gives
@@ -78,6 +79,13 @@ class WeightedFiltration:
         n = chain[-1].shape[0]
         if chain[-1].shape[1] != n:
             raise ValueError("last chain entry must span the full space")
+        if any(q.shape[0] != n for q in chain):
+            raise ValueError(f"chain entries must have the {n} rows of the last one, "
+                             f"got {[q.shape[0] for q in chain]}")
+        # every entry lies in the last one, which spans the space
+        for k, (a, b) in enumerate(zip(chain[:-2], chain[1:-1])):
+            if np.linalg.norm(b @ (b.conj().T @ a) - a) > MEMBERSHIP_TOL:
+                raise ValueError(f"chain entry {k} does not lie in entry {k + 1}")
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "weights", weights)
 
@@ -386,7 +394,10 @@ class Descent:
     reason: str
 
 
-def descend(x, residual, move, step, tol, step_cap, metric_cutoff, max_iter) -> Descent:
+STEP, STEP_CAP = 0.1, 1.0  # the first step of ``descend`` and the cap of its doubling
+
+
+def descend(x, residual, move, tol, metric_cutoff, max_iter) -> Descent:
     """Adaptive-step descent of a residual norm, shared by the point and the
     lattice flows.
 
@@ -396,18 +407,19 @@ def descend(x, residual, move, step, tol, step_cap, metric_cutoff, max_iter) -> 
     trial point.  A trial is accepted when it lowers norms[0]
     by a relative 1e-13 or reaches ``tol``: equal-residual steps are cycles
     (period-2 orbits have exactly equal residuals), not progress.  The step
-    halves on a rejection and doubles after five straight accepts, up to
-    ``step_cap``.  A flow that does not converge stops with its reason:
-    "non-finite residual", "stationary residual" (two consecutive trials, at
-    step s and s/2, give exactly the current residual; one tie alone may be
-    a period-2 orbit), "step underflow" (step below 1e-15), "metric blow-up"
-    (sup_log passes ``metric_cutoff``) or "max_iter".  Converged means the
-    final norms[0] is at most ``tol``.
+    starts at ``STEP``, halves on a rejection and doubles after five
+    straight accepts, up to ``STEP_CAP``.  A flow that does not converge
+    stops with its reason: "non-finite residual", "stationary residual"
+    (two consecutive trials, at step s and s/2, give exactly the current
+    residual; one tie alone may be a period-2 orbit), "step underflow"
+    (step below 1e-15), "metric blow-up" (sup_log passes ``metric_cutoff``)
+    or "max_iter".  Converged means the final norms[0] is at most ``tol``.
     """
     r, norms, metric = residual(x)
     slog = metric()
     rows = [(0, *norms, slog)]
     rejections = []
+    step = STEP
     accepted = ties = it = 0
     reason = "" if np.isfinite(norms[0]) else "non-finite residual"
     while not reason and it < max_iter and norms[0] > tol:
@@ -423,7 +435,7 @@ def descend(x, residual, move, step, tol, step_cap, metric_cutoff, max_iter) -> 
             rows.append((it, *norms, slog))
             accepted += 1
             if accepted >= 5:
-                step = min(2.0 * step, step_cap)
+                step = min(2.0 * step, STEP_CAP)
                 accepted = 0
             ties = 0
         else:
@@ -446,8 +458,8 @@ def descend(x, residual, move, step, tol, step_cap, metric_cutoff, max_iter) -> 
 
 
 def gradient_flow(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSetting,
-                  max_iter=5000, step=0.1, tol=1e-9, h0: GroupElement = None,
-                  step_cap=1.0, metric_cutoff=50.0) -> FlowResult:
+                  max_iter=5000, tol=1e-9, h0: GroupElement = None,
+                  metric_cutoff=50.0) -> FlowResult:
     """Descent on the integral of the moment map.
 
     The flow iterates on the tuple of factor blocks h, like the lattice heat
@@ -475,6 +487,6 @@ def gradient_flow(x, rep: RepSpec, spec: ProductGroupSpec, setting: SubgroupSett
 
     h = h0.blocks if h0 is not None else tuple(np.eye(n, dtype=complex) for n in spec.factor_dims)
     spec.check_blocks(h)
-    d = descend(h, residual, move, step, tol, step_cap, metric_cutoff, max_iter)
+    d = descend(h, residual, move, tol, metric_cutoff, max_iter)
     return FlowResult(d.converged, d.iterations, d.norms[0], [row[1] for row in d.rows],
                       GroupElement(d.x), d.sup_log, d.rejections, d.reason)

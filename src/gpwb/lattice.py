@@ -265,8 +265,6 @@ def dbar_matrix(lat: TorusLattice, vlinks: np.ndarray) -> sp.csr_matrix:
 # its inverse maps the kernel to 1 and the lowest nonzero mode of a line
 # bundle of degree d >= 1 (eigenvalue 4 pi d of DᴴD) below 0.08
 SECTION_SHIFT = 1.0
-# with ``strict``, the largest residual must be below this fraction of the next singular value
-SECTION_GAP_TOL = 1e-6
 
 
 def _fixed_phases(size):
@@ -299,18 +297,17 @@ def canonical_basis(kernel: np.ndarray, n: int, dimv: int) -> np.ndarray:
     return basis * (overlap.conj() / np.abs(overlap))
 
 
-def holomorphic_sections(lat: TorusLattice, vlinks: np.ndarray, count: int, strict=False):
+def holomorphic_sections(lat: TorusLattice, vlinks: np.ndarray, count: int):
     """Orthonormal numerical kernel vectors of the dbar operator D.
 
     Returns (sections, residuals, gap_ratio) where ``sections`` has shape
     (count, N, N, D), ``residuals`` are the ``count`` smallest singular
-    values of D and ``gap_ratio`` is the next one over the largest residual.
-    With ``strict`` the call fails when the requested count exceeds the
-    numerical kernel (gap test at ``SECTION_GAP_TOL``).  D is square, so its
-    near-kernel has the size of its near-cokernel: on each line-bundle
-    summand the count of small singular values is the larger of h0 and h1.
-    So a count is h0 only where h1 = 0: L_-1 shows one, like L_1, and
-    L_0 + L_-1 two, although h0 = 1.
+    values of D and ``gap_ratio`` is the next one over the largest residual,
+    small when the requested count exceeds the numerical kernel.  D is
+    square, so its near-kernel has the size of its near-cokernel: on each
+    line-bundle summand the count of small singular values is the larger of
+    h0 and h1.  So a count is h0 only where h1 = 0: L_-1 shows one, like
+    L_1, and L_0 + L_-1 two, although h0 = 1.
 
     Sparse path: shift-invert ARPACK on DᴴD (sparse LU of DᴴD +
     SECTION_SHIFT, fixed start vector) gives the ``count + 1`` lowest modes;
@@ -344,13 +341,7 @@ def holomorphic_sections(lat: TorusLattice, vlinks: np.ndarray, count: int, stri
     svals = svals[::-1]
     block = q @ wh[::-1].conj().T
     residuals = svals[:count]
-    nxt = svals[count]
-    gap_ratio = float(nxt / max(residuals[-1], 1e-300))
-    if strict and (residuals[-1] > SECTION_GAP_TOL * nxt):
-        raise ValueError(
-            f"requested {count} sections but numerical kernel is smaller; "
-            f"residuals {residuals}, next singular value {nxt:.3e}"
-        )
+    gap_ratio = float(svals[count] / max(residuals[-1], 1e-300))
     secs = canonical_basis(block[:, :count], n, dimv).T.reshape(count, n, n, dimv)
     # L2-normalise with volume weight 1/N^2
     return secs * n, residuals, gap_ratio
@@ -388,7 +379,6 @@ class LatticePairState:
     section: np.ndarray  # (N, N, D)
     construction_residual: float = 0.0
     kind: str = ""
-    params: dict = field(default_factory=dict)
     u: dict = field(default_factory=dict)  # factor index -> exponent array
 
     def __post_init__(self):
@@ -419,7 +409,7 @@ class LatticePairState:
     def copy(self):
         return LatticePairState(
             self.lattice, self.rep, self.setting, [b.copy() for b in self.bundles],
-            self.section.copy(), self.construction_residual, self.kind, dict(self.params),
+            self.section.copy(), self.construction_residual, self.kind,
             {k: v.copy() for k, v in self.u.items()},
         )
 

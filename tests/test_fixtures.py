@@ -118,6 +118,37 @@ def test_pair_verdict_summand_permutation_invariant(rng):
         assert (v1.stable, v1.slack) == (v2.stable, v2.slack)
 
 
+def saturation_degree(degs, rows):
+    """Degree of sat<phi> for a section on the given rows of L_a + L_b: the
+    row's degree on one row; on both, 1 for L_1 + L_1, where phi is
+    (lambda s, mu s) for the one section s of L_1, and 0 otherwise, where the
+    two components have no common zero."""
+    if len(rows) == 1:
+        return degs[rows[0]]
+    return 1 if tuple(degs) == (1, 1) else 0
+
+
+SWEEP = [(degs, rows, Fraction(k, 4))
+         for degs in [(1, 0), (2, 0), (2, 1), (1, 1), (2, 2), (3, 1)]
+         for rows in [(0,), (1,), (0, 1)]
+         for k in range(3, 16, 2)]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1(b): verdict does not see sat<phi>, and calls 18 of the 126 sweep fixtures "
+    "stable that are not, all with phi on both rows: (1,0) and (1,1) at c >= 5/4, (2,0) at "
+    "c >= 9/4, and (2,1) at 13/4 and 15/4"))
+def test_rank2_pair_verdict_matches_the_closed_form():
+    """The rank-2 pair sweep against the closed form of c-stability for
+    E = L_a + L_b: max(a, b) < c (every line subbundle) and c < a + b - d_sat
+    (the quotient by the saturation of the section)."""
+    assert len(SWEEP) == 126
+    misses = [(degs, rows, str(c)) for degs, rows, c in SWEEP
+              if verdict(pair(degs, rows, c)).stable
+              != (max(degs) < c < sum(degs) - saturation_degree(degs, rows))]
+    assert misses == []
+
+
 # ---------------------------------------------------------------------------
 # triples
 

@@ -48,8 +48,7 @@ def test_state_level_dbar_and_sections():
     assert res < 1e-10
     secs, resids, gap = holomorphic_sections(st.lattice, vlinks, 1)
     assert resids[0] < 1e-10 and gap > 1e6
-    with pytest.raises(ValueError):
-        holomorphic_sections(st.lattice, vlinks, 2, strict=True)
+    assert holomorphic_sections(st.lattice, vlinks, 2)[2] < 1e6
 
 
 def test_residual_zero_on_exact_solution():
@@ -121,7 +120,7 @@ def test_newton_unsolvable_obstruction():
 def test_newton_marginal_flagged():
     newt = newton_abelian(vortex_state(1.0))
     assert not newt.converged
-    assert newt.marginal
+    assert newt.reason == "marginal"
 
 
 def test_newton_non_finite_start():
@@ -373,7 +372,6 @@ def test_coherent_constraint_slack_zero():
     st = coherent_state()
     d = constraint_diagnostics(st)
     assert d["constraint_slack"] == pytest.approx(0.0, abs=1e-12)
-    assert "constraint_warning" not in st.params
 
 
 def test_coherent_trace_identity_random_configs(rng):
@@ -401,7 +399,7 @@ def test_coherent_constraint_violation_warns():
     st = assemble_example("coherent_system",
                           {"deg": [1], "k": 1, "c1": TWO_PI, "c2": 0.5},
                           lattice_n=8, seed=0)
-    assert "constraint_warning" in st.params
+    assert constraint_diagnostics(st)["constraint_slack"] == pytest.approx(-0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,21 @@ def test_snapshot_roundtrip(tmp_path):
     assert l2a == l2b
 
 
+def test_snapshot_ignores_the_params_entry_of_an_older_snapshot(tmp_path):
+    st = assemble_example("pair_tensor", {"deg1": [1], "deg2": [0], "c": 2 * TWO_PI},
+                          lattice_n=8, seed=3)
+    path = tmp_path / "state.npz"
+    save_state(path, st)
+    with np.load(path) as z:
+        payload = {key: z[key] for key in z.files}
+    assert "params" not in payload
+    payload["params"] = np.array(json.dumps({"deg1": [1], "deg2": [0], "c": 2 * TWO_PI}))
+    np.savez(path, **payload)
+    back = load_state(path)
+    assert back.kind == "pair_tensor" and back.setting == st.setting
+    assert np.array_equal(back.section, st.section)
+
+
 def test_snapshot_rejects_non_unitary_links(tmp_path):
     # the lattice inverts links by their adjoint, so a snapshot must hold unitaries
     st = assemble_example("pair_tensor", {"deg1": [1], "deg2": [0], "c": 2 * TWO_PI},
@@ -93,7 +108,7 @@ def test_snapshot_roundtrip_without_pickle(tmp_path, kind, params):
         assert all(z[key].dtype != object for key in z.files)
     back = load_state(path)
     assert back.rep == st.rep and back.setting == st.setting
-    assert back.params == st.params and back.kind == st.kind
+    assert back.kind == st.kind
     for i in st.u:
         assert np.array_equal(back.u[i], st.u[i])
 
@@ -333,6 +348,9 @@ BAD_CONFIGS = [
     {"mode": "pair", "lattice_n": "8"},
     {"mode": "pair", "tol": 1e-8},
     {"mode": "kempf_ness", "kempf_ness": {"max_iter": 3000}},
+    {"mode": "pair", "flow": {"step": 0.1}},
+    {"mode": "kempf_ness", "flow": {"step_cap": 1.0}},
+    {"mode": "pair", "flow": {"metric_cutoff": float("inf")}},
 ]
 BAD_IDS = ["negative_step", "small_lattice", "short_scan", "text_scan", "degree_arity",
            "bad_c", "support_index", "higgs_cotangent_row", "kempf_ness_seed", "suite_seed",
@@ -342,7 +360,8 @@ BAD_IDS = ["negative_step", "small_lattice", "short_scan", "text_scan", "degree_
            "pair_threshold", "kempf_ness_lattice_n", "pair_kempf_ness", "suite_fixture",
            "fractional_degree", "fractional_support", "bool_degree", "inline_kind_mismatch",
            "path_and_inline_fields", "suite_flow", "misspelled_block", "misspelled_flow_key",
-           "text_lattice_n", "top_level_tol", "kempf_ness_max_iter"]
+           "text_lattice_n", "top_level_tol", "kempf_ness_max_iter", "flow_step",
+           "flow_step_cap", "infinite_metric_cutoff"]
 
 
 @pytest.mark.parametrize("cfg", BAD_CONFIGS, ids=BAD_IDS)

@@ -18,6 +18,8 @@ from gpwb.groups import (
 )
 from gpwb.kempf_ness import (
     MEMBERSHIP_TOL,
+    STEP,
+    STEP_CAP,
     WeightedFiltration,
     chain_generator_weights,
     compact_stabilizer_dimension,
@@ -280,6 +282,14 @@ def test_stability_test_builds_one_algebra_element(monkeypatch, rng):
     monkeypatch.setattr(AlgebraElement, "__post_init__", counting)
     stability_test(x, rep, spec, central(spec, 0.7))
     assert len(built) == 1
+
+
+def test_filtration_refuses_a_chain_that_is_not_nested():
+    eye = np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match="entry 0 does not lie in entry 1"):
+        WeightedFiltration(0, (eye[:, :1], eye[:, 1:], eye), (-1, 0, 1))
+    with pytest.raises(ValueError, match="rows"):
+        WeightedFiltration(0, (np.eye(2, 1, dtype=complex), eye), (0, 1))
 
 
 def test_weight_entry_points_check_dimensions(rng):
@@ -679,8 +689,8 @@ def reference_flow(x, rep, spec, setting, max_iter, tol):
                 worst = max(worst, 0.5 * float(np.max(np.abs(np.log(ev)))))
         return worst
 
-    return descend(GroupElement.identity(spec, "complexified"), residual, move, 0.1, tol, 1.0,
-                   50.0, max_iter)
+    return descend(GroupElement.identity(spec, "complexified"), residual, move, tol, 50.0,
+                   max_iter)
 
 
 def test_flow_matches_the_element_reference_exactly():
@@ -764,8 +774,8 @@ def test_flow_stationary_residual_is_labelled(rng):
 # descend on a scalar problem: x -> x - gain * step * x, norms (|x|, 2 |x|)
 
 
-def scalar_descent(x0=1.0, gain=1.0, step=0.1, tol=1e-10, step_cap=1.0,
-                   metric_cutoff=50.0, max_iter=1000, move=None, sup_log=None):
+def scalar_descent(x0=1.0, gain=1.0, tol=1e-10, metric_cutoff=50.0, max_iter=1000, move=None,
+                   sup_log=None):
     steps = []
 
     def default_move(x, r, s):
@@ -778,7 +788,7 @@ def scalar_descent(x0=1.0, gain=1.0, step=0.1, tol=1e-10, step_cap=1.0,
     def residual(x):
         return x, (abs(x), 2.0 * abs(x)), lambda: sup_log(x) if sup_log else 0.0
 
-    d = descend(x0, residual, recording_move, step, tol, step_cap, metric_cutoff, max_iter)
+    d = descend(x0, residual, recording_move, tol, metric_cutoff, max_iter)
     return d, steps
 
 
@@ -793,10 +803,12 @@ def test_descend_converges_iff_norm_reaches_tol():
 
 
 def test_descend_doubles_after_five_accepts_up_to_the_cap():
-    d, steps = scalar_descent(step_cap=0.4, tol=1e-12)
+    # gain 0.5 never overshoots: the step starts at STEP and doubles up to STEP_CAP
+    d, steps = scalar_descent(gain=0.5, tol=1e-12)
+    assert (STEP, STEP_CAP) == (0.1, 1.0)
     assert d.converged and d.rejections == []
-    assert steps[:10] == [0.1] * 5 + [0.2] * 5
-    assert len(steps) > 15 and set(steps[10:]) == {0.4}
+    assert steps[:20] == [0.1] * 5 + [0.2] * 5 + [0.4] * 5 + [0.8] * 5
+    assert len(steps) > 25 and set(steps[20:]) == {1.0}
 
 
 def test_descend_halves_on_a_rejection():
@@ -871,7 +883,7 @@ def overshooting_descent(rejected_metric):
 
         return x, (abs(x), 2.0 * abs(x)), rejected_metric if steps[0] == 0.1 else metric
 
-    d = descend(1.0, residual, move, 0.1, 1e-10, 1.0, 50.0, 1000)
+    d = descend(1.0, residual, move, 1e-10, 50.0, 1000)
     return d, measured
 
 
