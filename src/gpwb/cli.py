@@ -47,7 +47,7 @@ _SCHEMA = {
     "kempf_ness": {"count": int, "n2": int, "c_lo": float, "c_hi": float},
     "threshold": {"d": int, "scan": list, "target_width": float},
     "fixture": {"path": str, "kind": str, "degrees": list, "support": list,
-                "c": list, "seed": int, "scale": float},
+                "c": list, "seed": int},
 }
 
 
@@ -63,7 +63,7 @@ DEFAULTS = {
     "seed": 0, "workers": 1, "out": None,
     "kempf_ness": {"count": 20, "n2": 2, "c_lo": 0.2, "c_hi": 1.5},
     "threshold": {"d": 1, "scan": (0.1, 3.0), "target_width": 0.05},
-    "fixture": {"scale": 1.0},
+    "fixture": {},
 }
 
 
@@ -131,8 +131,7 @@ def _check_values(cfg):
     for key, v in (("seed", cfg["seed"]), ("fixture.seed", cfg["fixture"]["seed"])):
         if v < 0:
             raise ConfigError(f"{key}: must be non-negative, got {v!r}")
-    finite = [(f"kempf_ness.{k}", cfg["kempf_ness"][k]) for k in ("c_lo", "c_hi")]
-    for key, v in finite + [("fixture.scale", cfg["fixture"]["scale"])]:
+    for key, v in ((f"kempf_ness.{k}", cfg["kempf_ness"][k]) for k in ("c_lo", "c_hi")):
         if not np.isfinite(v):
             raise ConfigError(f"{key}: must be finite, got {v!r}")
     counts = [(f"kempf_ness.{k}", cfg["kempf_ness"][k]) for k in ("count", "n2")]
@@ -229,8 +228,8 @@ def run_threshold(cfg):
 
 def _fixture_from_cfg(fx, kind):
     """The fixture of a ``fixture`` block: the file at ``path``, else the
-    inline fields, else (with only ``seed`` and ``scale``) the kind's default."""
-    data = {k: v for k, v in fx.items() if k not in ("seed", "scale")}
+    inline fields, else (with only ``seed``) the kind's default."""
+    data = {k: v for k, v in fx.items() if k != "seed"}
     if not data:
         return CurveFixture(kind, *KINDS[kind].default_fixture)
     if "path" in data and len(data) > 1:
@@ -272,9 +271,9 @@ def run_example_mode(cfg):
                     "note": v.note},
         "ssc_reduction_ok": ok,
     }
-    params = dict(_assembly_params(fixture), scale=fx["scale"])
     try:
-        st = assemble_example(kind, params, lattice_n=cfg["lattice_n"], seed=fx["seed"])
+        st = assemble_example(kind, _assembly_params(fixture), lattice_n=cfg["lattice_n"],
+                              seed=fx["seed"])
     except ValueError as err:
         payload["assembly_error"] = str(err)
         return payload

@@ -298,34 +298,38 @@ def newton_abelian(state: LatticePairState, tol=1e-12, max_iter=60) -> LatticeFl
 # example assembly
 
 
-def build_section(lat, rep: RepSpec, bundles, support, rng, scale=1.0):
+# least gap ratio of ``holomorphic_sections`` (the next singular value of
+# dbar over the largest kept one) that certifies the kept vectors as a kernel
+SECTION_GAP = 100.0
+
+
+def build_section(lat, rep: RepSpec, bundles, support, weights, rng):
     """Holomorphic section on the lattice ``lat`` supported on the given
     V-summands, each a multi-index with one index per tensor axis of V.
 
-    Per supported summand the scalar dbar kernel is extracted and a seeded
-    unit combination of its canonical basis is placed there; the summand
-    must have non-negative degree.
+    ``weights`` holds the degree of every summand (``summand_weights`` of
+    the bundles); a supported one must be non-negative.  Per supported
+    summand the scalar dbar kernel is extracted and a seeded unit
+    combination of its canonical basis is placed there.  ``ValueError``
+    when the kernel's gap ratio is below ``SECTION_GAP``: the lattice does
+    not resolve that many sections, so the vectors are not holomorphic.
     """
     n = lat.n
-    dimv = rep.dim
-    out = np.zeros((n, n, dimv), complex)
-    shape = rep.shape
-    total_res = 0.0
-    degrees = summand_weights([b.summand_degrees for b in bundles], rep)
+    out = np.zeros((n, n, rep.dim), complex)
     vlinks = section_transport(rep, [b.links for b in bundles])
     for idx in map(tuple, support):
-        deg = int(round(degrees[idx]))
-        if deg < 0:
-            raise ValueError(f"summand {idx} has negative degree {deg}: no sections")
-        flat = int(np.ravel_multi_index(idx, shape))
+        flat = int(np.ravel_multi_index(idx, rep.shape))
         links = vlinks[..., flat:flat + 1, flat:flat + 1]
-        count = max(deg, 1)
-        secs, res, _ = holomorphic_sections(lat, links, count)
-        total_res = max(total_res, float(res.max()))
+        count = max(int(round(weights[idx])), 1)
+        secs, _, gap = holomorphic_sections(lat, links, count)
+        if gap < SECTION_GAP:
+            raise ValueError(f"summand {idx}: the {count} least singular vectors of dbar on "
+                             f"the {n}x{n} lattice are no kernel (gap ratio {gap:.3g} < "
+                             f"{SECTION_GAP:g})")
         w = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         w /= np.linalg.norm(w)
-        out[:, :, flat] = scale * np.tensordot(w, secs[:, :, :, 0], axes=(0, 0))
-    return out, total_res
+        out[:, :, flat] = np.tensordot(w, secs[:, :, :, 0], axes=(0, 0))
+    return out
 
 
 def assemble_example(kind: str, params: dict, lattice_n=16, seed=0) -> LatticePairState:
@@ -337,7 +341,9 @@ def assemble_example(kind: str, params: dict, lattice_n=16, seed=0) -> LatticePa
     central scalar is the slope of its factor.  ``support`` lists support
     indices of the kind (default: the summands of non-negative degree, or
     none where the kind says so); ``theta`` instead gives a constant
-    section, one value per coordinate of V.
+    section, one value per coordinate of V, supported on its nonzero
+    entries.  A supported summand of negative degree has no sections and
+    raises ``ValueError``.
 
     Central parameters are in the same units as ``lattice_degree`` (a
     Chern-number-d line bundle has degree 2*pi*d).  Inconsistent constraint
@@ -365,20 +371,18 @@ def assemble_example(kind: str, params: dict, lattice_n=16, seed=0) -> LatticePa
     theta = params.get("theta")
     if theta is not None:
         theta = np.asarray(theta, dtype=complex).reshape(rep.shape)
-        bad = np.argwhere((theta != 0) & (weights < 0))
-        if len(bad):
-            idx = tuple(int(i) for i in bad[0])
-            raise ValueError(f"constant section component {idx} needs non-negative "
-                             f"degree, got {int(round(weights[idx]))}")
+        support = np.argwhere(theta != 0).tolist()
+    elif params.get("support") is None:
+        support = np.argwhere(weights >= 0).tolist() if entry.default_support else []
+    else:
+        support = [entry.slot_index(s) for s in params["support"]]
+    for idx in map(tuple, support):
+        if weights[idx] < 0:
+            raise ValueError(f"summand {idx} has negative degree {int(round(weights[idx]))}: "
+                             f"no sections")
+    if theta is not None:
         phi = np.zeros((lat.n, lat.n, rep.dim), complex)
         phi[:, :, :] = theta.reshape(-1)
-        res = 0.0
     else:
-        support = params.get("support")
-        if support is None:
-            support = np.argwhere(weights >= 0).tolist() if entry.default_support else []
-        else:
-            support = [entry.slot_index(s) for s in support]
-        phi, res = build_section(lat, rep, bundles, support, rng,
-                                 scale=params.get("scale", 1.0))
-    return LatticePairState(lat, rep, setting, bundles, phi, construction_residual=res, kind=kind)
+        phi = build_section(lat, rep, bundles, support, weights, rng)
+    return LatticePairState(lat, rep, setting, bundles, phi, kind=kind)

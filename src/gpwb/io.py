@@ -33,7 +33,6 @@ def save_state(path, state: LatticePairState):
         "slot_actions": np.array([sl.action for sl in state.rep.slots], dtype=str),
         "slot_factors": np.array([sl.factor for sl in state.rep.slots], dtype=np.int64),
         "section": state.section,
-        "construction_residual": np.array(state.construction_residual),
     }
     for i, b in enumerate(state.bundles):
         payload[f"links_{i}"] = b.links
@@ -51,7 +50,8 @@ def load_state(path) -> LatticePairState:
     shapes of the links, the section and the metric exponents against
     ``lattice_n``, the slots and the modes) or on a ``degrees_i`` without one
     entry per summand or with 2 pi * sum off ``lattice_degree`` by > 1e-6.
-    The ``params`` entry of an older snapshot is ignored."""
+    The ``params`` and ``construction_residual`` entries of an older
+    snapshot are ignored."""
     with np.load(path, allow_pickle=False) as npz:
         z = {key: npz[key] for key in npz.files}  # an object array raises here
     header = str(z["header"])
@@ -70,8 +70,7 @@ def load_state(path) -> LatticePairState:
                               tuple(float(c) for c in z["central_scalars"]))
     u = {i: z[f"metric_exp_{i}"] for i in range(nf) if f"metric_exp_{i}" in z}
     state = LatticePairState(TorusLattice(int(z["lattice_n"])), RepSpec(spec, slots), setting,
-                             bundles, z["section"], float(z["construction_residual"]),
-                             str(z["kind"]), u)
+                             bundles, z["section"], str(z["kind"]), u)
     for i, b in enumerate(bundles):
         degrees, rank, linked = b.summand_degrees, b.links.shape[-1], lattice_degree(b.links)
         if len(degrees) != rank or abs(TWO_PI * sum(degrees) - linked) > 1e-6:

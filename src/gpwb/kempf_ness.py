@@ -404,16 +404,20 @@ def descend(x, residual, move, tol, metric_cutoff, max_iter) -> Descent:
     ``residual(x)`` returns (r, norms, metric): norms[0] drives the policy
     and ``metric()`` measures the sup_log of that same x, called for the
     start and for each accepted trial only; ``move(x, r, step)`` returns the
-    trial point.  A trial is accepted when it lowers norms[0]
-    by a relative 1e-13 or reaches ``tol``: equal-residual steps are cycles
-    (period-2 orbits have exactly equal residuals), not progress.  The step
-    starts at ``STEP``, halves on a rejection and doubles after five
-    straight accepts, up to ``STEP_CAP``.  A flow that does not converge
-    stops with its reason: "non-finite residual", "stationary residual"
-    (two consecutive trials, at step s and s/2, give exactly the current
-    residual; one tie alone may be a period-2 orbit), "step underflow"
-    (step below 1e-15), "metric blow-up" (sup_log passes ``metric_cutoff``)
-    or "max_iter".  Converged means the final norms[0] is at most ``tol``.
+    trial point.  Each flow measures sup_log on its own scale: the point
+    flow ½ max |log eig(h†h)|, the lattice flow max |log eig(e^{2u})| = 2
+    max |eig u|, so one ``metric_cutoff`` stops a point flow at twice the
+    metric log at which it stops a lattice flow.  A trial is accepted when
+    it lowers norms[0] by a relative 1e-13 or reaches ``tol``:
+    equal-residual steps are cycles (period-2 orbits have exactly equal
+    residuals), not progress.  The step starts at ``STEP``, halves on a
+    rejection and doubles after five straight accepts, up to ``STEP_CAP``.
+    A flow that does not converge stops with its reason: "non-finite
+    residual", "stationary residual" (two consecutive trials, at step s and
+    s/2, give exactly the current residual; one tie alone may be a period-2
+    orbit), "step underflow" (step below 1e-15), "metric blow-up" (sup_log
+    passes ``metric_cutoff``) or "max_iter".  Converged means the final
+    norms[0] is at most ``tol``.
     """
     r, norms, metric = residual(x)
     slog = metric()

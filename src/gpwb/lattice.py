@@ -101,12 +101,6 @@ def require_unitary(links: np.ndarray, what="links"):
                          f"> {UNITARY_TOL:g}")
 
 
-def trivial_bundle(lat: TorusLattice, rank=1) -> LatticeBundle:
-    n = lat.n
-    links = np.broadcast_to(np.eye(rank, dtype=complex), (2, n, n, rank, rank)).copy()
-    return LatticeBundle(links, (0,) * rank)
-
-
 def make_constant_curvature_line_bundle(lat: TorusLattice, d: int) -> LatticeBundle:
     """Abelian configuration with uniform plaquette phase and degree 2 pi d.
 
@@ -377,7 +371,6 @@ class LatticePairState:
     setting: SubgroupSetting
     bundles: list
     section: np.ndarray  # (N, N, D)
-    construction_residual: float = 0.0
     kind: str = ""
     u: dict = field(default_factory=dict)  # factor index -> exponent array
 
@@ -409,7 +402,7 @@ class LatticePairState:
     def copy(self):
         return LatticePairState(
             self.lattice, self.rep, self.setting, [b.copy() for b in self.bundles],
-            self.section.copy(), self.construction_residual, self.kind,
+            self.section.copy(), self.kind,
             {k: v.copy() for k, v in self.u.items()},
         )
 

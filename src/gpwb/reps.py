@@ -294,13 +294,6 @@ def generator_action(blocks, x, rep: RepSpec):
 # moment maps
 
 
-def mu_factor(x, rep: RepSpec, factor_i: int):
-    """Moment-map block of one factor, summed over the axes it acts on."""
-    if not rep.factor_slots[factor_i]:
-        raise ValueError(f"factor {factor_i} acts trivially on V")
-    return moment_block(np.asarray(x, dtype=complex).reshape(-1), rep, factor_i)
-
-
 def mu_full(x, rep: RepSpec, spec: ProductGroupSpec = None) -> AlgebraElement:
     """Tuple of factor moment maps; zero blocks on factors acting trivially."""
     spec = spec or rep.spec

@@ -35,11 +35,6 @@ def vortex_state(c_mult, n=N, d=1, seed=1):
     )
 
 
-def test_assembled_state_is_holomorphic():
-    st = vortex_state(2.0)
-    assert st.construction_residual < 1e-10
-
-
 def test_state_level_dbar_and_sections():
     st = vortex_state(2.0)
     vlinks = section_transport(st.rep, [b.links for b in st.bundles])

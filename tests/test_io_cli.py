@@ -46,6 +46,21 @@ def test_snapshot_ignores_the_params_entry_of_an_older_snapshot(tmp_path):
     assert np.array_equal(back.section, st.section)
 
 
+def test_snapshot_ignores_the_construction_residual_entry_of_an_older_snapshot(tmp_path):
+    st = assemble_example("pair_tensor", {"deg1": [1], "deg2": [0], "c": 2 * TWO_PI},
+                          lattice_n=8, seed=3)
+    path = tmp_path / "state.npz"
+    save_state(path, st)
+    with np.load(path) as z:
+        payload = {key: z[key] for key in z.files}
+    assert "construction_residual" not in payload
+    payload["construction_residual"] = np.array(0.5)
+    np.savez(path, **payload)
+    back = load_state(path)
+    assert back.kind == "pair_tensor" and back.setting == st.setting
+    assert np.array_equal(back.section, st.section)
+
+
 def test_snapshot_rejects_non_unitary_links(tmp_path):
     # the lattice inverts links by their adjoint, so a snapshot must hold unitaries
     st = assemble_example("pair_tensor", {"deg1": [1], "deg2": [0], "c": 2 * TWO_PI},
@@ -351,6 +366,7 @@ BAD_CONFIGS = [
     {"mode": "pair", "flow": {"step": 0.1}},
     {"mode": "kempf_ness", "flow": {"step_cap": 1.0}},
     {"mode": "pair", "flow": {"metric_cutoff": float("inf")}},
+    {"mode": "pair", "lattice_n": 8, "fixture": {"scale": 1.0}},
 ]
 BAD_IDS = ["negative_step", "small_lattice", "short_scan", "text_scan", "degree_arity",
            "bad_c", "support_index", "higgs_cotangent_row", "kempf_ness_seed", "suite_seed",
@@ -361,7 +377,7 @@ BAD_IDS = ["negative_step", "small_lattice", "short_scan", "text_scan", "degree_
            "fractional_degree", "fractional_support", "bool_degree", "inline_kind_mismatch",
            "path_and_inline_fields", "suite_flow", "misspelled_block", "misspelled_flow_key",
            "text_lattice_n", "top_level_tol", "kempf_ness_max_iter", "flow_step",
-           "flow_step_cap", "infinite_metric_cutoff"]
+           "flow_step_cap", "infinite_metric_cutoff", "fixture_scale"]
 
 
 @pytest.mark.parametrize("cfg", BAD_CONFIGS, ids=BAD_IDS)
@@ -449,9 +465,9 @@ def test_out_flag_overrides_config_out(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "flag"]
 
 
-def test_fixture_with_only_seed_and_scale_runs_the_default_fixture():
+def test_fixture_with_only_seed_runs_the_default_fixture():
     default = run({"mode": "pair", "lattice_n": 8}, seed=5)
-    same = run({"mode": "pair", "lattice_n": 8, "fixture": {"seed": 5, "scale": 1.0}}, seed=5)
+    same = run({"mode": "pair", "lattice_n": 8, "fixture": {"seed": 5}}, seed=5)
     other = run({"mode": "pair", "lattice_n": 8, "fixture": {"seed": 6}}, seed=5)
     assert same["fixture"] == other["fixture"] == default["fixture"]
     assert same["flow"] == default["flow"] and other["flow"] != default["flow"]
@@ -479,6 +495,27 @@ def test_negative_degree_summand_is_an_outcome(tmp_path):
     path.write_text(json.dumps(cfg))
     assert main(["pair", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert "negative degree" in (tmp_path / "out" / "report.txt").read_text()
+
+
+def test_unresolved_sections_are_an_assembly_error(tmp_path):
+    # 8 sections of L_8 on an 8 x 8 lattice: the 8 least singular vectors of
+    # dbar have gap ratio 12.5, so they are not a kernel
+    cfg = {"mode": "pair", "lattice_n": 8,
+           "fixture": {"degrees": [[8], [0]], "support": [[0, 0]], "c": ["9", "0"]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["pair", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "assembly_error = summand (0, 0): the 8 least singular vectors" in report
+    assert "flow." not in report
+
+
+def test_threshold_with_unresolved_sections_exits_2(tmp_path):
+    # d = 6 on an 8 x 8 lattice: gap ratio 28.6, below SECTION_GAP
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "vortex_threshold", "lattice_n": 8,
+                                "threshold": {"d": 6}}))
+    assert main(["vortex_threshold", "--config", str(path)]) == 2
 
 
 def test_cli_runs_kempf_ness_quick(tmp_path, capsys):

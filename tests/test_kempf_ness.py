@@ -534,6 +534,34 @@ def test_kn_cocycle(rng):
         assert abs(lhs - rhs) < 1e-6 * (1 + abs(rhs))
 
 
+def kn_slope_error(x, spec, rep, setting, ts):
+    """|M((T+1) chi) - M(T chi) - total weight| at each T of ``ts``, for the
+    generator chi of ``stability_test``'s witness: the slope of the integral
+    of the moment map along chi tends to the total weight (Kempf-Ness and
+    Hilbert-Mumford)."""
+    v = stability_test(x, rep, spec, setting)
+    chi = filtration_element(v.witness, spec)
+    weight = total_weight(x, v.witness, setting.central_shift, rep)
+    assert weight == v.slack
+    return [abs(kn_functional(x, (t + 1) * chi, rep, spec, setting)
+                - kn_functional(x, t * chi, rep, spec, setting) - weight) for t in ts]
+
+
+def test_kn_slope_along_the_witness_is_its_total_weight(rng):
+    # rank 1 in C^2 (x) C^3 at c1 = 0.7: the witness is the column space of
+    # x with weights (0, 1) and total weight -0.7, and the slope is exact
+    spec, rep = u2_tensor(3)
+    x = np.kron([1.0, 0.5j], [0.3, -1.0, 2.0 + 1j]).astype(complex)
+    assert max(kn_slope_error(x, spec, rep, central(spec, 0.7), (5, 10, 20))) <= 1e-12
+    # full rank at c1 < 0: the witness is the full space at weight -1, and
+    # the slope approaches its total weight exponentially in T (3e-4 off at T = 5)
+    for n2 in (2, 3, 2, 3, 2, 3):
+        spec, rep = u2_tensor(n2)
+        x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+        setting = central(spec, -float(rng.uniform(0.2, 1.5)))
+        assert max(kn_slope_error(x, spec, rep, setting, (10, 20))) <= 1e-6
+
+
 # Slot layouts for the closed-form oracle: (factor dims, slots, modes) from
 # random factor dims n, m, k in 1..3.
 KN_LAYOUTS = {

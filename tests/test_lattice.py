@@ -33,7 +33,6 @@ from gpwb.lattice import (
     require_unitary,
     section_transport,
     shift,
-    trivial_bundle,
 )
 from gpwb.reps import (
     ADJOINT,
@@ -44,7 +43,7 @@ from gpwb.reps import (
     Slot,
     act,
     moment_block,
-    mu_factor,
+    mu_full,
     mu_shifted,
     shifted_moment_blocks,
 )
@@ -61,7 +60,7 @@ def scalar_vlinks(bundle):
 def test_build_torus_counts():
     lat = build_torus(4)
     assert lat.sites == 16
-    assert plaquette_field(trivial_bundle(lat).links).shape == (4, 4, 1, 1)
+    assert plaquette_field(direct_sum_bundle(lat, (0,)).links).shape == (4, 4, 1, 1)
 
 
 def test_build_torus_rejects_small():
@@ -91,7 +90,7 @@ def test_shift_reads_the_value_k_sites_along_mu(rng, mu, k):
 
 
 def test_trivial_bundle_degree_zero():
-    assert lattice_degree(trivial_bundle(LAT)) == 0.0
+    assert lattice_degree(direct_sum_bundle(LAT, (0,))) == 0.0
 
 
 @pytest.mark.parametrize("d", [1, -2, 3])
@@ -109,7 +108,7 @@ def test_resolution_guard():
 
 def test_branch_ambiguity_warning():
     lat = build_torus(4)
-    b = trivial_bundle(lat)
+    b = direct_sum_bundle(lat, (0,))
     links = b.links.copy()
     t = np.arange(4)[None, :, None, None]
     links[0] = links[0] * np.exp(0.95j * np.pi * t)  # plaquette phases at 0.95 pi
@@ -150,7 +149,7 @@ def test_direct_sum_degrees():
 
 
 def test_dbar_constant_section_trivial_bundle():
-    D = dbar_matrix(LAT, scalar_vlinks(trivial_bundle(LAT)))
+    D = dbar_matrix(LAT, scalar_vlinks(direct_sum_bundle(LAT, (0,))))
     const = np.ones(LAT.sites, dtype=complex)
     assert np.linalg.norm(D @ const) < 1e-12
 
@@ -171,7 +170,7 @@ def test_dbar_fourier_mode_continuum_value():
     errs = []
     for n in (16, 32):
         lat = build_torus(n)
-        D = dbar_matrix(lat, scalar_vlinks(trivial_bundle(lat)))
+        D = dbar_matrix(lat, scalar_vlinks(direct_sum_bundle(lat, (0,))))
         s, t = np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij")
         phi = np.exp(2j * np.pi * (k * s + l * t))
         out = (D @ phi.ravel()).reshape(n, n)
@@ -186,7 +185,7 @@ def test_dbar_fourier_mode_continuum_value():
 
 
 def test_sections_trivial_bundle_constant():
-    secs, res, _ = holomorphic_sections(LAT, scalar_vlinks(trivial_bundle(LAT)), 1)
+    secs, res, _ = holomorphic_sections(LAT, scalar_vlinks(direct_sum_bundle(LAT, (0,))), 1)
     assert res[0] < 1e-12
     v = secs[0][:, :, 0]
     assert np.max(np.abs(v - v.mean())) < 1e-10 * np.abs(v.mean())
@@ -356,7 +355,7 @@ def test_response_operator_is_the_curvature_jacobian_at_rank2(rng):
     n, r, eps = 4, 2, 1e-5
     lat = build_torus(n)
     # a gauge-transformed trivial bundle: P = I at every site, no link is I
-    links = _gauged_links(trivial_bundle(lat, r).links,
+    links = _gauged_links(direct_sum_bundle(lat, (0,) * r).links,
                           random_unitary_gauge(ProductGroupSpec((r,)), lat, rng)[0])
     assert np.max(np.abs(plaquette_field(links) - np.eye(r))) < 1e-14
     L = curvature_response_matrix(lat, links)
@@ -545,7 +544,7 @@ def _pair_parts(n=8):
     spec = ProductGroupSpec((2, 1))
     return dict(lattice=lat, rep=RepSpec(spec, (Slot(2, STANDARD, 0), Slot(1, STANDARD, 1))),
                 setting=SubgroupSetting(spec, ("full", "frozen"), (1.0, 0.0)),
-                bundles=[direct_sum_bundle(lat, [2, 1]), trivial_bundle(lat)],
+                bundles=[direct_sum_bundle(lat, [2, 1]), direct_sum_bundle(lat, (0,))],
                 section=np.ones((n, n, 2), complex))
 
 
@@ -554,9 +553,9 @@ def _pair_parts(n=8):
      "setting is for factors"),
     ({"bundles": [direct_sum_bundle(build_torus(8), [2, 1])]}, "1 bundles for 2 factors"),
     ({"bundles": [make_constant_curvature_line_bundle(build_torus(8), 1),
-                  trivial_bundle(build_torus(8))]}, "links of factor 0"),
-    ({"bundles": [direct_sum_bundle(build_torus(4), [2, 1]), trivial_bundle(build_torus(8))]},
-     "links of factor 0"),
+                  direct_sum_bundle(build_torus(8), (0,))]}, "links of factor 0"),
+    ({"bundles": [direct_sum_bundle(build_torus(4), [2, 1]),
+                  direct_sum_bundle(build_torus(8), (0,))]}, "links of factor 0"),
     ({"section": np.ones((4, 8, 2), complex)}, "section has shape"),
     ({"section": np.ones((8, 8, 3), complex)}, "section has shape"),
     ({"u": {0: np.zeros((2, 2), complex)}}, "metric exponent of factor 0"),
@@ -607,7 +606,7 @@ def test_rank1_sup_log_metric_is_the_eigenvalue_reference(rng):
     lat = build_torus(8)
     spec = ProductGroupSpec((1, 1))
     rep = RepSpec(spec, (Slot(1, STANDARD, 0), Slot(1, DUAL, 1)))
-    bundles = [make_constant_curvature_line_bundle(lat, 1), trivial_bundle(lat)]
+    bundles = [make_constant_curvature_line_bundle(lat, 1), direct_sum_bundle(lat, (0,))]
     state = LatticePairState(lat, rep, SubgroupSetting(spec, ("full", "constant"), (0, 0)),
                              bundles, np.ones((8, 8, 1), complex))
     state.u[0] = rng.standard_normal((8, 8, 1, 1)) + 1j * rng.standard_normal((8, 8, 1, 1))
@@ -653,7 +652,7 @@ def test_lattice_actions_match_point_actions_sitewise(rng):
             k = GroupElement(tuple(kf[s, t] for kf in kfields))
             assert np.allclose(gauged[s, t], act(k, x, rep), atol=1e-12)
             for i in range(2):
-                assert np.allclose(mus[i][s, t], mu_factor(x, rep, i), atol=1e-12)
+                assert np.allclose(mus[i][s, t], mu_full(x, rep).blocks[i], atol=1e-12)
             for st, blocks in zip(settings, shifted):
                 want = mu_shifted(x, rep, spec, st).blocks
                 assert set(blocks) == set(st.unfrozen())

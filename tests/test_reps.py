@@ -24,7 +24,6 @@ from gpwb.reps import (
     act,
     infinitesimal_act,
     moment_block,
-    mu_factor,
     mu_full,
     mu_shifted,
     summand_weights,
@@ -128,21 +127,21 @@ def test_mu_hom_one_by_one():
     spec = ProductGroupSpec((1, 1))
     rep = RepSpec(spec, (Slot(1, STANDARD, 0), Slot(1, DUAL, 1)))
     x = np.array([1.0 + 0j])
-    assert mu_factor(x, rep, 0)[0, 0] == pytest.approx(-1j)
-    assert mu_factor(x, rep, 1)[0, 0] == pytest.approx(1j)
+    assert mu_full(x, rep).blocks[0][0, 0] == pytest.approx(-1j)
+    assert mu_full(x, rep).blocks[1][0, 0] == pytest.approx(1j)
 
 
 def test_mu_adjoint_normal_matrix_vanishes(rng):
     rep = adjoint_rep(2, 1)
     # unitary matrices are normal
     A = random_unitary(ProductGroupSpec((2,)), rng).blocks[0]
-    assert np.linalg.norm(mu_factor(A.reshape(-1), rep, 0)) < 1e-12
+    assert np.linalg.norm(mu_full(A.reshape(-1), rep).blocks[0]) < 1e-12
 
 
 def test_mu_adjoint_nilpotent():
     rep = adjoint_rep(2, 1)
     A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    out = mu_factor(A.reshape(-1), rep, 0)
+    out = mu_full(A.reshape(-1), rep).blocks[0]
     assert np.allclose(out, -1j * np.diag([1.0, -1.0]))
 
 
@@ -174,7 +173,7 @@ def test_mu_twisted_factor1_matches_slice_sum(rng):
     # p=3 Hom(V2 (x) F, V1): factor-1 block is -i sum_j phi_j phi_j^dagger
     rep = twisted_rep(2, 2, 2)
     X = rng.standard_normal(rep.shape) + 1j * rng.standard_normal(rep.shape)
-    out = mu_factor(X.reshape(-1), rep, 0)
+    out = mu_full(X.reshape(-1), rep).blocks[0]
     expect = np.zeros((2, 2), complex)
     for j in range(2):  # slot 2 (dual of factor 2) index
         for k in range(2):  # slot 3 index
@@ -228,7 +227,7 @@ def test_mu_adjoint_traceless(rng):
     rep = adjoint_rep(2, 1)
     for _ in range(20):
         x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
-        assert abs(np.trace(mu_factor(x, rep, 0))) < 1e-13 * (1 + np.linalg.norm(x) ** 2)
+        assert abs(np.trace(mu_full(x, rep).blocks[0])) < 1e-13 * (1 + np.linalg.norm(x) ** 2)
 
 
 def test_mu_hom_trace_sum_rule(rng):
@@ -270,15 +269,6 @@ def test_mu_shifted_frozen_block_zero(rng):
         assert np.all(out.blocks[1] == 0)
 
 
-def test_mu_factor_trivial_action_errors():
-    rep = tensor_rep()
-    spec3 = ProductGroupSpec((2, 3, 4))
-    rep3 = RepSpec(spec3, (Slot(2, STANDARD, 0), Slot(3, STANDARD, 1), Slot(1, TRIVIAL)))
-    x = np.zeros(rep3.dim)
-    with pytest.raises(ValueError):
-        mu_factor(x, rep3, 2)
-
-
 def test_mu_basis_independence_of_slicing(rng):
     # re-basing the acted slot by a unitary leaves the factor block unchanged
     rep = hom_rep(2, 3)
@@ -287,7 +277,7 @@ def test_mu_basis_independence_of_slicing(rng):
     g = GroupElement((np.eye(2), np.linalg.inv(q).T), "complexified")
     # dual slot transforms with (C^-1)^t; choosing C = q^-T acts by q on coefficients
     y = act(g, x, rep)
-    assert np.linalg.norm(mu_factor(y, rep, 0) - mu_factor(x, rep, 0)) < 1e-11
+    assert np.linalg.norm(mu_full(y, rep).blocks[0] - mu_full(x, rep).blocks[0]) < 1e-11
 
 
 def test_slot_must_point_at_a_factor():
